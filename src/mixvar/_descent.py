@@ -85,31 +85,27 @@ def run_lbfgs(
     maxiter: int = 400,
     gtol: float = 1e-9,
     label: str = "",
-    record_history: bool = False,
     snapshot_stride: int | None = None,
 ) -> DescentResult:
+    """L-BFGS-B descent of ``energy.value_and_grad`` from x0.
+
+    With ``snapshot_stride`` set, ``history`` holds the energy at x0 and at
+    every accepted iterate, and ``snapshots`` a copy of every stride-th one.
+    """
     history = []
     snapshots = []
-    it_counter = [0]
-
-    def fun(x):
-        v, g = energy.value_and_grad(x)
-        return v, g
-
     cb = None
-    if record_history or snapshot_stride:
-        if record_history:
-            history.append(energy.value_and_grad(x0)[0])
+    if snapshot_stride:
+        history.append(energy.value_and_grad(x0)[0])
 
-        def cb(xk):
-            it_counter[0] += 1
-            if record_history:
-                history.append(energy.value_and_grad(xk)[0])
-            if snapshot_stride and it_counter[0] % snapshot_stride == 0:
-                snapshots.append((it_counter[0], xk.copy()))
+        def cb(intermediate_result):
+            history.append(float(intermediate_result.fun))
+            it = len(history) - 1
+            if it % snapshot_stride == 0:
+                snapshots.append((it, intermediate_result.x.copy()))
 
     res = minimize(
-        fun, x0, jac=True, method="L-BFGS-B", callback=cb,
+        energy.value_and_grad, x0, jac=True, method="L-BFGS-B", callback=cb,
         options={"maxiter": maxiter, "ftol": 1e-14, "gtol": gtol, "maxcor": 20},
     )
     value = float(res.fun)

@@ -110,8 +110,7 @@ def _cmd_envelope(cfg: dict, out: Path) -> None:
     chash = config_hash(cfg)
     table = tabulate_envelope(
         F, a, [tuple(t) for t in lattice], opts,
-        levels=cfg.get("levels"), threads=cfg.get("threads", 1),
-        meta={"config_hash": chash, "config": cfg},
+        levels=cfg.get("levels"), meta={"config_hash": chash, "config": cfg},
     )
     table.save(out)
     summary = {
@@ -210,14 +209,15 @@ def _cmd_relax(cfg: dict, out: Path, args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     rows = [
-        (lev, "x".join(str(r) for r in res), ef, report.E_QF, gap, gn, wc)
-        for lev, res, ef, gap, gn, wc in zip(
+        (lev, "x".join(str(r) for r in res), ef, report.E_QF, gap, gn, wc, conv)
+        for lev, res, ef, gap, gn, wc, conv in zip(
             report.levels, report.resolutions, report.E_F, report.gaps,
-            report.grad_norms, report.wallclock,
+            report.grad_norms, report.wallclock, report.converged,
         )
     ]
     _write_csv(out / "report.csv", f"# config_hash={chash}",
-               ["level", "resolution", "E_F", "E_QF", "gap", "grad_norm", "wallclock"], rows)
+               ["level", "resolution", "E_F", "E_QF", "gap", "grad_norm", "wallclock",
+                "converged"], rows)
     payload = {
         "config_hash": chash,
         "E_F": report.E_F,

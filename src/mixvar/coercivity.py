@@ -74,10 +74,6 @@ class _PenalizedMoment:
         self.rho = rho
         self.n_int = inner.grid.n_interior
 
-    def moment(self, W: np.ndarray) -> float:
-        fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
-        return float(np.mean(fro**self.q))
-
     def value_and_grad(self, x: np.ndarray):
         inner = self.inner
         phi = inner.unpack(x)

@@ -313,13 +313,13 @@ def tabulate_envelope(
     lattice,
     opts: EnvelopeOptions = EnvelopeOptions(),
     levels=None,
-    threads: int = 1,
     meta: dict | None = None,
 ) -> EnvelopeTable:
     """Per-node envelope estimates over a lattice; failures masked, not fatal.
 
-    Node seeds derive from the node index, so results do not depend on the
-    execution order (or thread count).
+    Only a numerical failure (RuntimeError) is masked; any other exception
+    propagates.  Node seeds derive from the node index, so results do not
+    depend on the execution order.
     """
     _require_growth(F)
     a_sv = a if isinstance(a, SmoothnessVector) else SmoothnessVector(tuple(a))
@@ -331,31 +331,17 @@ def tabulate_envelope(
     values = np.empty(counts)
     failures = np.zeros(counts, dtype=bool)
 
-    indices = list(np.ndindex(*counts))
-
-    def solve_node(rank_idx):
-        rank, idx = rank_idx
+    for rank, idx in enumerate(np.ndindex(*counts)):
         V = np.array([pts[d][i] for d, i in enumerate(idx)]).reshape(F.n, F.m)
         node_opts = replace(opts, seed=opts.seed + rank)
         try:
             if levels:
-                vals, est = dacorogna_refine(F, V, a_sv, levels, node_opts)
-                return est.value, False
-            return dacorogna_min(F, V, a_sv, node_opts).value, False
-        except (RuntimeError, ValueError):
-            return float(F(V)), True
-
-    tasks = list(enumerate(indices))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(solve_node, tasks))
-    else:
-        outs = [solve_node(t) for t in tasks]
-    for (rank, idx), (val, failed) in zip(tasks, outs):
-        values[idx] = val
-        failures[idx] = failed
+                values[idx] = dacorogna_refine(F, V, a_sv, levels, node_opts)[1].value
+            else:
+                values[idx] = dacorogna_min(F, V, a_sv, node_opts).value
+        except RuntimeError:
+            values[idx] = float(F(V))
+            failures[idx] = True
 
     table_meta = {
         "integrand": {"name": F.name, "params": F.params},

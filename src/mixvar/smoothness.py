@@ -228,10 +228,12 @@ def box_cover(
         raise ValueError("domain has zero volume")
 
     boxes: list[AnisoBox] = []
+    boxes_volume = 0.0  # sum of box volumes, accumulated in append order
     target_uncovered = coverage_tol * total
 
     def tile(rect, radius) -> float:
         """Tile ``rect`` at this radius, recurse on the peel; returns covered volume."""
+        nonlocal boxes_volume
         vol = _rect_volume(rect)
         if vol <= 0:
             return 0.0
@@ -248,7 +250,10 @@ def box_cover(
                     lo + (k + 0.5) * w for (lo, hi), w, k in zip(rect, widths, idx)
                 )
                 boxes.append(AnisoBox(center, radius, sv))
-            covered = n_new * boxes[-1].volume
+            box_volume = boxes[-1].volume
+            covered = n_new * box_volume
+            for _ in range(n_new):
+                boxes_volume += box_volume
             # Peel the uncovered slabs (disjoint L-shaped shell around the core).
             core_hi = [lo + c * w for (lo, hi), w, c in zip(rect, widths, counts)]
             remaining = [r for r in rect]
@@ -257,7 +262,7 @@ def box_cover(
                 if core_hi[i] < hi_i - 1e-14 * max(1.0, abs(hi_i)):
                     slab = list(remaining)
                     slab[i] = (core_hi[i], hi_i)
-                    if sum(b.volume for b in boxes) >= total - target_uncovered:
+                    if boxes_volume >= total - target_uncovered:
                         return covered
                     covered += tile(slab, radius / 2.0)
                 remaining[i] = (lo_i, core_hi[i])

@@ -130,12 +130,18 @@ class _DirichletEnergy:
         return v * self.weight, grad * self.weight
 
 
-def solve_dirichlet(prob: DirichletProblem, opts: SolveOptions = SolveOptions()) -> SolveResult:
+def solve_dirichlet(
+    prob: DirichletProblem,
+    opts: SolveOptions = SolveOptions(),
+    warm_start: GridField | None = None,
+) -> SolveResult:
     """Quasi-Newton descent to a stationary point of the Dirichlet problem.
 
     The returned field agrees with the datum on the collar bit-exactly (those
     nodes are never touched).  Trace energies are the accepted-iterate
-    energies, nonincreasing by construction of the line search.
+    energies, nonincreasing by construction of the line search.  A
+    ``warm_start`` (a zero-boundary field, e.g. a prolonged coarser minimizer)
+    runs as the last start, labelled "prolonged", so ties go to the others.
     """
     grid = prob.grid()
     F = prob.integrand
@@ -152,6 +158,8 @@ def solve_dirichlet(prob: DirichletProblem, opts: SolveOptions = SolveOptions())
     for i in range(opts.multistart):
         noise = smooth_noise(grid, F.n, rng) * opts.perturbation
         starts.append((f"perturbed{i}", noise))
+    if warm_start is not None:
+        starts.append(("prolonged", warm_start.values))
 
     stride = max(1, opts.maxiter // max(opts.checkpoints, 1))
     best = None
@@ -161,7 +169,7 @@ def solve_dirichlet(prob: DirichletProblem, opts: SolveOptions = SolveOptions())
         x0 = energy.inner.pack(phi)
         try:
             res = run_lbfgs(energy, x0, maxiter=opts.maxiter, gtol=opts.gtol,
-                            label=label, record_history=True, snapshot_stride=stride)
+                            label=label, snapshot_stride=stride)
         except RuntimeError:
             continue
         if best is None or res.value < best.value:
@@ -171,7 +179,7 @@ def solve_dirichlet(prob: DirichletProblem, opts: SolveOptions = SolveOptions())
 
     phi = energy.inner.unpack(best.x)
     u = GridField(grid, g.values + phi)
-    trace = SolveTrace(energies=list(best.history) if best.history else [best.value])
+    trace = SolveTrace(energies=list(best.history))
     _, g_final = energy.value_and_grad(best.x)
     trace.grad_norms = [float(np.linalg.norm(g_final))]
     for it, xk in best.snapshots:
@@ -189,6 +197,7 @@ class RelaxReport:
     E_QF: float
     gaps: list
     grad_norms: list
+    converged: list       # per level: the winning descent met gtol within maxiter
     wallclock: list
     no_gap_detected: bool
     lower_bound_ok: bool  # E_QF <= E_F + tol at every level
@@ -213,33 +222,20 @@ def relax_compare(
 
     E_F: list[float] = []
     grad_norms: list[float] = []
+    converged: list[bool] = []
     wallclock: list[float] = []
     measures = []
     warm_phi: GridField | None = None
     for lev, res in enumerate(ladders):
         t0 = time.perf_counter()
         lev_prob = prob.at_resolution(res)
-        lev_opts = replace(opts, seed=opts.seed + lev)
         grid = lev_prob.grid()
-        result = solve_dirichlet(lev_prob, lev_opts)
-        if warm_phi is not None:
-            g = lev_prob.datum_field(grid)
-            phi = prolong_zero_boundary(warm_phi, grid)
-            energy = _DirichletEnergy(grid, prob.integrand, g)
-            x0 = energy.inner.pack(phi.values)
-            try:
-                res2 = run_lbfgs(energy, x0, maxiter=opts.maxiter, gtol=opts.gtol,
-                                 label="prolonged", record_history=True)
-                if res2.value < result.energy:
-                    u = GridField(grid, g.values + energy.inner.unpack(res2.x))
-                    result = SolveResult(u, res2.value, SolveTrace(energies=res2.history),
-                                         res2.converged, "prolonged")
-            except RuntimeError:
-                pass
-        g = lev_prob.datum_field(grid)
-        warm_phi = GridField(grid, result.u.values - g.values)
+        warm = None if warm_phi is None else prolong_zero_boundary(warm_phi, grid)
+        result = solve_dirichlet(lev_prob, replace(opts, seed=opts.seed + lev), warm_start=warm)
+        warm_phi = GridField(grid, result.u.values - lev_prob.datum_field(grid).values)
         E_F.append(result.energy)
-        grad_norms.append(result.trace.grad_norms[0] if result.trace.grad_norms else float("nan"))
+        grad_norms.append(result.trace.grad_norms[0])
+        converged.append(result.converged)
         wallclock.append(time.perf_counter() - t0)
         measures.append(a_gradient(result.u).values)
 
@@ -270,6 +266,6 @@ def relax_compare(
     no_gap = max(abs(g) for g in gaps) <= max(gap_tol, 1e-6 * (1.0 + abs(E_F[0])))
     return RelaxReport(
         list(range(refinement_levels)), [list(r) for r in ladders],
-        E_F, E_QF, gaps, grad_norms, wallclock, bool(no_gap),
+        E_F, E_QF, gaps, grad_norms, converged, wallclock, bool(no_gap),
         bool(min(gaps) >= -gap_tol), measures,
     )

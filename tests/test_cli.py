@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mixvar import cli
 from mixvar.cli import main
 from mixvar.containers import TABLE_MAGIC
 from mixvar.envelope import EnvelopeTable
+from mixvar.integrand import builtin_from_config
 
 
 def write_config(path, payload):
@@ -43,6 +46,26 @@ def test_envelope_determinism_byte_identical(tmp_path):
     assert main(["envelope", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["envelope", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_envelope_programming_error_exits_nonzero(tmp_path, monkeypatch):
+    # a ValueError in the descent at the lattice node V = 0 is a bug: the run
+    # must fail instead of writing a table with that node masked
+    def faulty(c):
+        F = builtin_from_config(c)
+
+        def ev(V):
+            if V.ndim > 2 and np.any(V == 0.0):
+                raise ValueError("integrand bug")
+            return F.eval(V)
+
+        return replace(F, eval=ev)
+
+    monkeypatch.setattr(cli, "builtin_from_config", faulty)
+    cfg = write_config(tmp_path / "cfg.json", ENVELOPE_CFG)
+    out = tmp_path / "table.qft"
+    assert main(["envelope", "--config", cfg, "--out", str(out)]) != 0
+    assert not out.exists()
 
 
 def test_validation_error_names_field(tmp_path, capsys):
@@ -150,6 +173,8 @@ def test_relax_subcommand(tmp_path):
     assert report["no_relaxation_gap_detected"] is True
     lines = (out / "report.csv").read_text().strip().splitlines()
     assert lines[1].split(",")[0] == "level"
+    assert lines[1].split(",")[-1] == "converged"
+    assert [row.split(",")[-1] for row in lines[2:]] == ["True", "True"]
 
 
 def test_relax_requires_table(tmp_path, capsys):

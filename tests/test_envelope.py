@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,21 @@ def test_qft_byte_determinism(tmp_path):
         table.save(p)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_tabulate_propagates_programming_errors():
+    # a ValueError is a bug, not a numerical failure: it must not become a
+    # masked node; point evaluations (the exact F(V) reference) still work,
+    # so only the descent at the lattice node V = 0 hits the fault
+    F = builtin("double_well", w=1.0, n=1, m=1)
+
+    def ev(V):
+        if V.ndim > 2 and np.any(V == 0.0):
+            raise ValueError("integrand bug")
+        return F.eval(V)
+
+    with pytest.raises(ValueError, match="integrand bug"):
+        tabulate_envelope(replace(F, eval=ev), (2,), [(-2.0, 2.0, 5)], FAST)
 
 
 def test_tabulate_failure_mask():

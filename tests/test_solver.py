@@ -147,6 +147,34 @@ def test_relax_convex_zero_gap():
     assert rep.lower_bound_ok
     assert all(abs(g) <= 1e-8 for g in rep.gaps)
     assert rep.no_gap_detected
+    assert rep.converged == [True, True]
+
+
+def test_relax_reports_levels_stopped_at_maxiter():
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    table = tabulate_envelope(
+        F, (2,), [(-2.0, 2.0, 5)], EnvelopeOptions(resolution=17, multistart=2, seed=14)
+    )
+    # slope 0.4 is not stationary for the double well: two iterations cannot converge
+    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): 0.4}, 4.0, 9)
+    rep = relax_compare(prob, table, refinement_levels=2,
+                        opts=SolveOptions(seed=15, maxiter=2))
+    assert rep.converged == [False, False]
+    assert all(np.isfinite(g) and g > 0 for g in rep.grad_norms)
+
+
+def test_warm_start_runs_last_and_wins_when_lower():
+    F = builtin("double_well", col=0, w=1.0, n=1, m=2)
+    prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, {(1, 0): 0.2}, 4.0, 17)
+    grid = prob.grid()
+    full = solve_dirichlet(prob, SolveOptions(seed=16))
+    warm = GridField(grid, full.u.values - prob.datum_field(grid).values)
+    short = SolveOptions(seed=16, maxiter=3)
+    cold = solve_dirichlet(prob, short)
+    res = solve_dirichlet(prob, short, warm_start=warm)
+    assert res.start_label == "prolonged"
+    assert res.energy <= full.energy < cold.energy
+    assert np.isfinite(res.trace.grad_norms[0])
 
 
 def test_relax_double_well_gap_shrinks():
@@ -160,6 +188,7 @@ def test_relax_double_well_gap_shrinks():
     rep = relax_compare(prob, table, refinement_levels=3,
                         opts=SolveOptions(seed=11, multistart=2, perturbation=0.05))
     assert rep.lower_bound_ok
+    assert all(np.isfinite(g) for g in rep.grad_norms)
     assert all(b <= a + 1e-10 for a, b in zip(rep.E_F, rep.E_F[1:]))
     assert rep.gaps[-1] <= 0.1 * (1 + rep.E_F[0])
     assert not rep.no_gap_detected
