@@ -19,7 +19,7 @@ est = dacorogna_min(F, 0.0, a, opts)
 print(f"F(0) = {est.reference:.4f}, envelope estimate = {est.value:.5f}")
 print(f"best start: {est.best_start} out of {est.n_starts}")
 
-# Refinement ladder with prolongation warm starts: nonincreasing values.
+# Refinement ladder with B-spline subdivision warm starts.
 values, _ = dacorogna_refine(F, 0.0, a, levels=(17, 33, 65), opts=EnvelopeOptions(multistart=8, seed=2))
 print("ladder 17/33/65:", [round(v, 5) for v in values])
 

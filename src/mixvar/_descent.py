@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import minimize
 
-from .grid import Grid, GridField, gradient_adjoint, mixed_derivative
+from .grid import Grid, GridField, a_gradient, gradient_adjoint
+from .grid import mixed_derivative  # noqa: F401  (bench/layers.py traces it at this site)
 from .integrand import Integrand
 from .smoothness import homogeneity_set
 
@@ -49,9 +49,7 @@ class StencilEnergy:
         return phi[self.free].reshape(-1)
 
     def gradient_stack(self, phi: np.ndarray) -> np.ndarray:
-        f = GridField(self.grid, phi)
-        cols = [mixed_derivative(f, al) for al in self.alphas]
-        return np.stack(cols, axis=-1)
+        return a_gradient(GridField(self.grid, phi)).values
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         phi = self.unpack(x)
@@ -192,39 +190,29 @@ def start_portfolio(
 
 
 def _gradient_amplitude(grid: Grid, scalar_vals: np.ndarray) -> float:
-    f = GridField(grid, scalar_vals)
-    cols = [mixed_derivative(f, al) for al in homogeneity_set(grid.a)]
-    W = np.stack(cols, axis=-1)
+    W = a_gradient(GridField(grid, scalar_vals)).values
     return float(np.sqrt(np.mean(np.sum(W**2, axis=(-2, -1)))))
 
 
 def prolong_zero_boundary(field: GridField, fine: Grid) -> GridField:
-    """Prolong a zero-boundary field to a finer grid by gradient matching.
+    """Prolong a zero-boundary field to the dyadic refinement of its grid.
 
-    Direct value interpolation inflates the energy of oscillatory iterates:
-    the interpolant's higher differences overshoot at the transitions the
-    optimizer just paid to smooth.  Instead the full derivative stack is
-    interpolated column by column and the closest fine-grid zero-boundary
-    field is recovered by least squares, which keeps plateau structure in
-    the highest derivatives intact.
+    The node values are read as the coefficients of a tensor B-spline of
+    degree a_i along axis i and refined exactly by subdivision (Lane &
+    Riesenfeld, 1980): per axis they are duplicated, adjacent pairs are
+    averaged a_i times, and a_i - 1 zeros are appended at the high end.  The
+    fine pure a_i-th forward differences then repeat the coarse ones node for
+    node, so the grid-scale laminates a descent produced survive instead of
+    being averaged away, and the collar stays zero.
     """
-    from .grid import full_gradient, project_to_gradients
-    from .smoothness import lower_set
-
     coarse = field.grid
-    W = full_gradient(field)
-    coarse_axes = [ax[:ni] for ax, ni in zip(coarse.axes(), coarse.interior_shape)]
-    fine_axes = [ax[:ni] for ax, ni in zip(fine.axes(), fine.interior_shape)]
-    mesh = np.stack(np.meshgrid(*fine_axes, indexing="ij"), axis=-1)
-    pts = mesh.reshape(-1, fine.ndim)
-    n, d = W.n_components, W.n_columns
-    V = np.empty(fine.interior_shape + (n, d))
-    for comp in range(n):
-        for j in range(d):
-            interp = RegularGridInterpolator(
-                coarse_axes, W.values[..., comp, j], method="linear",
-                bounds_error=False, fill_value=None,
-            )
-            V[..., comp, j] = interp(pts).reshape(fine.interior_shape)
-    u, _ = project_to_gradients(fine, V, W.alphas)
-    return u
+    if fine != coarse.refine():
+        raise ValueError(f"fine grid {fine.shape} is not the dyadic refinement of {coarse.shape}")
+    vals = field.values
+    for ax, ai in enumerate(coarse.a.a):
+        v = np.repeat(np.moveaxis(vals, ax, 0), 2, axis=0)
+        for _ in range(ai):
+            v = 0.5 * (v[:-1] + v[1:])
+        v = np.concatenate([v, np.zeros((ai - 1,) + v.shape[1:])])
+        vals = np.moveaxis(v, 0, ax)
+    return GridField(fine, vals)

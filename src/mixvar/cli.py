@@ -18,7 +18,7 @@ import numpy as np
 
 from .containers import canonical_json, config_hash, save_field
 from .coercivity import ThetaOptions, mean_coercivity_fit, theta_estimate
-from .envelope import EnvelopeOptions, tabulate_envelope
+from .envelope import EnvelopeOptions, _check_levels, tabulate_envelope
 from .grid import Grid, GridField
 from .integrand import builtin_from_config
 from .smoothness import SmoothnessVector
@@ -100,6 +100,12 @@ def _cmd_envelope(cfg: dict, out: Path) -> None:
     F = _integrand(cfg)
     seed = _seed(cfg)
     lattice = _require(cfg, "lattice", list)
+    levels = cfg.get("levels")
+    if levels is not None:
+        try:
+            _check_levels(_require(cfg, "levels", list))
+        except ValueError as exc:
+            raise ConfigError(f"field 'levels': {exc}") from exc
     opts = EnvelopeOptions(
         resolution=cfg.get("resolution", 65),
         multistart=cfg.get("multistart", 8),
@@ -110,7 +116,7 @@ def _cmd_envelope(cfg: dict, out: Path) -> None:
     chash = config_hash(cfg)
     table = tabulate_envelope(
         F, a, [tuple(t) for t in lattice], opts,
-        levels=cfg.get("levels"), meta={"config_hash": chash, "config": cfg},
+        levels=levels, meta={"config_hash": chash, "config": cfg},
     )
     table.save(out)
     summary = {

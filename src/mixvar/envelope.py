@@ -155,6 +155,13 @@ def dacorogna_min(
     return EnvelopeEstimate(best_value, reference, witness, best_start, len(starts), exhausted, per_start)
 
 
+def _check_levels(levels) -> None:
+    """Refinement ladders are dyadic: each level is 2 * previous - 1 nodes per axis."""
+    levels = list(levels)
+    if any(fine != 2 * coarse - 1 for coarse, fine in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be dyadic (each level 2 * previous - 1), got {levels}")
+
+
 def dacorogna_refine(
     F: Integrand,
     V,
@@ -162,20 +169,27 @@ def dacorogna_refine(
     levels=DEFAULT_LEVELS,
     opts: EnvelopeOptions = EnvelopeOptions(),
 ) -> tuple[list[float], EnvelopeEstimate]:
-    """Refinement ladder with spline prolongation warm starts.
+    """Refinement ladder with B-spline subdivision warm starts.
 
-    Returns the per-level values (nonincreasing under refinement) and the
-    final-level estimate.
+    Returns the per-level values and the final-level estimate.  Every level
+    after the first also descends from the previous witness prolonged by
+    ``prolong_zero_boundary``, so its value is at most that start's energy.
+    Where F sees only the pure a-th derivative (N = 1), the prolonged start
+    repeats the coarser gradient except on a - 1 nodes, where it is V, so a
+    value exceeds the one before by at most the fraction (a - 1) / n_interior
+    (finer grid) of the gap between F(V) and that value; the ladder is not
+    guaranteed nonincreasing.
     """
+    _check_levels(levels)
+    a_sv = a if isinstance(a, SmoothnessVector) else SmoothnessVector(tuple(a))
     values = []
     est = None
     warm = None
     for res in levels:
         level_opts = replace(opts, resolution=res)
-        a_sv = a if isinstance(a, SmoothnessVector) else SmoothnessVector(tuple(a))
         if warm is not None:
             warm = prolong_zero_boundary(warm, level_opts.grid(a_sv))
-        est = dacorogna_min(F, V, a, level_opts, warm_start=warm)
+        est = dacorogna_min(F, V, a_sv, level_opts, warm_start=warm)
         values.append(est.value)
         warm = est.witness
     return values, est

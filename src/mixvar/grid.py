@@ -14,7 +14,7 @@ lower set fits.  Quadrature is left-Riemann: node values times ``prod(h)``.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -274,9 +274,12 @@ def mixed_derivative(f: GridField, alpha: MultiIndex) -> np.ndarray:
 
 
 def _stack(f: GridField, alphas: list[MultiIndex]) -> AGradientField:
-    cols = [mixed_derivative(f, al) for al in alphas]
-    values = np.stack(cols, axis=-1)
-    return AGradientField(f.grid, alphas, values)
+    grid = f.grid
+    D, _ = _operator(grid, tuple(alphas))
+    cols = (D @ f.values.reshape(-1, f.n_components)).reshape(
+        (len(alphas),) + grid.interior_shape + (f.n_components,)
+    )
+    return AGradientField(grid, alphas, np.moveaxis(cols, 0, -1))
 
 
 def a_gradient(f: GridField) -> AGradientField:
@@ -294,18 +297,6 @@ def lower_gradient(f: GridField) -> AGradientField:
     return _stack(f, lower_set(f.grid.a, strict=True))
 
 
-def _diff_transpose_1d(y: np.ndarray, axis: int, order: int, h: float, count: int) -> np.ndarray:
-    """Adjoint of order-``order`` forward difference mapping R^count -> R^(count-order)."""
-    out = y
-    for _ in range(order):
-        pad = [(0, 0)] * out.ndim
-        pad[axis] = (1, 1)
-        z = np.pad(out, pad)
-        out = -np.diff(z, axis=axis)
-    # out now has extent (count - order) + order = count along axis
-    return out / h**order
-
-
 def gradient_adjoint(grid: Grid, alphas: list[MultiIndex], weights: np.ndarray) -> np.ndarray:
     """Adjoint of the derivative stack: interior weights -> full node array.
 
@@ -314,19 +305,9 @@ def gradient_adjoint(grid: Grid, alphas: list[MultiIndex], weights: np.ndarray) 
     This is the chain-rule backbone for energy gradients.
     """
     n = weights.shape[-2]
-    out = np.zeros(grid.shape + (n,))
-    h = grid.h
-    for j, alpha in enumerate(alphas):
-        w = weights[..., j]
-        # zero-pad from the interior extent to each stencil's natural extent
-        target = tuple(c - o for c, o in zip(grid.shape, alpha))
-        pad = [(0, t - s) for t, s in zip(target, w.shape[: grid.ndim])] + [(0, 0)]
-        w = np.pad(w, pad)
-        for ax, o in enumerate(alpha):
-            if o > 0:
-                w = _diff_transpose_1d(w, ax, o, h[ax], grid.shape[ax])
-        out += w
-    return out
+    w = np.moveaxis(weights, -1, 0).reshape(-1, n)
+    _, Dt = _operator(grid, tuple(alphas))
+    return (Dt @ w).reshape(grid.shape + (n,))
 
 
 def _diff_matrix_1d(count: int, order: int, h: float, n_rows: int) -> sp.csr_matrix:
@@ -347,6 +328,18 @@ def stencil_matrix(grid: Grid, alpha: MultiIndex) -> sp.csr_matrix:
     for mat in mats[1:]:
         M = sp.kron(M, mat, format="csr")
     return M
+
+
+@functools.lru_cache(maxsize=32)
+def _operator(grid: Grid, alphas: tuple[MultiIndex, ...]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The derivative stack D as one sparse matrix, and its transpose.
+
+    D stacks one stencil_matrix block per alpha: rows are alpha-major, then
+    interior nodes in C order; columns are the grid nodes in C order.  Every
+    forward stack and every adjoint goes through this one operator.
+    """
+    D = sp.vstack([stencil_matrix(grid, al) for al in alphas], format="csr")
+    return D, D.T.tocsr()
 
 
 def sobolev_norm(f: GridField, p: float, variant: str = "full") -> float:
@@ -419,22 +412,12 @@ def project_to_gradients(
     n = V.shape[-2]
 
     free = ~grid.collar_mask().reshape(-1)
-    blocks = [stencil_matrix(grid, al)[:, free] for al in alphas]
-    A = sp.vstack(blocks, format="csr")
-    AtA = (A.T @ A).tocsc()
-    solve = spla.factorized(AtA)
+    A = _operator(grid, tuple(alphas))[0][:, free]
+    rhs = A.T @ np.moveaxis(V, -1, 0).reshape(-1, n)
+    u_vals = np.zeros((free.size, n))
+    u_vals[free] = spla.splu((A.T @ A).tocsc()).solve(rhs)
 
-    u_vals = np.zeros(grid.shape + (n,))
-    n_int = grid.n_interior
-    for comp in range(n):
-        rhs_cols = [V[..., comp, j].reshape(n_int) for j in range(len(alphas))]
-        b = A.T @ np.concatenate(rhs_cols)
-        x = solve(b)
-        flat = np.zeros(int(np.prod(grid.shape)))
-        flat[free] = x
-        u_vals[..., comp] = flat.reshape(grid.shape)
-
-    u = GridField(grid, u_vals)
+    u = GridField(grid, u_vals.reshape(grid.shape + (n,)))
     recon = _stack(u, alphas)
     residual = V - recon.values
     return u, residual

@@ -12,6 +12,7 @@ are the sublevel sets ``|x_i - c_i| ** a_i < R``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -99,13 +100,17 @@ def homogeneity_set(a) -> list[MultiIndex]:
     The cardinality of the returned list is the column count m of the
     mixed-order gradient.
     """
-    sv = _as_sv(a)
+    return list(_homogeneity_set(_as_sv(a)))
+
+
+@functools.lru_cache(maxsize=None)
+def _homogeneity_set(sv: SmoothnessVector) -> tuple[MultiIndex, ...]:
     hits = []
     one = Fraction(1)
     for alpha in itertools.product(*(range(ai + 1) for ai in sv.a)):
         if pairing(alpha, sv) == one:
             hits.append(alpha)
-    return _ordered(hits)
+    return tuple(_ordered(hits))
 
 
 def lower_set(a, strict: bool = False) -> list[MultiIndex]:

@@ -78,6 +78,15 @@ def test_validation_error_names_field(tmp_path, capsys):
     assert "'a'" in err
 
 
+def test_non_dyadic_levels_are_a_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {**ENVELOPE_CFG, "levels": [17, 40]})
+    rc = main(["envelope", "--config", cfg, "--out", str(tmp_path / "t.qft")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'levels'" in err
+    assert not (tmp_path / "t.qft").exists()
+
+
 def test_missing_seed_is_a_validation_error(tmp_path, capsys):
     cfg_data = {k: v for k, v in ENVELOPE_CFG.items() if k != "seed"}
     cfg = write_config(tmp_path / "noseed.json", cfg_data)

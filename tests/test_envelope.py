@@ -113,12 +113,31 @@ def test_envelope_interpolation():
         envelope_interpolate(table, np.array([1.5]))
 
 
-def test_mesh_monotonicity_refinement():
+@pytest.mark.parametrize("levels, opts", [
+    ((17, 33, 65), EnvelopeOptions(multistart=8, maxiter=1500, seed=4)),
+    # the V = 0 node of the relax test's table: a 129 level that only a
+    # budget-exhausted random start could win used to exceed the 65 level
+    ((17, 33, 65, 129), EnvelopeOptions(resolution=129, multistart=8, maxiter=2000, seed=20)),
+], ids=["ladder-65", "ladder-129"])
+def test_mesh_monotonicity_refinement(levels, opts):
     F = builtin("double_well", w=1.0, n=1, m=1)
-    opts = EnvelopeOptions(multistart=8, maxiter=1500, seed=4)
-    values, est = dacorogna_refine(F, 0.0, (2,), levels=(17, 33, 65), opts=opts)
+    values, est = dacorogna_refine(F, 0.0, (2,), levels=levels, opts=opts)
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-10
+
+
+def test_refinement_rejects_non_dyadic_levels(monkeypatch):
+    import mixvar.envelope as envelope
+
+    def no_descent(*args, **kwargs):
+        raise AssertionError("a descent ran before the levels were checked")
+
+    monkeypatch.setattr(envelope, "dacorogna_min", no_descent)
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    with pytest.raises(ValueError, match="dyadic"):
+        dacorogna_refine(F, 0.0, (2,), levels=(17, 33, 66), opts=FAST)
+    with pytest.raises(ValueError, match="dyadic"):
+        tabulate_envelope(F, (2,), [(-1.0, 1.0, 3)], FAST, levels=(17, 40))
 
 
 def test_translation_covariance():

@@ -362,3 +362,99 @@ def test_cutoff_constants_reported_per_beta():
 
     assert set(consts) == set(lower_set(SV12))
     assert all(np.isfinite(v) and v >= 0 for v in consts.values())
+
+
+OPERATOR_CASES = [(2,), (1, 2), (2, 2), (1, 1, 3)]
+
+
+def operator_grid(a):
+    counts = tuple(max(9, 2 * ai + 3) for ai in a)
+    return Grid(tuple(((-1, 1),) * len(a)), counts, SmoothnessVector(a))
+
+
+@pytest.mark.parametrize("a", OPERATOR_CASES)
+def test_full_gradient_matches_mixed_derivative_reference(a):
+    g = operator_grid(a)
+    f = GridField(g, np.random.default_rng(3).normal(size=g.shape + (2,)))
+    W = full_gradient(f)
+    ref = np.stack([mixed_derivative(f, al) for al in W.alphas], axis=-1)
+    assert W.values.shape == ref.shape
+    assert np.max(np.abs(W.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("a", OPERATOR_CASES)
+def test_gradient_adjoint_is_the_transpose(a):
+    from mixvar.grid import gradient_adjoint
+
+    g = operator_grid(a)
+    rng = np.random.default_rng(4)
+    phi = GridField(g, rng.normal(size=g.shape + (2,)))
+    W = full_gradient(phi)
+    w = rng.normal(size=W.values.shape)
+    lhs = np.sum(W.values * w)
+    rhs = np.sum(phi.values * gradient_adjoint(g, W.alphas, w))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def central_difference(fun, x, eps=1e-6):
+    out = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = eps
+        out[i] = (fun(x + e) - fun(x - e)) / (2 * eps)
+    return out
+
+
+def test_energy_gradients_match_central_differences():
+    from mixvar._descent import StencilEnergy
+    from mixvar.coercivity import _PenalizedMoment
+    from mixvar.integrand import builtin
+
+    g = Grid(((-1, 1), (-1, 1)), (9, 9), SV12)
+    F = builtin("double_well", col=0, w=1.0, n=2, m=2)
+    rng = np.random.default_rng(5)
+    energy = StencilEnergy(g, F, rng.normal(size=g.interior_shape + (2, 2)) * 0.1)
+    x = rng.normal(size=energy.n_free) * 0.01
+    # t far above the moment of x keeps the penalty branch active
+    for prob in (energy, _PenalizedMoment(energy, 2.0, 5.0, 10.0)):
+        _, grad = prob.value_and_grad(x)
+        fd = central_difference(lambda y: prob.value_and_grad(y)[0], x)
+        assert np.allclose(grad, fd, rtol=1e-5, atol=1e-6 * np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("a", [(2,), (3,)])
+def test_prolongation_repeats_pure_differences(a):
+    from mixvar._descent import prolong_zero_boundary
+
+    g = Grid(((-1, 1),), (17,), SmoothnessVector(a))
+    coarse = random_zero_boundary(g, np.random.default_rng(6), n=2)
+    fine = prolong_zero_boundary(coarse, g.refine())
+    d_coarse = np.repeat(mixed_derivative(coarse, a), 2, axis=0)
+    d_fine = mixed_derivative(fine, a)
+    scale = np.max(np.abs(d_coarse))
+    assert np.max(np.abs(d_fine[: len(d_coarse)] - d_coarse)) <= 1e-12 * scale
+    assert np.all(d_fine[len(d_coarse):] == 0.0)
+    assert fine.is_zero_on_collar()
+
+
+@pytest.mark.parametrize("a", [(1, 2), (2, 2), (1, 1, 3)])
+def test_prolongation_keeps_the_collar_zero(a):
+    from mixvar._descent import prolong_zero_boundary
+
+    g = operator_grid(a)
+    coarse = random_zero_boundary(g, np.random.default_rng(7), n=2)
+    fine = prolong_zero_boundary(coarse, g.refine())
+    assert fine.grid == g.refine()
+    assert fine.is_zero_on_collar()
+    assert np.max(np.abs(fine.values)) > 0
+
+
+def test_prolongation_requires_the_dyadic_refinement():
+    from mixvar._descent import prolong_zero_boundary
+
+    g = grid12((17, 17))
+    phi = GridField.zeros(g)
+    with pytest.raises(ValueError, match="dyadic"):
+        prolong_zero_boundary(phi, grid12((34, 33)))
+    with pytest.raises(ValueError, match="dyadic"):
+        prolong_zero_boundary(phi, grid12((33, 33), domain=((-1, 1), (-1, 2))))
