@@ -2,20 +2,28 @@
 
 Free degrees of freedom are the node values outside the zero-boundary
 collar.  Energies are assembled through the linear forward-difference
-stencils; their gradients come from the adjoint of the same stencils
-(chain rule), so L-BFGS sees exact derivatives.
+stencils restricted to those values; their gradients come from the adjoint
+of the same stencils (chain rule), so L-BFGS sees exact derivatives.
+
+Every descent runs with the OpenBLAS that scipy's L-BFGS-B links pinned to
+one thread: its dense updates are far too small to share, and a second
+thread only spins.  The caller's thread count is restored afterwards.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 from scipy.optimize import minimize
 
-from .grid import Grid, GridField, a_gradient, gradient_adjoint
-from .grid import mixed_derivative  # noqa: F401  (bench/layers.py traces it at this site)
+from .grid import Grid, GridField, _free_operator, a_gradient
+# bench/layers.py traces these two at this site
+from .grid import gradient_adjoint, mixed_derivative  # noqa: F401
 from .integrand import Integrand
 from .smoothness import homogeneity_set
 
@@ -39,6 +47,8 @@ class StencilEnergy:
         self.base = base
         self.free = ~grid.collar_mask()
         self.n_free = int(np.count_nonzero(self.free)) * F.n
+        self._D, self._Dt = _free_operator(grid, tuple(self.alphas))
+        self._cols_shape = (len(self.alphas),) + grid.interior_shape + (F.n,)
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
         phi = np.zeros(self.grid.shape + (self.F.n,))
@@ -48,12 +58,20 @@ class StencilEnergy:
     def pack(self, phi: np.ndarray) -> np.ndarray:
         return phi[self.free].reshape(-1)
 
-    def gradient_stack(self, phi: np.ndarray) -> np.ndarray:
-        return a_gradient(GridField(self.grid, phi)).values
+    def stack(self, x: np.ndarray) -> np.ndarray:
+        """grad_a of the zero-boundary field with free values x: interior_shape + (n, m)."""
+        if not np.all(np.isfinite(x)):
+            raise ValueError("field values must be finite")
+        cols = (self._D @ x.reshape(-1, self.F.n)).reshape(self._cols_shape)
+        return np.moveaxis(cols, 0, -1)
+
+    def adjoint(self, weights: np.ndarray) -> np.ndarray:
+        """Gradient over the free values of sum(stack(x) * weights)."""
+        w = np.moveaxis(weights, -1, 0).reshape(-1, self.F.n)
+        return (self._Dt @ w).reshape(-1)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        phi = self.unpack(x)
-        W = self.base + self.gradient_stack(phi)
+        W = self.base + self.stack(x)
         vals = self.F(W)
         if not np.all(np.isfinite(vals)):
             return float("inf"), np.zeros_like(x)
@@ -61,8 +79,7 @@ class StencilEnergy:
         if not np.all(np.isfinite(dF)):
             # finite value but broken derivative (e.g. FD probe hit a barrier)
             return float("inf"), np.zeros_like(x)
-        g_full = gradient_adjoint(self.grid, self.alphas, dF)
-        return float(np.sum(vals)), g_full[self.free].reshape(-1)
+        return float(np.sum(vals)), self.adjoint(dF)
 
 
 @dataclass
@@ -71,6 +88,7 @@ class DescentResult:
     x: np.ndarray
     start_label: str
     iterations: int
+    nfev: int             # energy evaluations scipy made
     converged: bool
     budget_exhausted: bool = False
     history: list = field(default_factory=list)
@@ -102,16 +120,53 @@ def run_lbfgs(
             if it % snapshot_stride == 0:
                 snapshots.append((it, intermediate_result.x.copy()))
 
-    res = minimize(
-        energy.value_and_grad, x0, jac=True, method="L-BFGS-B", callback=cb,
-        options={"maxiter": maxiter, "ftol": 1e-14, "gtol": gtol, "maxcor": 20},
-    )
+    with _one_blas_thread():
+        res = minimize(
+            energy.value_and_grad, x0, jac=True, method="L-BFGS-B", callback=cb,
+            options={"maxiter": maxiter, "ftol": 1e-14, "gtol": gtol, "maxcor": 20},
+        )
     value = float(res.fun)
     if not np.isfinite(value):
         raise RuntimeError(f"descent diverged (energy {value}) from start {label!r}")
     exhausted = res.status == 1  # iteration/function budget
-    return DescentResult(value, res.x, label, int(res.nit), bool(res.success),
+    return DescentResult(value, res.x, label, int(res.nit), int(res.nfev), bool(res.success),
                          exhausted, history, snapshots)
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that L-BFGS-B links, or None.
+
+    Looked up through scipy's L-BFGS-B extension, whose dependencies include
+    the bundled ``libscipy_openblas``; a scipy built against another BLAS
+    exports neither symbol and the pin is skipped.
+    """
+    try:
+        from scipy.optimize import _lbfgsb
+
+        lib = ctypes.CDLL(_lbfgsb.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with L-BFGS-B's OpenBLAS on one thread, then restore the count."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def boundary_window(grid: Grid, frac: float = 0.25) -> np.ndarray:

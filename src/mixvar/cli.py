@@ -2,9 +2,10 @@
 
 One config file fully determines a run; every stochastic option requires an
 explicit seed (no wall-clock seeding), and every numeric output carries the
-hash of the resolved config.  Exit codes: 0 success, 2 config validation
-error, 3 numerical failure (with a failure manifest and whatever partial
-artifacts exist).
+hash of the resolved config.  Exit codes: 0 success; 2 config validation
+error, raised before any descent runs; 3 numerical failure, a RuntimeError
+such as a diverged descent (with a failure manifest and whatever partial
+artifacts exist).  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -12,12 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .containers import canonical_json, config_hash, save_field
-from .coercivity import ThetaOptions, mean_coercivity_fit, theta_estimate
+from .coercivity import (
+    ThetaOptions,
+    _check_moment_order,
+    _sorted_t_values,
+    mean_coercivity_fit,
+    theta_estimate,
+)
 from .envelope import EnvelopeOptions, _check_levels, tabulate_envelope
 from .grid import Grid, GridField
 from .integrand import builtin_from_config
@@ -41,6 +49,15 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+
+
+@contextmanager
+def _config_fields(*keys: str):
+    """Report a ValueError raised while checking the named fields as a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"field {' / '.join(repr(k) for k in keys)}: {exc}") from exc
 
 
 def _require(cfg: dict, key: str, kind=None):
@@ -102,10 +119,8 @@ def _cmd_envelope(cfg: dict, out: Path) -> None:
     lattice = _require(cfg, "lattice", list)
     levels = cfg.get("levels")
     if levels is not None:
-        try:
+        with _config_fields("levels"):
             _check_levels(_require(cfg, "levels", list))
-        except ValueError as exc:
-            raise ConfigError(f"field 'levels': {exc}") from exc
     opts = EnvelopeOptions(
         resolution=cfg.get("resolution", 65),
         multistart=cfg.get("multistart", 8),
@@ -113,6 +128,9 @@ def _cmd_envelope(cfg: dict, out: Path) -> None:
         maxiter=cfg.get("maxiter", 2000),
         seed=seed,
     )
+    coarsest = levels[0] if levels else opts.resolution  # a node's first grid
+    with _config_fields("levels" if levels else "resolution"):
+        EnvelopeOptions(resolution=coarsest).grid(a)
     chash = config_hash(cfg)
     table = tabulate_envelope(
         F, a, [tuple(t) for t in lattice], opts,
@@ -138,18 +156,26 @@ def _cmd_coerce(cfg: dict, out: Path, args) -> None:
     q = args.q if args.q is not None else cfg.get("q")
     if q is None:
         raise ConfigError("missing 'q' (config field or --q)")
-    if args.t is not None:
-        lo, hi, count = args.t.split(":")
-        t_grid = np.linspace(float(lo), float(hi), int(count)).tolist()
-    else:
-        t_grid = _require(cfg, "t_grid", list)
+    with _config_fields("q"):
+        q = float(q)
+        _check_moment_order(F, q)
+    with _config_fields("t_grid" if args.t is None else "--t"):
+        if args.t is not None:
+            lo, hi, count = args.t.split(":")
+            t_grid = np.linspace(float(lo), float(hi), int(count)).tolist()
+        else:
+            t_grid = _require(cfg, "t_grid", list)
+        if len(_sorted_t_values(t_grid)) < 3:
+            raise ValueError("the coercivity fit needs at least 3 t values")
     opts = ThetaOptions(
         resolution=cfg.get("resolution", 17),
         multistart=cfg.get("multistart", 4),
         maxiter=cfg.get("maxiter", 400),
         seed=seed,
     )
-    curve = theta_estimate(F, float(q), t_grid, a, opts)
+    with _config_fields("resolution"):
+        opts.grid(a)
+    curve = theta_estimate(F, q, t_grid, a, opts)
     fit = mean_coercivity_fit(curve, c_min=cfg.get("c_min", 1e-3))
     chash = config_hash(cfg)
     rows = [
@@ -159,7 +185,7 @@ def _cmd_coerce(cfg: dict, out: Path, args) -> None:
     _write_csv(out, f"# config_hash={chash}",
                ["t", "theta_hat", "feasibility_gap", "iterations"], rows)
     report = {
-        "config_hash": chash, "q": float(q),
+        "config_hash": chash, "q": q,
         "c1": fit.c1, "c2": fit.c2, "coercive": fit.coercive, "degenerate": fit.degenerate,
     }
     out.with_suffix(out.suffix + ".fit.json").write_text(
@@ -175,6 +201,10 @@ def _solve_problem(cfg: dict) -> tuple[DirichletProblem, SolveOptions]:
     datum = _parse_datum(_require(cfg, "datum", dict))
     resolution = _require(cfg, "resolution", (int, list))
     prob = DirichletProblem(a, domain, F, datum, float(cfg.get("p", F.p)), resolution)
+    with _config_fields("domain", "resolution"):
+        grid = prob.grid()
+    with _config_fields("datum"):
+        prob.datum_field(grid)
     opts = SolveOptions(
         maxiter=cfg.get("maxiter", 800),
         gtol=cfg.get("gtol", 1e-10),
@@ -242,16 +272,18 @@ def _cmd_ym(cfg: dict, out: Path) -> None:
     if src_cfg.get("type") != "scale_and_tile":
         raise ConfigError("source.type must be 'scale_and_tile'")
     res = src_cfg.get("resolution", 65)
-    grid = Grid((( -1.0, 1.0),) * a.ndim, (res,) * a.ndim, a)
+    with _config_fields("source"):
+        grid = Grid(((-1.0, 1.0),) * a.ndim, (res,) * a.ndim, a)
     from ._descent import smooth_noise
 
     rng = np.random.default_rng(seed)
     phi = GridField(grid, smooth_noise(grid, src_cfg.get("components", 1), rng)
                     * src_cfg.get("amplitude", 1.0)).with_zero_collar()
     target_res = src_cfg.get("target_resolution", 2 * res - 1)
-    target = Grid(tuple((float(lo), float(hi)) for lo, hi in
-                        cfg.get("domain", [[-1.0, 1.0]] * a.ndim)),
-                  (target_res,) * a.ndim, a)
+    with _config_fields("domain", "source"):
+        target = Grid(tuple((float(lo), float(hi)) for lo, hi in
+                            cfg.get("domain", [[-1.0, 1.0]] * a.ndim)),
+                      (target_res,) * a.ndim, a)
     tiled = scale_and_tile(phi, int(src_cfg.get("j", 1)), target)
     nu = empirical_measure(a_gradient(tiled))
     bary, pmom = moments(nu, float(cfg.get("p", 2.0)))
@@ -304,7 +336,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ValueError) as exc:
+    except RuntimeError as exc:
         manifest = {"error": type(exc).__name__, "message": str(exc)}
         try:
             target = out if out.suffix == "" else out.parent

@@ -17,7 +17,8 @@ import numpy as np
 
 from ._descent import StencilEnergy, laminate_profile, run_lbfgs, start_portfolio
 from .envelope import AQCVerdict, EnvelopeOptions, is_aqc_at
-from .grid import Grid, GridField, gradient_adjoint
+from .grid import Grid, GridField, a_gradient
+from .grid import gradient_adjoint  # noqa: F401  (bench/layers.py traces it at this site)
 from .integrand import Integrand, minus_power
 from .smoothness import SmoothnessVector
 
@@ -76,8 +77,7 @@ class _PenalizedMoment:
 
     def value_and_grad(self, x: np.ndarray):
         inner = self.inner
-        phi = inner.unpack(x)
-        W = inner.gradient_stack(phi)
+        W = inner.stack(x)
         vals = inner.F(W)
         if not np.all(np.isfinite(vals)):
             return float("inf"), np.zeros_like(x)
@@ -94,8 +94,23 @@ class _PenalizedMoment:
             safe = np.maximum(fro, 1e-300)[..., None, None]
             dmom = self.q * safe ** (self.q - 2.0) * W / self.n_int
             weights = weights - 2.0 * self.rho * deficit * dmom
-        g_full = gradient_adjoint(inner.grid, inner.alphas, weights)
-        return total, g_full[inner.free].reshape(-1)
+        return total, inner.adjoint(weights)
+
+
+def _check_moment_order(F: Integrand, q: float) -> None:
+    """The moment order q must lie in [1, p]."""
+    if not (1.0 <= q <= F.p):
+        raise ValueError(f"q={q} outside [1, p={F.p}]")
+
+
+def _sorted_t_values(t_values) -> np.ndarray:
+    """The constraint levels in increasing order; they must be distinct and nonnegative."""
+    t = np.asarray(sorted(float(t) for t in t_values))
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("t values must be distinct")
+    if np.any(t < 0):
+        raise ValueError("t values must be nonnegative")
+    return t
 
 
 def theta_estimate(
@@ -114,16 +129,15 @@ def theta_estimate(
     """
     if F.C_upper is None:
         raise ValueError("theta estimation requires finite p-growth (C_upper)")
-    if not (1.0 <= q <= F.p):
-        raise ValueError(f"q={q} outside [1, p={F.p}]")
+    _check_moment_order(F, q)
     a_sv = a if isinstance(a, SmoothnessVector) else SmoothnessVector(tuple(a))
-    t_values = np.asarray(sorted(float(t) for t in t_values))
+    t_values = _sorted_t_values(t_values)
     grid = opts.grid(a_sv)
     inner = StencilEnergy(grid, F, np.zeros((F.n, F.m)))
     rng = np.random.default_rng(opts.seed)
 
     def stats(phi: np.ndarray) -> tuple[float, float]:
-        W = inner.gradient_stack(phi)
+        W = a_gradient(GridField(grid, phi)).values
         fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
         return float(np.mean(inner.F(W))), float(np.mean(fro**q))
 

@@ -342,6 +342,20 @@ def _operator(grid: Grid, alphas: tuple[MultiIndex, ...]) -> tuple[sp.csr_matrix
     return D, D.T.tocsr()
 
 
+@functools.lru_cache(maxsize=32)
+def _free_operator(grid: Grid, alphas: tuple[MultiIndex, ...]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """D restricted to the free (non-collar) columns, D_f, and its transpose.
+
+    D_f maps the free node values of a zero-boundary field (C order, then
+    component) straight to its derivative stack; D_f^T maps interior weights
+    to the gradient over the free values.  Each row keeps D's entry order, so
+    both products are bit-equal to going through the full node array.
+    """
+    D, Dt = _operator(grid, alphas)
+    free = ~grid.collar_mask().reshape(-1)
+    return D[:, free], Dt[free]
+
+
 def sobolev_norm(f: GridField, p: float, variant: str = "full") -> float:
     """Discrete mixed-smoothness norm by left-Riemann quadrature.
 
@@ -412,7 +426,7 @@ def project_to_gradients(
     n = V.shape[-2]
 
     free = ~grid.collar_mask().reshape(-1)
-    A = _operator(grid, tuple(alphas))[0][:, free]
+    A = _free_operator(grid, tuple(alphas))[0]
     rhs = A.T @ np.moveaxis(V, -1, 0).reshape(-1, n)
     u_vals = np.zeros((free.size, n))
     u_vals[free] = spla.splu((A.T @ A).tocsc()).solve(rhs)

@@ -27,6 +27,14 @@ ENVELOPE_CFG = {
 }
 
 
+SOLVE_CFG = {
+    "a": [2], "domain": [[-1, 1]],
+    "integrand": {"name": "pnorm", "params": {"p": 2, "n": 1, "m": 1}},
+    "datum": {"coeffs": {"0": [0.0]}}, "resolution": 9, "seed": 1,
+}
+YM_CFG = {"a": [2], "source": {"type": "scale_and_tile", "j": 1, "resolution": 33}, "seed": 9}
+
+
 def test_envelope_subcommand(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", ENVELOPE_CFG)
     out = tmp_path / "table.qft"
@@ -48,24 +56,38 @@ def test_envelope_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def faulty_integrand(c):
+    # raises inside the descent wherever a field value is exactly 0
+    F = builtin_from_config(c)
+
+    def ev(V):
+        if V.ndim > 2 and np.any(V == 0.0):
+            raise ValueError("integrand bug")
+        return F.eval(V)
+
+    return replace(F, eval=ev)
+
+
 def test_envelope_programming_error_exits_nonzero(tmp_path, monkeypatch):
     # a ValueError in the descent at the lattice node V = 0 is a bug: the run
-    # must fail instead of writing a table with that node masked
-    def faulty(c):
-        F = builtin_from_config(c)
-
-        def ev(V):
-            if V.ndim > 2 and np.any(V == 0.0):
-                raise ValueError("integrand bug")
-            return F.eval(V)
-
-        return replace(F, eval=ev)
-
-    monkeypatch.setattr(cli, "builtin_from_config", faulty)
+    # must fail (the exception propagates, so the process exits 1) instead of
+    # writing a table with that node masked
+    monkeypatch.setattr(cli, "builtin_from_config", faulty_integrand)
     cfg = write_config(tmp_path / "cfg.json", ENVELOPE_CFG)
     out = tmp_path / "table.qft"
-    assert main(["envelope", "--config", cfg, "--out", str(out)]) != 0
+    with pytest.raises(ValueError, match="integrand bug"):
+        main(["envelope", "--config", cfg, "--out", str(out)])
     assert not out.exists()
+
+
+def test_solve_programming_error_is_not_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "builtin_from_config", faulty_integrand)
+    cfg = write_config(tmp_path / "cfg.json", SOLVE_CFG)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="integrand bug"):
+        main(["solve", "--config", cfg, "--out", str(out)])
+    assert "numerical failure" not in capsys.readouterr().err
+    assert not (out / "failure.json").exists()
 
 
 def test_validation_error_names_field(tmp_path, capsys):
@@ -85,6 +107,49 @@ def test_non_dyadic_levels_are_a_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "'levels'" in err
     assert not (tmp_path / "t.qft").exists()
+
+
+def test_too_coarse_resolution_is_a_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {**ENVELOPE_CFG, "resolution": 3})
+    rc = main(["envelope", "--config", cfg, "--out", str(tmp_path / "t.qft")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'resolution'" in err
+    assert not (tmp_path / "t.qft").exists()
+
+
+@pytest.mark.parametrize("command, cfg_data, field", [
+    ("solve", {**SOLVE_CFG, "resolution": 3}, "'resolution'"),
+    ("solve", {**SOLVE_CFG, "domain": [[1, -1]]}, "'domain'"),
+    ("solve", {**SOLVE_CFG, "datum": {"coeffs": {"3": [1.0]}}}, "'datum'"),
+    ("ym", {**YM_CFG, "source": {**YM_CFG["source"], "resolution": 3}}, "'source'"),
+])
+def test_bad_grid_or_datum_is_a_validation_error(tmp_path, capsys, command, cfg_data, field):
+    cfg = write_config(tmp_path / "cfg.json", cfg_data)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--q", "3.0"], "'q'"),                        # q outside [1, p=2]
+    (["--q", "2.0", "--t=-1:2:4"], "'--t'"),       # negative t
+    (["--q", "2.0", "--t", "1:1:4"], "'--t'"),      # repeated t
+    (["--q", "2.0", "--t", "0:2"], "'--t'"),        # not lo:hi:count
+])
+def test_bad_theta_arguments_are_validation_errors(tmp_path, capsys, monkeypatch, flags, field):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("a descent ran before validation")
+
+    monkeypatch.setattr(cli, "theta_estimate", no_descent)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "a": [2], "integrand": {"name": "pnorm", "params": {"p": 2, "n": 1, "m": 1}},
+        "resolution": 17, "seed": 4,
+    })
+    rc = main(["coerce", "--config", cfg, "--out", str(tmp_path / "theta.csv"), *flags])
+    assert rc == 2
+    assert field in capsys.readouterr().err
 
 
 def test_missing_seed_is_a_validation_error(tmp_path, capsys):

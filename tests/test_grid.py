@@ -422,6 +422,69 @@ def test_energy_gradients_match_central_differences():
         assert np.allclose(grad, fd, rtol=1e-5, atol=1e-6 * np.max(np.abs(fd)))
 
 
+def free_dof_energy(a, n):
+    from mixvar._descent import StencilEnergy
+    from mixvar.integrand import builtin
+    from mixvar.smoothness import homogeneity_set
+
+    g = operator_grid(a)
+    F = builtin("double_well", col=0, w=1.0, n=n, m=len(homogeneity_set(g.a)))
+    rng = np.random.default_rng(8)
+    energy = StencilEnergy(g, F, rng.normal(size=g.interior_shape + (n, F.m)) * 0.1)
+    return energy, rng.normal(size=energy.n_free) * 0.3
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", OPERATOR_CASES)
+def test_free_dof_energy_is_bit_equal_to_the_full_node_path(a, n):
+    from mixvar.grid import gradient_adjoint
+
+    energy, x = free_dof_energy(a, n)
+    g, F = energy.grid, energy.F
+    W = energy.base + a_gradient(GridField(g, energy.unpack(x))).values
+    value, grad = energy.value_and_grad(x)
+    assert np.array_equal(value, float(np.sum(F(W))))
+    ref = gradient_adjoint(g, energy.alphas, F.gradient(W))[energy.free].reshape(-1)
+    assert np.array_equal(grad, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", OPERATOR_CASES)
+def test_free_dof_penalized_moment_is_bit_equal_to_the_full_node_path(a, n):
+    from mixvar.coercivity import _PenalizedMoment
+    from mixvar.grid import gradient_adjoint
+
+    energy, x = free_dof_energy(a, n)
+    g, F, q, rho = energy.grid, energy.F, 3.0, 10.0
+    W = a_gradient(GridField(g, energy.unpack(x))).values
+    fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
+    moment = float(np.mean(fro**q))
+    for t in (2.0 * moment, 0.5 * moment):  # deficit > 0, then <= 0
+        deficit = t - moment
+        weights = F.gradient(W) / g.n_interior
+        ref_value = float(np.mean(F(W)))
+        if deficit > 0:
+            ref_value += rho * deficit**2
+            dmom = q * np.maximum(fro, 1e-300)[..., None, None] ** (q - 2.0) * W / g.n_interior
+            weights = weights - 2.0 * rho * deficit * dmom
+        ref_grad = gradient_adjoint(g, energy.alphas, weights)[energy.free].reshape(-1)
+        value, grad = _PenalizedMoment(energy, q, t, rho).value_and_grad(x)
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(grad, ref_grad)
+
+
+def test_free_dof_energy_rejects_non_finite_values():
+    from mixvar.coercivity import _PenalizedMoment
+
+    energy, x = free_dof_energy((1, 2), 2)
+    for bad in (np.nan, np.inf):
+        y = x.copy()
+        y[3] = bad
+        for prob in (energy, _PenalizedMoment(energy, 2.0, 1.0, 10.0)):
+            with pytest.raises(ValueError, match="finite"):
+                prob.value_and_grad(y)
+
+
 @pytest.mark.parametrize("a", [(2,), (3,)])
 def test_prolongation_repeats_pure_differences(a):
     from mixvar._descent import prolong_zero_boundary
