@@ -3,7 +3,16 @@
 Free degrees of freedom are the node values outside the zero-boundary
 collar.  Energies are assembled through the linear forward-difference
 stencils restricted to those values; their gradients come from the adjoint
-of the same stencils (chain rule), so L-BFGS sees exact derivatives.
+of the same stencils (chain rule), so L-BFGS sees exact derivatives.  Every
+energy takes one field (n_free,) or a batch (..., n_free) through the same
+code, and each row of a batch comes out bit-equal to the lone call.
+
+Descents drive scipy's L-BFGS-B through its reverse-communication routine
+``setulb`` (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al., ACM TOMS 778, 1997),
+all starts of a portfolio in lockstep: each round advances every live start
+until it asks for f and g, then evaluates all requested points in one
+batched energy call.  The arithmetic per start is that of
+``scipy.optimize.minimize(method="L-BFGS-B")`` with the options below.
 
 Every descent runs with the OpenBLAS that scipy's L-BFGS-B links pinned to
 one thread: its dense updates are far too small to share, and a second
@@ -19,13 +28,49 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 
 from .grid import Grid, GridField, _free_operator, a_gradient
 # bench/layers.py traces these two at this site
 from .grid import gradient_adjoint, mixed_derivative  # noqa: F401
 from .integrand import Integrand
 from .smoothness import homogeneity_set
+
+# L-BFGS-B settings: stored correction pairs, relative f reduction (ftol, in
+# units of machine epsilon), line-search steps per iteration, f-g evaluations
+_MAXCOR = 20
+_FACTR = 1e-14 / np.finfo(float).eps
+_MAXLS = 20
+_MAXFUN = 15000
+
+
+def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows of ``a`` where ``keep``; ``a`` itself when all are kept.
+
+    Boolean indexing keeps each row's memory layout, so F's reductions over
+    (n, m) add up in the same order for the selected rows.
+    """
+    return a if np.count_nonzero(keep) == len(keep) else a[keep]
+
+
+def _scatter(a: np.ndarray, keep: np.ndarray, fill: float) -> np.ndarray:
+    """The rows of ``a`` put back where ``keep``, ``fill`` on the other rows."""
+    if np.count_nonzero(keep) == len(keep):
+        return a
+    out = np.full((len(keep),) + a.shape[1:], fill)
+    out[keep] = a
+    return out
+
+
+def _finite_rows(a: np.ndarray) -> np.ndarray:
+    return np.isfinite(a.reshape(len(a), -1)).all(axis=1)
+
+
+def _unbatch(values: np.ndarray, grads: np.ndarray, lead: tuple):
+    """Batch results back to the caller's leading shape; a float for one field."""
+    if not lead:
+        return float(values[0]), grads[0]
+    return values.reshape(lead), grads.reshape(lead + grads.shape[1:])
 
 
 class StencilEnergy:
@@ -48,7 +93,11 @@ class StencilEnergy:
         self.free = ~grid.collar_mask()
         self.n_free = int(np.count_nonzero(self.free)) * F.n
         self._D, self._Dt = _free_operator(grid, tuple(self.alphas))
+        self._nodes = self.n_free // F.n
         self._cols_shape = (len(self.alphas),) + grid.interior_shape + (F.n,)
+        d = grid.ndim
+        self._stack_axes = (0,) + tuple(range(2, d + 3)) + (1,)
+        self._adjoint_axes = (d + 2,) + tuple(range(1, d + 1)) + (0, d + 1)
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
         phi = np.zeros(self.grid.shape + (self.F.n,))
@@ -58,28 +107,42 @@ class StencilEnergy:
     def pack(self, phi: np.ndarray) -> np.ndarray:
         return phi[self.free].reshape(-1)
 
-    def stack(self, x: np.ndarray) -> np.ndarray:
-        """grad_a of the zero-boundary field with free values x: interior_shape + (n, m)."""
-        if not np.all(np.isfinite(x)):
+    def stack(self, X: np.ndarray) -> np.ndarray:
+        """grad_a of the zero-boundary fields with free values X (K, n_free).
+
+        Returns (K, *interior_shape, n, m).  Each field's block keeps the
+        memory layout of a lone D_f product (alpha-major), so a batch row is
+        laid out like the single-field call; one field is not copied.
+        """
+        if not np.all(np.isfinite(X)):
             raise ValueError("field values must be finite")
-        cols = (self._D @ x.reshape(-1, self.F.n)).reshape(self._cols_shape)
-        return np.moveaxis(cols, 0, -1)
+        k, n = len(X), self.F.n
+        # one column of the product per field component
+        columns = X.reshape(k, self._nodes, n).transpose(1, 0, 2).reshape(self._nodes, k * n)
+        cols = (self._D @ columns).reshape(len(self.alphas), self.grid.n_interior, k, n)
+        cols = np.ascontiguousarray(cols.transpose(2, 0, 1, 3)).reshape((k,) + self._cols_shape)
+        return cols.transpose(self._stack_axes)  # (K, m, *interior, n) -> (K, *interior, n, m)
 
     def adjoint(self, weights: np.ndarray) -> np.ndarray:
-        """Gradient over the free values of sum(stack(x) * weights)."""
-        w = np.moveaxis(weights, -1, 0).reshape(-1, self.F.n)
-        return (self._Dt @ w).reshape(-1)
+        """Gradient over the free values of sum(stack(X) * weights), per row: (K, n_free)."""
+        k, n = len(weights), self.F.n
+        # (K, *interior, n, m) -> (m, *interior, K, n): rows of D, one column per field
+        w = weights.transpose(self._adjoint_axes).reshape(self._Dt.shape[1], k * n)
+        return (self._Dt @ w).reshape(self._nodes, k, n).transpose(1, 0, 2).reshape(k, self.n_free)
 
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        W = self.base + self.stack(x)
-        vals = self.F(W)
-        if not np.all(np.isfinite(vals)):
-            return float("inf"), np.zeros_like(x)
-        dF = self.F.gradient(W)
-        if not np.all(np.isfinite(dF)):
-            # finite value but broken derivative (e.g. FD probe hit a barrier)
-            return float("inf"), np.zeros_like(x)
-        return float(np.sum(vals)), self.adjoint(dF)
+    def value_and_grad(self, x: np.ndarray):
+        """Energy and gradient of one field (float, (n_free,)) or a batch ((K,), (K, n_free))."""
+        # the field axis of the stack is outermost, so numpy lays out every
+        # row of W as it lays out a lone field's W: F's reductions add up alike
+        W = self.base + self.stack(x.reshape(-1, self.n_free))
+        vals = self.F(W).reshape(len(W), -1)
+        ok = _finite_rows(vals)
+        dF = _scatter(self.F.gradient(_rows(W, ok)), ok, 0.0)
+        # finite value but broken derivative (e.g. FD probe hit a barrier)
+        ok &= _finite_rows(dF)
+        values = _scatter(_rows(vals, ok).sum(axis=1), ok, np.inf)
+        grads = _scatter(self.adjoint(_rows(dF, ok)), ok, 0.0)
+        return _unbatch(values, grads, x.shape[:-1])
 
 
 @dataclass
@@ -88,11 +151,115 @@ class DescentResult:
     x: np.ndarray
     start_label: str
     iterations: int
-    nfev: int             # energy evaluations scipy made
+    nfev: int             # energy evaluations, x0 included
     converged: bool
     budget_exhausted: bool = False
     history: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)  # (iteration, x_k copies)
+
+
+class _Lbfgsb:
+    """One start's L-BFGS-B state between ``setulb`` calls.
+
+    ``advance`` and ``evaluated`` replay the loop of scipy's
+    ``_minimize_lbfgsb``: the gradient handed to ``setulb`` is always a fresh
+    copy, a request at the x evaluated last reuses that f and g, the maxiter
+    stop is set after the iteration counter, and ``nfev`` counts x0.
+    """
+
+    def __init__(self, x0: np.ndarray, maxiter: int, gtol: float, stride: int | None):
+        n, m = x0.size, _MAXCOR
+        self.maxiter, self.gtol, self.stride = maxiter, gtol, stride
+        self.x = np.array(x0, dtype=np.float64)
+        self.f = 0.0
+        self.g = np.zeros(n)
+        self.bounds = (np.zeros(n), np.zeros(n), np.zeros(n, np.int32))  # lower, upper, none
+        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        self.iwa = np.zeros(3 * n, np.int32)
+        self.task = np.zeros(2, np.int32)
+        self.ln_task = np.zeros(2, np.int32)
+        self.lsave = np.zeros(4, np.int32)
+        self.isave = np.zeros(44, np.int32)
+        self.dsave = np.zeros(29)
+        self.x_eval = None
+        self.f_eval = self.g_eval = None
+        self.nfev = 0
+        self.nit = 0
+        self.history: list = []
+        self.snapshots: list = []
+
+    def advance(self) -> bool:
+        """Call setulb until it asks for f and g at a new x (True) or stops (False)."""
+        while True:
+            self.g = self.g.astype(np.float64)
+            _lbfgsb.setulb(_MAXCOR, self.x, *self.bounds, self.f, self.g, _FACTR, self.gtol,
+                           self.wa, self.iwa, self.task, self.lsave, self.isave, self.dsave,
+                           _MAXLS, self.ln_task)
+            task = self.task[0]
+            if task == 3:  # FG: f and g wanted at x
+                # np.array_equal, as scipy's ScalarFunction compares
+                if self.x_eval is None or not (self.x == self.x_eval).all():
+                    return True
+                self.f, self.g = self.f_eval, self.g_eval
+            elif task == 1:  # NEW_X: an iteration ended at x
+                self.nit += 1
+                if self.stride:
+                    self.history.append(float(self.f))
+                    if self.nit % self.stride == 0:
+                        self.snapshots.append((self.nit, self.x.copy()))
+                if self.nit >= self.maxiter:
+                    self.task[:] = (5, 504)  # STOP: iteration limit
+                elif self.nfev > _MAXFUN:
+                    self.task[:] = (5, 502)  # STOP: evaluation limit
+            else:
+                return False
+
+    def evaluated(self, x: np.ndarray, f: float, g: np.ndarray) -> None:
+        self.nfev += 1
+        if self.stride and self.nfev == 1:
+            self.history.append(f)  # the energy at x0
+        self.x_eval = x
+        self.f = self.f_eval = f
+        self.g = self.g_eval = g
+
+    def result(self, label: str) -> DescentResult:
+        converged = self.task[0] == 4  # CONVERGENCE
+        exhausted = not converged and (self.nfev > _MAXFUN or self.nit >= self.maxiter)
+        return DescentResult(float(self.f), self.x, label, self.nit, self.nfev, bool(converged),
+                             exhausted, self.history, self.snapshots)
+
+
+def run_lbfgs_batch(
+    energy,
+    X0: np.ndarray,
+    labels,
+    maxiter: int = 400,
+    gtol: float = 1e-9,
+    snapshot_stride: int | None = None,
+) -> list[DescentResult]:
+    """L-BFGS-B descents of ``energy.value_and_grad`` from every row of X0, in lockstep.
+
+    Each round advances every live start until L-BFGS-B asks for the energy
+    at a new point, then evaluates all those points with one batched
+    ``value_and_grad`` call, which must not write to its argument.  The
+    starts share nothing else, so each result is the one a lone descent from
+    that row gives.  Returns one result per row, in order; a start whose
+    final value is not finite diverged, and callers drop it.
+
+    With ``snapshot_stride`` set, ``history`` holds the energy at x0 and at
+    every accepted iterate, and ``snapshots`` a copy of every stride-th one.
+    """
+    starts = [_Lbfgsb(x0, maxiter, gtol, snapshot_stride) for x0 in np.asarray(X0, dtype=float)]
+    with _one_blas_thread():
+        live = starts
+        while live:
+            live = [s for s in live if s.advance()]
+            if live:
+                X = np.array([s.x for s in live])
+                values, grads = energy.value_and_grad(X)
+                for s, x, f, g in zip(live, X, values, grads):
+                    s.evaluated(x, float(f), g)
+    return [s.result(label) for s, label in zip(starts, labels)]
 
 
 def run_lbfgs(
@@ -103,34 +270,11 @@ def run_lbfgs(
     label: str = "",
     snapshot_stride: int | None = None,
 ) -> DescentResult:
-    """L-BFGS-B descent of ``energy.value_and_grad`` from x0.
-
-    With ``snapshot_stride`` set, ``history`` holds the energy at x0 and at
-    every accepted iterate, and ``snapshots`` a copy of every stride-th one.
-    """
-    history = []
-    snapshots = []
-    cb = None
-    if snapshot_stride:
-        history.append(energy.value_and_grad(x0)[0])
-
-        def cb(intermediate_result):
-            history.append(float(intermediate_result.fun))
-            it = len(history) - 1
-            if it % snapshot_stride == 0:
-                snapshots.append((it, intermediate_result.x.copy()))
-
-    with _one_blas_thread():
-        res = minimize(
-            energy.value_and_grad, x0, jac=True, method="L-BFGS-B", callback=cb,
-            options={"maxiter": maxiter, "ftol": 1e-14, "gtol": gtol, "maxcor": 20},
-        )
-    value = float(res.fun)
-    if not np.isfinite(value):
-        raise RuntimeError(f"descent diverged (energy {value}) from start {label!r}")
-    exhausted = res.status == 1  # iteration/function budget
-    return DescentResult(value, res.x, label, int(res.nit), int(res.nfev), bool(res.success),
-                         exhausted, history, snapshots)
+    """One L-BFGS-B descent from x0; raises RuntimeError when it diverges."""
+    res = run_lbfgs_batch(energy, np.asarray(x0)[None], [label], maxiter, gtol, snapshot_stride)[0]
+    if not np.isfinite(res.value):
+        raise RuntimeError(f"descent diverged (energy {res.value}) from start {label!r}")
+    return res
 
 
 @functools.cache
@@ -142,11 +286,9 @@ def _blas_threads():
     exports neither symbol and the pin is skipped.
     """
     try:
-        from scipy.optimize import _lbfgsb
-
         lib = ctypes.CDLL(_lbfgsb.__file__)
         get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
-    except (ImportError, OSError, AttributeError):
+    except (OSError, AttributeError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None

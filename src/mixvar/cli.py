@@ -30,7 +30,14 @@ from .envelope import EnvelopeOptions, _check_levels, tabulate_envelope
 from .grid import Grid, GridField
 from .integrand import builtin_from_config
 from .smoothness import SmoothnessVector
-from .solver import DirichletProblem, SolveOptions, relax_compare, solve_dirichlet
+from .solver import (
+    DirichletProblem,
+    SolveOptions,
+    _check_refinement_levels,
+    _check_table,
+    relax_compare,
+    solve_dirichlet,
+)
 from .youngmeasure import empirical_measure, moments, scale_and_tile
 from .grid import a_gradient
 
@@ -240,8 +247,13 @@ def _cmd_relax(cfg: dict, out: Path, args) -> None:
         raise ConfigError("relax requires --table pointing at a .qft file")
     table = EnvelopeTable.load(args.table)
     prob, opts = _solve_problem(cfg)
+    with _config_fields("--table"):
+        _check_table(prob, table)
     levels = args.levels if args.levels is not None else cfg.get("levels", 3)
-    report = relax_compare(prob, table, int(levels), opts)
+    with _config_fields("--levels" if args.levels is not None else "levels"):
+        levels = int(levels)
+        _check_refinement_levels(levels)
+    report = relax_compare(prob, table, levels, opts)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     rows = [

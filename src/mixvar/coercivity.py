@@ -15,7 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._descent import StencilEnergy, laminate_profile, run_lbfgs, start_portfolio
+from ._descent import (
+    StencilEnergy,
+    _finite_rows,
+    _rows,
+    _scatter,
+    _unbatch,
+    laminate_profile,
+    run_lbfgs_batch,
+    start_portfolio,
+)
+from ._descent import run_lbfgs  # noqa: F401  (bench/layers.py traces it at this site)
 from .envelope import AQCVerdict, EnvelopeOptions, is_aqc_at
 from .grid import Grid, GridField, a_gradient
 from .grid import gradient_adjoint  # noqa: F401  (bench/layers.py traces it at this site)
@@ -76,25 +86,29 @@ class _PenalizedMoment:
         self.n_int = inner.grid.n_interior
 
     def value_and_grad(self, x: np.ndarray):
+        """Value and gradient of one field (float, (n_free,)) or a batch ((K,), (K, n_free))."""
         inner = self.inner
-        W = inner.stack(x)
-        vals = inner.F(W)
-        if not np.all(np.isfinite(vals)):
-            return float("inf"), np.zeros_like(x)
+        W = inner.stack(x.reshape(-1, inner.n_free))
+        vals = inner.F(W).reshape(len(W), -1)
+        ok = _finite_rows(vals)
+        W, vals = _rows(W, ok), _rows(vals, ok)
         dF = inner.F.gradient(W)
 
         fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
-        moment = float(np.mean(fro**self.q))
-        deficit = self.t - moment
-        energy = float(np.mean(vals))
-        total = energy + (self.rho * deficit**2 if deficit > 0 else 0.0)
-
+        moments = np.mean((fro**self.q).reshape(len(W), self.n_int), axis=1)
+        energies = np.mean(vals, axis=1)
         weights = dF / self.n_int
-        if deficit > 0:
-            safe = np.maximum(fro, 1e-300)[..., None, None]
-            dmom = self.q * safe ** (self.q - 2.0) * W / self.n_int
-            weights = weights - 2.0 * self.rho * deficit * dmom
-        return total, inner.adjoint(weights)
+        safe = np.maximum(fro, 1e-300)[..., None, None]
+        totals = []
+        # the penalty in Python floats, row by row, as for a lone field
+        for i, (energy, moment) in enumerate(zip(energies.tolist(), moments.tolist())):
+            deficit = self.t - moment
+            totals.append(energy + (self.rho * deficit**2 if deficit > 0 else 0.0))
+            if deficit > 0:
+                dmom = self.q * safe[i] ** (self.q - 2.0) * W[i] / self.n_int
+                weights[i] = weights[i] - 2.0 * self.rho * deficit * dmom
+        values = _scatter(np.array(totals), ok, np.inf)
+        return _unbatch(values, _scatter(inner.adjoint(weights), ok, 0.0), x.shape[:-1])
 
 
 def _check_moment_order(F: Integrand, q: float) -> None:
@@ -173,23 +187,28 @@ def theta_estimate(
         for label, vals in start_portfolio(grid, F.n, opts.multistart, max(1.0, t) ** (1.0 / q), rng):
             starts.append((label, rescale_to(vals, t)))
 
+        # every penalty stage runs all starts still descending in one batch
+        xs = [inner.pack(phi0) for _, phi0 in starts]  # pack drops the collar
+        live = list(range(len(starts)))
+        iters = 0
+        rho = opts.penalty_init
+        for _ in range(opts.penalty_stages):
+            if not live:
+                break
+            prob = _PenalizedMoment(inner, q, t, rho)
+            results = run_lbfgs_batch(prob, np.stack([xs[j] for j in live]),
+                                      [starts[j][0] for j in live], maxiter=opts.maxiter)
+            # a diverged start keeps its last stage's field and stops descending
+            finite = [(j, res) for j, res in zip(live, results) if np.isfinite(res.value)]
+            for j, res in finite:
+                xs[j] = res.x
+                iters += res.iterations
+            live = [j for j, _ in finite]
+            rho *= opts.penalty_growth
+
         best_phi = None
         best_val = np.inf
-        iters = 0
-        for label, phi0 in starts:
-            phi = phi0.copy()
-            phi[grid.collar_mask()] = 0.0
-            x = inner.pack(phi)
-            rho = opts.penalty_init
-            for _ in range(opts.penalty_stages):
-                prob = _PenalizedMoment(inner, q, t, rho)
-                try:
-                    res = run_lbfgs(prob, x, maxiter=opts.maxiter, label=label)
-                except RuntimeError:
-                    break
-                x = res.x
-                iters += res.iterations
-                rho *= opts.penalty_growth
+        for x in xs:
             phi_final = rescale_to(inner.unpack(x), t)
             val, mom = stats(phi_final)
             if mom >= t - 1e-9 and val < best_val:

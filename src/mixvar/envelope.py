@@ -19,7 +19,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from ._descent import DescentResult, StencilEnergy, prolong_zero_boundary, run_lbfgs, start_portfolio
+from ._descent import (
+    DescentResult,
+    StencilEnergy,
+    prolong_zero_boundary,
+    run_lbfgs_batch,
+    start_portfolio,
+)
+from ._descent import run_lbfgs  # noqa: F401  (bench/layers.py traces it at this site)
 from .containers import TABLE_MAGIC, read_container, write_container
 from .grid import Grid, GridField
 from .integrand import Integrand
@@ -103,16 +110,10 @@ def dacorogna_min(
     # screen every start briefly, then spend the remaining budget on the
     # leaders; the warm start and the best of each start family always get
     # polished so a screening mis-ranking cannot starve them
-    screened: list[DescentResult] = []
-    for label, vals in starts:
-        phi = vals.copy()
-        phi[grid.collar_mask()] = 0.0
-        x0 = energy.pack(phi)
-        try:
-            res = run_lbfgs(energy, x0, maxiter=min(opts.screen_maxiter, opts.maxiter), label=label)
-        except RuntimeError:
-            continue
-        screened.append(res)
+    X0 = np.stack([energy.pack(vals) for _, vals in starts])  # pack drops the collar
+    screen = run_lbfgs_batch(energy, X0, [label for label, _ in starts],
+                             maxiter=min(opts.screen_maxiter, opts.maxiter))
+    screened: list[DescentResult] = [r for r in screen if np.isfinite(r.value)]
     screened.sort(key=lambda r: r.value)
 
     def family(label: str) -> str:
@@ -130,15 +131,15 @@ def dacorogna_min(
             best = next((r for r in promising if family(r.start_label) == fam), None)
             if best is not None:
                 polish.add(best.start_label)
-    results: list[DescentResult] = []
+    results: list[DescentResult] = list(screened)
     remaining = opts.maxiter - min(opts.screen_maxiter, opts.maxiter)
-    for res in screened:
-        if remaining > 0 and res.start_label in polish and res.budget_exhausted:
-            try:
-                res = run_lbfgs(energy, res.x, maxiter=remaining, label=res.start_label)
-            except RuntimeError:
-                pass
-        results.append(res)
+    chosen = [i for i, r in enumerate(screened) if r.start_label in polish and r.budget_exhausted]
+    if remaining > 0 and chosen:
+        polished = run_lbfgs_batch(energy, np.stack([screened[i].x for i in chosen]),
+                                   [screened[i].start_label for i in chosen], maxiter=remaining)
+        for i, res in zip(chosen, polished):
+            if np.isfinite(res.value):  # a diverged polish keeps its screening result
+                results[i] = res
 
     best_value = reference
     best_start = "zero-exact"

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._descent import StencilEnergy, prolong_zero_boundary, run_lbfgs, smooth_noise
+from ._descent import StencilEnergy, prolong_zero_boundary, run_lbfgs_batch, smooth_noise
+from ._descent import run_lbfgs  # noqa: F401  (bench/layers.py traces it at this site)
 from .envelope import EnvelopeTable
 from .grid import APolynomial, Grid, GridField, a_gradient
 from .integrand import Integrand
@@ -118,7 +119,7 @@ class SolveResult:
 
 
 class _DirichletEnergy:
-    """Quadrature energy integrand(grad_a(g + phi)) over free DOFs."""
+    """Quadrature energy integrand(grad_a(g + phi)) over free DOFs, one field or a batch."""
 
     def __init__(self, grid: Grid, F: Integrand, g: GridField):
         base = a_gradient(g).values
@@ -162,17 +163,12 @@ def solve_dirichlet(
         starts.append(("prolonged", warm_start.values))
 
     stride = max(1, opts.maxiter // max(opts.checkpoints, 1))
+    X0 = np.stack([energy.inner.pack(phi0) for _, phi0 in starts])  # pack drops the collar
+    results = run_lbfgs_batch(energy, X0, [label for label, _ in starts],
+                              maxiter=opts.maxiter, gtol=opts.gtol, snapshot_stride=stride)
     best = None
-    for label, phi0 in starts:
-        phi = phi0.copy()
-        phi[grid.collar_mask()] = 0.0
-        x0 = energy.inner.pack(phi)
-        try:
-            res = run_lbfgs(energy, x0, maxiter=opts.maxiter, gtol=opts.gtol,
-                            label=label, snapshot_stride=stride)
-        except RuntimeError:
-            continue
-        if best is None or res.value < best.value:
+    for res in results:
+        if np.isfinite(res.value) and (best is None or res.value < best.value):
             best = res
     if best is None:
         raise RuntimeError("all descent starts diverged")
@@ -204,6 +200,22 @@ class RelaxReport:
     measures: list        # per-level gradient stacks (atoms of the pushforward measure)
 
 
+def _check_refinement_levels(refinement_levels: int) -> None:
+    """A relax ladder has at least one level."""
+    if refinement_levels < 1:
+        raise ValueError(f"levels must be at least 1, got {refinement_levels}")
+
+
+def _check_table(prob: DirichletProblem, table: EnvelopeTable) -> None:
+    """The envelope table must be tabulated for the problem's a, n and m."""
+    F = prob.integrand
+    if (tuple(table.a), table.n, table.m) != (prob.a.a, F.n, F.m):
+        raise ValueError(
+            f"table has a={tuple(table.a)}, n={table.n}, m={table.m}; "
+            f"the problem has a={prob.a.a}, n={F.n}, m={F.m}"
+        )
+
+
 def relax_compare(
     prob: DirichletProblem,
     table: EnvelopeTable,
@@ -216,7 +228,11 @@ def relax_compare(
     The envelope solve runs at the finest level; out-of-hull gradient queries
     abort (no extrapolation).  Reports the gap sequence E_F - E_QF, which is
     bounded below by -gap_tol and expected to shrink as oscillations refine.
+    A ladder of no levels, or a table for another a, n or m, raises
+    ValueError before any descent.
     """
+    _check_refinement_levels(refinement_levels)
+    _check_table(prob, table)
     base_res = prob.resolution
     ladders = [tuple((r - 1) * 2**lev + 1 for r in base_res) for lev in range(refinement_levels)]
 

@@ -303,3 +303,47 @@ def test_numerical_failure_writes_manifest(tmp_path, capsys):
     assert rc == 3
     manifest = json.loads((out / "failure.json").read_text())
     assert "hull" in manifest["message"]
+
+
+def small_table(a, n, m):
+    """An envelope table for (a, n, m) with zero values; building it runs no descent."""
+    lattice = tuple((-2.0, 2.0, 3) for _ in range(n * m))
+    return EnvelopeTable(a, n, m, 2.0, lattice, np.zeros((3,) * (n * m)), None)
+
+
+@pytest.mark.parametrize("argv, cfg_extra, field", [
+    (["--levels", "0"], {}, "'--levels'"),
+    ([], {"levels": 0}, "'levels'"),
+    ([], {"levels": -2}, "'levels'"),
+])
+def test_relax_without_levels_is_a_validation_error(tmp_path, capsys, monkeypatch,
+                                                    argv, cfg_extra, field):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("a descent ran before validation")
+
+    monkeypatch.setattr(cli, "relax_compare", no_descent)
+    table_path = tmp_path / "t.qft"
+    small_table((2,), 1, 1).save(table_path)
+    cfg = write_config(tmp_path / "s.json", {**SOLVE_CFG, **cfg_extra})
+    out = tmp_path / "r"
+    rc = main(["relax", "--config", cfg, "--table", str(table_path), *argv, "--out", str(out)])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_relax_with_a_table_for_another_problem_is_a_validation_error(tmp_path, capsys,
+                                                                       monkeypatch):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("a descent ran before validation")
+
+    monkeypatch.setattr(cli, "relax_compare", no_descent)
+    table_path = tmp_path / "t.qft"
+    small_table((1, 2), 1, 2).save(table_path)  # an a=(1,2), m=2 table ...
+    cfg = write_config(tmp_path / "s.json", SOLVE_CFG)  # ... against an a=(2,) problem
+    out = tmp_path / "r"
+    rc = main(["relax", "--config", cfg, "--table", str(table_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'--table'" in err and "a=(1, 2)" in err
+    assert not out.exists()

@@ -521,3 +521,44 @@ def test_prolongation_requires_the_dyadic_refinement():
         prolong_zero_boundary(phi, grid12((34, 33)))
     with pytest.raises(ValueError, match="dyadic"):
         prolong_zero_boundary(phi, grid12((33, 33), domain=((-1, 1), (-1, 2))))
+
+
+def batch_of_fields(energy, rng):
+    """Rows at three scales (small moments, large moments) plus one whose energy overflows."""
+    X = rng.normal(size=(4, energy.n_free)) * np.array([0.05, 0.3, 1.0, 1.0])[:, None]
+    X[3, ::5] = 1e80
+    return X
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", OPERATOR_CASES)
+def test_batched_energies_are_bit_equal_to_one_call_per_row(a, n):
+    from mixvar._descent import StencilEnergy
+    from mixvar.coercivity import _PenalizedMoment
+    from mixvar.solver import _DirichletEnergy
+
+    energy, _ = free_dof_energy(a, n)
+    g, F = energy.grid, energy.F
+    rng = np.random.default_rng(9)
+    X = batch_of_fields(energy, rng)
+    moments = []
+    for x in X[:3]:
+        W = a_gradient(GridField(g, energy.unpack(x))).values
+        moments.append(float(np.mean(np.sqrt(np.sum(W**2, axis=(-2, -1)))**3.0)))
+    t = 0.5 * (moments[0] + moments[1])  # deficit > 0 on row 0, <= 0 on rows 1 and 2
+    probs = [
+        energy,
+        StencilEnergy(g, F, np.full((n, F.m), 0.2)),  # one gradient for every node
+        _DirichletEnergy(g, F, GridField(g, rng.normal(size=g.shape + (n,)) * 0.1)),
+        _PenalizedMoment(energy, 3.0, t, 10.0),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prob in probs:
+            values, grads = prob.value_and_grad(X)
+            assert values.shape == (4,) and grads.shape == X.shape
+            assert not np.isfinite(values[3]) and np.all(np.isfinite(values[:3]))
+            for x, value, grad in zip(X, values, grads):
+                one_value, one_grad = prob.value_and_grad(x)
+                assert isinstance(one_value, float)
+                assert np.array_equal(value, one_value)
+                assert np.array_equal(grad, one_grad)

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mixvar.envelope import EnvelopeOptions, tabulate_envelope
+from mixvar import solver
+from mixvar.envelope import EnvelopeOptions, EnvelopeTable, tabulate_envelope
 from mixvar.grid import Grid, GridField, a_gradient, stencil_matrix
 from mixvar.integrand import builtin
 from mixvar.smoothness import SmoothnessVector, homogeneity_set
@@ -213,3 +214,24 @@ def test_trace_snapshots_recorded():
     assert len(res.trace.snapshots) >= 1
     it, stack = res.trace.snapshots[-1]
     assert stack.shape == prob.grid().interior_shape + (1, 2)
+
+
+@pytest.mark.parametrize("levels, table_shape, match", [
+    (0, ((2,), 1, 1), "levels must be at least 1"),
+    (-1, ((2,), 1, 1), "levels must be at least 1"),
+    (2, ((1, 2), 1, 2), r"table has a=\(1, 2\), n=1, m=2; the problem has a=\(2,\), n=1, m=1"),
+    (2, ((2,), 2, 1), "n=2"),
+])
+def test_relax_rejects_bad_levels_and_foreign_tables_before_any_descent(
+        monkeypatch, levels, table_shape, match):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("a descent ran before validation")
+
+    monkeypatch.setattr(solver, "solve_dirichlet", no_descent)
+    a, n, m = table_shape
+    lattice = tuple((-2.0, 2.0, 3) for _ in range(n * m))
+    table = EnvelopeTable(a, n, m, 2.0, lattice, np.zeros((3,) * (n * m)), None)
+    F = builtin("pnorm", p=2, n=1, m=1)
+    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(0,): 0.0}, 2.0, 9)
+    with pytest.raises(ValueError, match=match):
+        relax_compare(prob, table, refinement_levels=levels)
