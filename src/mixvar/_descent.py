@@ -74,9 +74,15 @@ def _unbatch(values: np.ndarray, grads: np.ndarray, lead: tuple):
 
 
 class StencilEnergy:
-    """Sum over interior nodes of F(base + grad_a(phi)) and its free-DOF gradient."""
+    """Sum over interior nodes of F(base + grad_a(phi)) and its free-DOF gradient.
 
-    def __init__(self, grid: Grid, F: Integrand, base: np.ndarray):
+    ``base`` is one (n, m) gradient or one field on the interior, shared by
+    every row of a batch; with ``per_row`` it is one (n, m) gradient per row
+    of the descent's X0, (K, n, m), each broadcast over the interior, so the
+    starts of different envelope nodes share one batch.
+    """
+
+    def __init__(self, grid: Grid, F: Integrand, base: np.ndarray, per_row: bool = False):
         self.grid = grid
         self.F = F
         self.alphas = homogeneity_set(grid.a)
@@ -85,11 +91,16 @@ class StencilEnergy:
                 f"integrand expects m={F.m} columns, smoothness vector gives {len(self.alphas)}"
             )
         base = np.asarray(base, dtype=float)
-        if base.shape == (F.n, F.m):
+        if per_row:
+            if base.ndim != 3 or base.shape[1:] != (F.n, F.m):
+                raise ValueError(f"per-row base gradients have shape {base.shape}")
+            base = base.reshape((len(base),) + (1,) * grid.ndim + (F.n, F.m))
+        elif base.shape == (F.n, F.m):
             base = np.broadcast_to(base, grid.interior_shape + (F.n, F.m))
-        if base.shape != grid.interior_shape + (F.n, F.m):
+        elif base.shape != grid.interior_shape + (F.n, F.m):
             raise ValueError(f"base gradient has shape {base.shape}")
         self.base = base
+        self.per_row = per_row
         self.free = ~grid.collar_mask()
         self.n_free = int(np.count_nonzero(self.free)) * F.n
         self._D, self._Dt = _free_operator(grid, tuple(self.alphas))
@@ -130,11 +141,16 @@ class StencilEnergy:
         w = weights.transpose(self._adjoint_axes).reshape(self._Dt.shape[1], k * n)
         return (self._Dt @ w).reshape(self._nodes, k, n).transpose(1, 0, 2).reshape(k, self.n_free)
 
-    def value_and_grad(self, x: np.ndarray):
-        """Energy and gradient of one field (float, (n_free,)) or a batch ((K,), (K, n_free))."""
+    def value_and_grad(self, x: np.ndarray, rows=None):
+        """Energy and gradient of one field (float, (n_free,)) or a batch ((K,), (K, n_free)).
+
+        ``rows`` names the row of X0 each field descends from, which picks its
+        per-row base (all rows in order when None); a shared base ignores it.
+        """
+        base = self.base[rows] if self.per_row and rows is not None else self.base
         # the field axis of the stack is outermost, so numpy lays out every
         # row of W as it lays out a lone field's W: F's reductions add up alike
-        W = self.base + self.stack(x.reshape(-1, self.n_free))
+        W = base + self.stack(x.reshape(-1, self.n_free))
         vals = self.F(W).reshape(len(W), -1)
         ok = _finite_rows(vals)
         dF = _scatter(self.F.gradient(_rows(W, ok)), ok, 0.0)
@@ -241,7 +257,8 @@ def run_lbfgs_batch(
 
     Each round advances every live start until L-BFGS-B asks for the energy
     at a new point, then evaluates all those points with one batched
-    ``value_and_grad`` call, which must not write to its argument.  The
+    ``value_and_grad(X, rows)`` call, ``rows`` the indices into X0 of the
+    live starts; it must not write to its arguments.  The
     starts share nothing else, so each result is the one a lone descent from
     that row gives.  Returns one result per row, in order; a start whose
     final value is not finite diverged, and callers drop it.
@@ -251,14 +268,14 @@ def run_lbfgs_batch(
     """
     starts = [_Lbfgsb(x0, maxiter, gtol, snapshot_stride) for x0 in np.asarray(X0, dtype=float)]
     with _one_blas_thread():
-        live = starts
+        live = list(range(len(starts)))
         while live:
-            live = [s for s in live if s.advance()]
+            live = [i for i in live if starts[i].advance()]
             if live:
-                X = np.array([s.x for s in live])
-                values, grads = energy.value_and_grad(X)
-                for s, x, f, g in zip(live, X, values, grads):
-                    s.evaluated(x, float(f), g)
+                X = np.array([starts[i].x for i in live])
+                values, grads = energy.value_and_grad(X, np.array(live))
+                for i, x, f, g in zip(live, X, values, grads):
+                    starts[i].evaluated(x, float(f), g)
     return [s.result(label) for s, label in zip(starts, labels)]
 
 

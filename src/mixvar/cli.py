@@ -48,14 +48,35 @@ class ConfigError(Exception):
     pass
 
 
-def _load_config(path: str) -> dict:
+# the config fields each subcommand reads; any other key is a config error,
+# so a misspelt or stale option cannot silently fall back to its default
+_SOLVE_KEYS = {"a", "integrand", "seed", "domain", "datum", "p", "resolution", "maxiter", "gtol",
+               "multistart", "perturbation"}
+_CONFIG_KEYS = {
+    "envelope": {"a", "integrand", "seed", "lattice", "levels", "resolution", "multistart", "tol",
+                 "maxiter"},
+    "coerce": {"a", "integrand", "seed", "q", "t_grid", "resolution", "multistart", "maxiter",
+               "c_min"},
+    "solve": _SOLVE_KEYS,
+    "relax": _SOLVE_KEYS | {"levels"},
+    "ym": {"a", "seed", "source", "domain", "p"},
+}
+
+
+def _load_config(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS[command])
+    if unknown:
+        raise ConfigError(f"unknown field(s) for {command}: {', '.join(map(repr, unknown))}")
+    return cfg
 
 
 @contextmanager
@@ -334,7 +355,7 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.command)
         if args.command == "envelope":
             _cmd_envelope(cfg, out)
         elif args.command == "coerce":

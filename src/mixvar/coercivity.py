@@ -85,8 +85,11 @@ class _PenalizedMoment:
         self.rho = rho
         self.n_int = inner.grid.n_interior
 
-    def value_and_grad(self, x: np.ndarray):
-        """Value and gradient of one field (float, (n_free,)) or a batch ((K,), (K, n_free))."""
+    def value_and_grad(self, x: np.ndarray, rows=None):
+        """Value and gradient of one field (float, (n_free,)) or a batch ((K,), (K, n_free)).
+
+        No base is added to the fields, so ``rows`` is unused.
+        """
         inner = self.inner
         W = inner.stack(x.reshape(-1, inner.n_free))
         vals = inner.F(W).reshape(len(W), -1)

@@ -46,6 +46,11 @@ __all__ = [
 
 DEFAULT_LEVELS = (17, 33, 65)
 
+# screening rows x free values per chunk of nodes: the energy's cost per row
+# flattens near 1e4 such cells, and every live row holds an L-BFGS-B workspace
+# of 45 n_free + 4560 doubles, so wider chunks cost memory and gain nothing
+_CHUNK_CELLS = 2**14
+
 
 @dataclass(frozen=True)
 class EnvelopeOptions:
@@ -82,6 +87,147 @@ def _mean_energy(grid: Grid) -> float:
     return 1.0 / grid.n_interior
 
 
+def _family(label: str) -> str:
+    return label.split("(")[0].rstrip("0123456789")
+
+
+def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
+               seeds, warms) -> list[EnvelopeEstimate]:
+    """``dacorogna_min`` at every V of Vs (K, n, m) on one grid, in two batches.
+
+    Node i draws its random starts from ``seeds[i]`` and, when ``warms[i]``
+    is a field, also descends from it.  The starts of all nodes screen in one
+    batched descent and every node's chosen starts polish in a second; each
+    row is bit-equal to a lone descent, so each estimate is the one the node
+    gets on its own.
+    """
+    scale_mean = _mean_energy(grid)
+    portfolios = []
+    for V, seed, warm in zip(Vs, seeds, warms):
+        rng = np.random.default_rng(seed)
+        starts = start_portfolio(grid, F.n, opts.multistart, 1.0 + float(np.linalg.norm(V)), rng)
+        if warm is not None:
+            starts = [("warm", warm.values)] + starts
+        portfolios.append(starts)
+    owner = np.array([i for i, starts in enumerate(portfolios) for _ in starts], dtype=int)
+
+    # screen every start briefly, then spend the remaining budget on the
+    # leaders; the warm start and the best of each start family always get
+    # polished so a screening mis-ranking cannot starve them
+    energy = StencilEnergy(grid, F, Vs[owner], per_row=True)
+    X0 = np.stack([energy.pack(vals) for starts in portfolios for _, vals in starts])  # no collar
+    screen = run_lbfgs_batch(energy, X0, [label for starts in portfolios for label, _ in starts],
+                             maxiter=min(opts.screen_maxiter, opts.maxiter))
+    references = [float(F(V)) for V in Vs]
+    results: list[list[DescentResult]] = []
+    chosen = []  # (node, index into its results) of every start to polish
+    for i, reference in enumerate(references):
+        screened = [r for r, o in zip(screen, owner) if o == i and np.isfinite(r.value)]
+        screened.sort(key=lambda r: r.value)
+        # polishing pays off only where some start actually beats the exact
+        # phi = 0 energy; at such nodes the leaders and each family's best get
+        # the remaining budget (a screening mis-ranking cannot starve them)
+        sum_threshold = (reference - opts.tol) / scale_mean
+        promising = [r for r in screened if r.value < sum_threshold]
+        polish = {r.start_label for r in screened[:1]}
+        if promising:
+            polish.update(r.start_label for r in screened[: opts.polish_top])
+            for fam in ("warm", "laminate", "random", "zero"):
+                best = next((r for r in promising if _family(r.start_label) == fam), None)
+                if best is not None:
+                    polish.add(best.start_label)
+        chosen += [(i, j) for j, r in enumerate(screened)
+                   if r.start_label in polish and r.budget_exhausted]
+        results.append(screened)
+    remaining = opts.maxiter - min(opts.screen_maxiter, opts.maxiter)
+    if remaining > 0 and chosen:
+        energy = StencilEnergy(grid, F, Vs[[i for i, _ in chosen]], per_row=True)
+        polished = run_lbfgs_batch(energy, np.stack([results[i][j].x for i, j in chosen]),
+                                   [results[i][j].start_label for i, j in chosen],
+                                   maxiter=remaining)
+        for (i, j), res in zip(chosen, polished):
+            if np.isfinite(res.value):  # a diverged polish keeps its screening result
+                results[i][j] = res
+
+    estimates = []
+    for reference, starts, node_results in zip(references, portfolios, results):
+        best_value = reference
+        best_start = "zero-exact"
+        witness = None
+        exhausted = False
+        for res in node_results:
+            val = res.value * scale_mean
+            if val < best_value:
+                best_value = val
+                best_start = res.start_label
+                witness = GridField(grid, energy.unpack(res.x))
+                exhausted = res.budget_exhausted
+        per_start = [(r.start_label, r.value * scale_mean, r.iterations) for r in node_results]
+        estimates.append(EnvelopeEstimate(best_value, reference, witness, best_start, len(starts),
+                                          exhausted, per_start))
+    return estimates
+
+
+def _chunks(node_rows, n_free: int) -> list[list[int]]:
+    """The nodes of (node, screening rows) pairs, cut into consecutive runs.
+
+    A run holds as many nodes as keep its rows x n_free within
+    ``_CHUNK_CELLS``, and at least one node.
+    """
+    chunks: list[list[int]] = []
+    cells = 0
+    for node, k in node_rows:
+        if not chunks or cells + k * n_free > _CHUNK_CELLS:
+            chunks.append([])
+            cells = 0
+        chunks[-1].append(node)
+        cells += k * n_free
+    return chunks
+
+
+def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: EnvelopeOptions,
+            seeds, mask_failures: bool = False):
+    """``dacorogna_refine`` at every V of Vs, level by level in chunks of nodes.
+
+    Returns each node's per-level values and final estimate.
+    Each node's level descends from its own previous witness only, so no
+    value depends on the chunking.  With ``mask_failures`` a chunk that
+    raises RuntimeError runs again one node at a time, and a node that still
+    raises gets no estimate (None) and takes no further level.
+    """
+    values: list[list[float]] = [[] for _ in Vs]
+    estimates: list[EnvelopeEstimate | None] = [None] * len(Vs)
+    live = list(range(len(Vs)))
+    for level, res in enumerate(levels):
+        level_opts = replace(opts, resolution=res)
+        grid = level_opts.grid(a)
+        warms = {}
+        for i in live:
+            prev = estimates[i].witness if level else None
+            warms[i] = None if prev is None else prolong_zero_boundary(prev, grid)
+        n_free = int(np.count_nonzero(~grid.collar_mask())) * F.n
+        node_rows = [(i, opts.multistart + (warms[i] is not None)) for i in live]
+        for nodes in _chunks(node_rows, n_free):
+            try:
+                ests = _min_nodes(F, Vs[nodes], grid, level_opts,
+                                  [seeds[i] for i in nodes], [warms[i] for i in nodes])
+            except RuntimeError:
+                if not mask_failures:
+                    raise
+                ests = []
+                for i in nodes:
+                    try:
+                        ests += _min_nodes(F, Vs[[i]], grid, level_opts, [seeds[i]], [warms[i]])
+                    except RuntimeError:
+                        ests.append(None)
+            for i, est in zip(nodes, ests):
+                estimates[i] = est
+                if est is not None:
+                    values[i].append(est.value)
+        live = [i for i in live if estimates[i] is not None]
+    return values, estimates
+
+
 def dacorogna_min(
     F: Integrand,
     V,
@@ -96,64 +242,8 @@ def dacorogna_min(
     """
     _require_growth(F)
     a = a if isinstance(a, SmoothnessVector) else SmoothnessVector(tuple(a))
-    V = np.asarray(V, dtype=float).reshape(F.n, F.m)
-    grid = opts.grid(a)
-    energy = StencilEnergy(grid, F, V)
-    scale_mean = _mean_energy(grid)
-
-    reference = float(F(V))
-    rng = np.random.default_rng(opts.seed)
-    starts = start_portfolio(grid, F.n, opts.multistart, 1.0 + float(np.linalg.norm(V)), rng)
-    if warm_start is not None:
-        starts = [("warm", warm_start.values)] + starts
-
-    # screen every start briefly, then spend the remaining budget on the
-    # leaders; the warm start and the best of each start family always get
-    # polished so a screening mis-ranking cannot starve them
-    X0 = np.stack([energy.pack(vals) for _, vals in starts])  # pack drops the collar
-    screen = run_lbfgs_batch(energy, X0, [label for label, _ in starts],
-                             maxiter=min(opts.screen_maxiter, opts.maxiter))
-    screened: list[DescentResult] = [r for r in screen if np.isfinite(r.value)]
-    screened.sort(key=lambda r: r.value)
-
-    def family(label: str) -> str:
-        return label.split("(")[0].rstrip("0123456789")
-
-    # polishing pays off only where some start actually beats the exact
-    # phi = 0 energy; at such nodes the leaders and each family's best get
-    # the remaining budget (a screening mis-ranking cannot starve them)
-    sum_threshold = (reference - opts.tol) / scale_mean
-    promising = [r for r in screened if r.value < sum_threshold]
-    polish = {r.start_label for r in screened[:1]}
-    if promising:
-        polish.update(r.start_label for r in screened[: opts.polish_top])
-        for fam in ("warm", "laminate", "random", "zero"):
-            best = next((r for r in promising if family(r.start_label) == fam), None)
-            if best is not None:
-                polish.add(best.start_label)
-    results: list[DescentResult] = list(screened)
-    remaining = opts.maxiter - min(opts.screen_maxiter, opts.maxiter)
-    chosen = [i for i, r in enumerate(screened) if r.start_label in polish and r.budget_exhausted]
-    if remaining > 0 and chosen:
-        polished = run_lbfgs_batch(energy, np.stack([screened[i].x for i in chosen]),
-                                   [screened[i].start_label for i in chosen], maxiter=remaining)
-        for i, res in zip(chosen, polished):
-            if np.isfinite(res.value):  # a diverged polish keeps its screening result
-                results[i] = res
-
-    best_value = reference
-    best_start = "zero-exact"
-    witness = None
-    exhausted = False
-    for res in results:
-        val = res.value * scale_mean
-        if val < best_value:
-            best_value = val
-            best_start = res.start_label
-            witness = GridField(grid, energy.unpack(res.x))
-            exhausted = res.budget_exhausted
-    per_start = [(r.start_label, r.value * scale_mean, r.iterations) for r in results]
-    return EnvelopeEstimate(best_value, reference, witness, best_start, len(starts), exhausted, per_start)
+    V = np.asarray(V, dtype=float).reshape(1, F.n, F.m)
+    return _min_nodes(F, V, opts.grid(a), opts, [opts.seed], [warm_start])[0]
 
 
 def _check_levels(levels) -> None:
@@ -182,18 +272,11 @@ def dacorogna_refine(
     guaranteed nonincreasing.
     """
     _check_levels(levels)
+    _require_growth(F)
     a_sv = a if isinstance(a, SmoothnessVector) else SmoothnessVector(tuple(a))
-    values = []
-    est = None
-    warm = None
-    for res in levels:
-        level_opts = replace(opts, resolution=res)
-        if warm is not None:
-            warm = prolong_zero_boundary(warm, level_opts.grid(a_sv))
-        est = dacorogna_min(F, V, a_sv, level_opts, warm_start=warm)
-        values.append(est.value)
-        warm = est.witness
-    return values, est
+    V = np.asarray(V, dtype=float).reshape(1, F.n, F.m)
+    values, estimates = _ladder(F, V, a_sv, list(levels), opts, [opts.seed])
+    return values[0], estimates[0]
 
 
 @dataclass
@@ -332,31 +415,30 @@ def tabulate_envelope(
 ) -> EnvelopeTable:
     """Per-node envelope estimates over a lattice; failures masked, not fatal.
 
-    Only a numerical failure (RuntimeError) is masked; any other exception
-    propagates.  Node seeds derive from the node index, so results do not
-    depend on the execution order.
+    The nodes of each refinement level run in chunks of consecutive node
+    ranks, one screening and one polishing batch per chunk.  Node seeds
+    derive from the node rank and every batched row is bit-equal to a lone
+    descent, so the values depend neither on the execution order nor on the
+    chunking.  Only a numerical failure (RuntimeError) is masked: its chunk
+    runs again node by node, and a node that still fails gets F(V) and a
+    failure flag; any other exception propagates.
     """
     _require_growth(F)
+    if levels:
+        _check_levels(levels)
     a_sv = a if isinstance(a, SmoothnessVector) else SmoothnessVector(tuple(a))
     lattice = tuple((float(lo), float(hi), int(c)) for lo, hi, c in lattice)
     if len(lattice) != F.n * F.m:
         raise ValueError(f"lattice needs {F.n * F.m} coordinate ranges")
     counts = tuple(c for _, _, c in lattice)
     pts = [np.linspace(lo, hi, c) for lo, hi, c in lattice]
-    values = np.empty(counts)
-    failures = np.zeros(counts, dtype=bool)
-
-    for rank, idx in enumerate(np.ndindex(*counts)):
-        V = np.array([pts[d][i] for d, i in enumerate(idx)]).reshape(F.n, F.m)
-        node_opts = replace(opts, seed=opts.seed + rank)
-        try:
-            if levels:
-                values[idx] = dacorogna_refine(F, V, a_sv, levels, node_opts)[1].value
-            else:
-                values[idx] = dacorogna_min(F, V, a_sv, node_opts).value
-        except RuntimeError:
-            values[idx] = float(F(V))
-            failures[idx] = True
+    Vs = np.array([[pts[d][i] for d, i in enumerate(idx)] for idx in np.ndindex(*counts)])
+    Vs = Vs.reshape(-1, F.n, F.m)
+    seeds = [opts.seed + rank for rank in range(len(Vs))]
+    _, estimates = _ladder(F, Vs, a_sv, list(levels) if levels else [opts.resolution], opts, seeds,
+                           mask_failures=True)
+    values = np.array([float(F(V)) if est is None else est.value for V, est in zip(Vs, estimates)])
+    failures = np.array([est is None for est in estimates])
 
     table_meta = {
         "integrand": {"name": F.name, "params": F.params},

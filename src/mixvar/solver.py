@@ -126,8 +126,8 @@ class _DirichletEnergy:
         self.inner = StencilEnergy(grid, F, base)
         self.weight = grid.quad_weight
 
-    def value_and_grad(self, x):
-        v, grad = self.inner.value_and_grad(x)
+    def value_and_grad(self, x, rows=None):
+        v, grad = self.inner.value_and_grad(x, rows)
         return v * self.weight, grad * self.weight
 
 

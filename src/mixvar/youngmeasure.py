@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import wasserstein_distance
 
 from .envelope import EnvelopeTable, envelope_interpolate
 from .grid import AGradientField, Grid, GridField, a_gradient, full_gradient, project_to_gradients, truncate
@@ -242,6 +241,9 @@ def sliced_wasserstein(
     Cheap metric for weak convergence reports on bounded sets; atom lists
     sidestep the curse of dimension that histogram binning would hit.
     """
+    # scipy.stats is slow and large to import, and only this function needs it
+    from scipy.stats import wasserstein_distance
+
     if nu1.atoms.shape[1:] != nu2.atoms.shape[1:]:
         raise ValueError("measures live on different matrix spaces")
     k = nu1.atoms.shape[1] * nu1.atoms.shape[2]

@@ -100,6 +100,46 @@ def test_validation_error_names_field(tmp_path, capsys):
     assert "'a'" in err
 
 
+def test_unknown_config_keys_are_a_validation_error(tmp_path, capsys):
+    # a stale option and two typos must not fall back to defaults silently
+    cfg = write_config(tmp_path / "cfg.json",
+                       {**ENVELOPE_CFG, "threads": 8, "bogus": 1, "multistrat": 3})
+    rc = main(["envelope", "--config", cfg, "--out", str(tmp_path / "t.qft")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert all(f"'{key}'" in err for key in ("threads", "bogus", "multistrat"))
+    assert "'multistart'" not in err
+    assert not (tmp_path / "t.qft").exists()
+
+
+@pytest.mark.parametrize("command, cfg_data", [
+    ("solve", {**SOLVE_CFG, "levels": 2}),
+    ("ym", {**YM_CFG, "resolution": 33}),
+    ("coerce", {**ENVELOPE_CFG, "q": 2.0}),
+])
+def test_keys_of_another_subcommand_are_a_validation_error(tmp_path, capsys, command, cfg_data):
+    cfg = write_config(tmp_path / "cfg.json", cfg_data)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err and command in err
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mixvar
+
+    src = str(Path(mixvar.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mixvar.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_non_dyadic_levels_are_a_validation_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", {**ENVELOPE_CFG, "levels": [17, 40]})
     rc = main(["envelope", "--config", cfg, "--out", str(tmp_path / "t.qft")])

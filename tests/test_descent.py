@@ -24,13 +24,13 @@ class Recording:
         self.calls = 0
         self.seen = []
 
-    def value_and_grad(self, x):
+    def value_and_grad(self, x, rows=None):
         self.calls += 1
         if self.probe is not None:
             self.seen.append(self.probe())
         if self.calls == self.fail_at:
             raise ValueError("energy bug")
-        return self.inner.value_and_grad(x)
+        return self.inner.value_and_grad(x, rows)
 
 
 def test_nfev_counts_every_energy_evaluation():

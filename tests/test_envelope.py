@@ -228,3 +228,89 @@ def test_tabulate_failure_mask():
     table = tabulate_envelope(F, (2,), [(-1.0, 1.0, 3)], FAST)
     assert table.failures.shape == (3,)
     assert not table.failures.any()
+
+
+def record_chunks(monkeypatch):
+    """Node counts of every batched chunk that tabulation runs."""
+    import mixvar.envelope as envelope
+
+    sizes = []
+    run = envelope._min_nodes
+
+    def counted(F, Vs, *args):
+        sizes.append(len(Vs))
+        return run(F, Vs, *args)
+
+    monkeypatch.setattr(envelope, "_min_nodes", counted)
+    return sizes
+
+
+def test_tabulate_masks_only_the_node_whose_descent_fails(monkeypatch):
+    # a numerical failure inside one node's descent breaks its whole chunk;
+    # the chunk runs again node by node and only that node is masked.  The
+    # exact F(V) references are point evaluations and still work, so only
+    # the descents at the lattice node V = 0 hit the fault
+    F = builtin("double_well", w=1.0, n=1, m=1)
+
+    def ev(V):
+        if V.ndim > 2 and np.any(V == 0.0):
+            raise RuntimeError("integrand overflow")
+        return F.eval(V)
+
+    lattice = [(-2.0, 2.0, 5)]
+    clean = tabulate_envelope(F, (2,), lattice, FAST)
+    sizes = record_chunks(monkeypatch)
+    table = tabulate_envelope(replace(F, eval=ev), (2,), lattice, FAST)
+    assert sizes == [5, 1, 1, 1, 1, 1]
+    assert table.failures.tolist() == [False, False, True, False, False]
+    assert table.values[2] == F(np.zeros((1, 1)))
+    keep = ~table.failures
+    assert np.array_equal(table.values[keep], clean.values[keep])
+
+
+# screen_maxiter < maxiter: every chunk runs a polishing batch too
+@pytest.mark.parametrize("a, F, lattice, opts, levels", [
+    ((2,), builtin("double_well", w=1.0, n=1, m=1), [(-2.0, 2.0, 5)],
+     EnvelopeOptions(resolution=33, multistart=4, maxiter=300, screen_maxiter=40, seed=3), None),
+    ((1, 2), builtin("double_well", w=1.0, n=1, m=2, col=1), [(-0.5, 0.5, 2), (-1.5, 1.5, 2)],
+     EnvelopeOptions(resolution=33, multistart=3, maxiter=120, screen_maxiter=30, seed=11),
+     (9, 17, 33)),
+], ids=["1d", "2d-ladder"])
+def test_table_bytes_do_not_depend_on_the_chunking(tmp_path, monkeypatch, a, F, lattice, opts,
+                                                   levels):
+    import mixvar.envelope as envelope
+
+    sizes = record_chunks(monkeypatch)
+    tabulate_envelope(F, a, lattice, opts, levels=levels).save(tmp_path / "chunked.qft")
+    assert max(sizes) > 1
+    sizes.clear()
+    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)  # every node its own chunk
+    tabulate_envelope(F, a, lattice, opts, levels=levels).save(tmp_path / "nodes.qft")
+    assert max(sizes) == 1
+    assert (tmp_path / "chunked.qft").read_bytes() == (tmp_path / "nodes.qft").read_bytes()
+
+
+def test_one_node_estimate_equals_the_node_inside_a_chunk(monkeypatch):
+    import mixvar.envelope as envelope
+
+    batches = []
+    run = envelope.run_lbfgs_batch
+
+    def counted(energy, X0, *args, **kwargs):
+        batches.append(len(X0))
+        return run(energy, X0, *args, **kwargs)
+
+    monkeypatch.setattr(envelope, "run_lbfgs_batch", counted)
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    opts = EnvelopeOptions(resolution=33, multistart=5, maxiter=300, screen_maxiter=40, seed=0)
+    Vs = np.array([0.9, 0.0, -0.4]).reshape(3, 1, 1)
+    seeds = [5, 6, 7]
+    chunk = envelope._min_nodes(F, Vs, opts.grid(envelope.SmoothnessVector((2,))), opts, seeds,
+                                [None] * 3)
+    assert batches[0] == 15 and len(batches) == 2  # one screening, one polishing batch
+    assert any(est.best_start != "zero-exact" for est in chunk)
+    for V, seed, est in zip(Vs, seeds, chunk):
+        alone = dacorogna_min(F, V, (2,), replace(opts, seed=seed))
+        assert alone.value == est.value
+        assert alone.best_start == est.best_start
+        assert alone.per_start == est.per_start

@@ -562,3 +562,31 @@ def test_batched_energies_are_bit_equal_to_one_call_per_row(a, n):
                 assert isinstance(one_value, float)
                 assert np.array_equal(value, one_value)
                 assert np.array_equal(grad, one_grad)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", OPERATOR_CASES)
+def test_per_row_bases_are_bit_equal_to_one_energy_per_row(a, n):
+    # starts of different envelope nodes share a batch: row i adds its own V_i
+    from mixvar._descent import StencilEnergy
+
+    energy, _ = free_dof_energy(a, n)
+    g, F = energy.grid, energy.F
+    rng = np.random.default_rng(10)
+    X = batch_of_fields(energy, rng)
+    Vs = rng.normal(size=(len(X), n, F.m)) * 0.5
+    per_row = StencilEnergy(g, F, Vs, per_row=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, grads = per_row.value_and_grad(X)
+        assert not np.isfinite(values[3]) and np.all(np.isfinite(values[:3]))
+        for x, V, value, grad in zip(X, Vs, values, grads):
+            one_value, one_grad = StencilEnergy(g, F, V).value_and_grad(x)
+            assert np.array_equal(value, one_value)
+            assert np.array_equal(grad, one_grad)
+        # live rows of a descent: the fields of rows 2 and 0 only
+        rows = np.array([2, 0])
+        some_values, some_grads = per_row.value_and_grad(X[rows], rows)
+    assert np.array_equal(some_values, values[rows])
+    assert np.array_equal(some_grads, grads[rows])
+    with pytest.raises(ValueError, match="per-row"):
+        StencilEnergy(g, F, Vs[0], per_row=True)
