@@ -61,6 +61,8 @@ _CONFIG_KEYS = {
     "relax": _SOLVE_KEYS | {"levels"},
     "ym": {"a", "seed", "source", "domain", "p"},
 }
+# the fields of ym's source object
+_SOURCE_KEYS = {"type", "resolution", "components", "amplitude", "target_resolution", "j"}
 
 
 def _load_config(path: str, command: str) -> dict:
@@ -304,6 +306,9 @@ def _cmd_ym(cfg: dict, out: Path) -> None:
     src_cfg = _require(cfg, "source", dict)
     if src_cfg.get("type") != "scale_and_tile":
         raise ConfigError("source.type must be 'scale_and_tile'")
+    unknown = sorted(set(src_cfg) - _SOURCE_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown field(s) for source: {', '.join(map(repr, unknown))}")
     res = src_cfg.get("resolution", 65)
     with _config_fields("source"):
         grid = Grid(((-1.0, 1.0),) * a.ndim, (res,) * a.ndim, a)

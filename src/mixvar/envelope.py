@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from ._descent import (
     DescentResult,
@@ -47,8 +46,8 @@ __all__ = [
 DEFAULT_LEVELS = (17, 33, 65)
 
 # screening rows x free values per chunk of nodes: the energy's cost per row
-# flattens near 1e4 such cells, and every live row holds an L-BFGS-B workspace
-# of 45 n_free + 4560 doubles, so wider chunks cost memory and gain nothing
+# flattens near 1e4 such cells, and every live row holds about 46 n_free + 821
+# doubles of descent state, so wider chunks cost memory and gain nothing
 _CHUNK_CELLS = 2**14
 
 
@@ -344,6 +343,8 @@ class EnvelopeTable:
         Outside the lattice hull: evaluate ``fallback`` when given (it always
         dominates the envelope), raise otherwise.
         """
+        from scipy.interpolate import RegularGridInterpolator  # kept out of `import mixvar.cli`
+
         interp = RegularGridInterpolator(
             self.points, self.values, method="linear", bounds_error=False, fill_value=None,
         )
@@ -458,6 +459,8 @@ def envelope_interpolate(table: EnvelopeTable, V) -> float:
     V = np.asarray(V, dtype=float).reshape(-1)
     if V.shape[0] != table.n * table.m:
         raise ValueError(f"query has {V.shape[0]} coordinates, table expects {table.n * table.m}")
+    from scipy.interpolate import RegularGridInterpolator  # kept out of `import mixvar.cli`
+
     interp = RegularGridInterpolator(table.points, table.values, method="linear", bounds_error=True)
     try:
         return float(interp(V[None, :])[0])

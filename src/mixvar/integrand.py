@@ -252,13 +252,32 @@ def _constant(c: float, n: int, m: int, p: float) -> Integrand:
     )
 
 
+# the parameters each built-in integrand reads
+_BUILTIN_PARAMS = {
+    "constant": {"c", "n", "m", "p"},
+    "pnorm": {"p", "n", "m"},
+    "quadratic": {"A", "n", "m"},
+    "pantographic": set(),
+    "double_well": {"col", "w", "n", "m"},
+    "shifted": {"F", "X0"},
+    "minus_power": {"F", "c", "q"},
+}
+
+
 def builtin(name: str, **params) -> Integrand:
     """Factory for the built-in integrands.
 
     pnorm(p, n=1, m=1); quadratic(A, n, m); pantographic();
     double_well(col=0, w=1.0, n=1, m=1); constant(c, n, m, p);
-    shifted(F, X0); minus_power(F, c, q).
+    shifted(F, X0); minus_power(F, c, q).  A parameter the integrand does
+    not read is a ValueError, so a misspelt one cannot fall back to its
+    default.
     """
+    if name not in _BUILTIN_PARAMS:
+        raise ValueError(f"unknown integrand {name!r}")
+    unknown = sorted(set(params) - _BUILTIN_PARAMS[name])
+    if unknown:
+        raise ValueError(f"integrand {name!r} has no parameter(s) {', '.join(map(repr, unknown))}")
     if name == "constant":
         return _constant(
             float(params.get("c", 0.0)), int(params.get("n", 1)),
@@ -277,9 +296,7 @@ def builtin(name: str, **params) -> Integrand:
         )
     if name == "shifted":
         return shifted(params["F"], params["X0"])
-    if name == "minus_power":
-        return minus_power(params["F"], float(params["c"]), float(params["q"]))
-    raise ValueError(f"unknown integrand {name!r}")
+    return minus_power(params["F"], float(params["c"]), float(params["q"]))
 
 
 def standard_test_class(n: int = 1, m: int = 1) -> dict:

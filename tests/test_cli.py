@@ -113,6 +113,19 @@ def test_unknown_config_keys_are_a_validation_error(tmp_path, capsys):
     assert not (tmp_path / "t.qft").exists()
 
 
+@pytest.mark.parametrize("command, cfg_data, key", [
+    ("envelope", {**ENVELOPE_CFG, "integrand": {"name": "double_well", "params": {"W": 2.0}}}, "W"),
+    ("ym", {**YM_CFG, "source": {**YM_CFG["source"], "amplitdue": 2.0}}, "amplitdue"),
+])
+def test_unknown_nested_keys_are_a_validation_error(tmp_path, capsys, command, cfg_data, key):
+    # integrand params and ym's source object are checked like the top level
+    cfg = write_config(tmp_path / "cfg.json", cfg_data)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{key}'" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, cfg_data", [
     ("solve", {**SOLVE_CFG, "levels": 2}),
     ("ym", {**YM_CFG, "resolution": 33}),
@@ -133,11 +146,13 @@ def test_cli_import_leaves_scipy_stats_out():
     import mixvar
 
     src = str(Path(mixvar.__file__).resolve().parents[1])
+    # nor scipy.optimize or scipy.interpolate: a fresh start pays for none of them
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import mixvar.cli; "
-            "print('scipy.stats' in sys.modules)")
+            "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.interpolate') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_non_dyadic_levels_are_a_validation_error(tmp_path, capsys):

@@ -74,6 +74,15 @@ def test_unknown_name():
         builtin("does_not_exist")
 
 
+def test_a_parameter_the_integrand_does_not_read_is_an_error():
+    # "W" for double_well's w would otherwise run silently with w = 1
+    with pytest.raises(ValueError, match="'W'"):
+        builtin("double_well", W=2.0, n=1, m=1)
+    with pytest.raises(ValueError, match="'shift'"):
+        builtin_from_config({"integrand": {"name": "pantographic", "params": {"shift": 1}}})
+    assert builtin("double_well", w=2.0, n=1, m=1).params["w"] == 2.0
+
+
 def test_shifted_identity_at_zero():
     F = builtin("double_well", col=0, w=1.0, n=1, m=2)
     G = shifted(F, np.zeros((1, 2)))
