@@ -26,7 +26,13 @@ from .coercivity import (
     mean_coercivity_fit,
     theta_estimate,
 )
-from .envelope import EnvelopeOptions, _check_levels, tabulate_envelope
+from .envelope import (
+    EnvelopeOptions,
+    EnvelopeTable,
+    _check_lattice,
+    _check_levels,
+    tabulate_envelope,
+)
 from .grid import Grid, GridField
 from .integrand import builtin_from_config
 from .smoothness import SmoothnessVector
@@ -99,6 +105,14 @@ def _require(cfg: dict, key: str, kind=None):
     return val
 
 
+def _count(cfg: dict, key: str, default: int, minimum: int) -> int:
+    """An optional integer field of at least ``minimum``."""
+    val = cfg.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
+        raise ConfigError(f"field {key!r} must be an integer >= {minimum}, got {val!r}")
+    return val
+
+
 def _smoothness(cfg: dict) -> SmoothnessVector:
     a = _require(cfg, "a", list)
     if not a or any((not isinstance(x, int)) or x < 1 for x in a):
@@ -146,16 +160,17 @@ def _cmd_envelope(cfg: dict, out: Path) -> None:
     a = _smoothness(cfg)
     F = _integrand(cfg)
     seed = _seed(cfg)
-    lattice = _require(cfg, "lattice", list)
+    with _config_fields("lattice"):
+        lattice = _check_lattice(_require(cfg, "lattice", list), F.n, F.m)
     levels = cfg.get("levels")
     if levels is not None:
         with _config_fields("levels"):
             _check_levels(_require(cfg, "levels", list))
     opts = EnvelopeOptions(
         resolution=cfg.get("resolution", 65),
-        multistart=cfg.get("multistart", 8),
+        multistart=_count(cfg, "multistart", 8, 1),
         tol=cfg.get("tol", 1e-6),
-        maxiter=cfg.get("maxiter", 2000),
+        maxiter=_count(cfg, "maxiter", 2000, 0),
         seed=seed,
     )
     coarsest = levels[0] if levels else opts.resolution  # a node's first grid
@@ -163,7 +178,7 @@ def _cmd_envelope(cfg: dict, out: Path) -> None:
         EnvelopeOptions(resolution=coarsest).grid(a)
     chash = config_hash(cfg)
     table = tabulate_envelope(
-        F, a, [tuple(t) for t in lattice], opts,
+        F, a, lattice, opts,
         levels=levels, meta={"config_hash": chash, "config": cfg},
     )
     table.save(out)
@@ -199,8 +214,8 @@ def _cmd_coerce(cfg: dict, out: Path, args) -> None:
             raise ValueError("the coercivity fit needs at least 3 t values")
     opts = ThetaOptions(
         resolution=cfg.get("resolution", 17),
-        multistart=cfg.get("multistart", 4),
-        maxiter=cfg.get("maxiter", 400),
+        multistart=_count(cfg, "multistart", 4, 0),
+        maxiter=_count(cfg, "maxiter", 400, 0),
         seed=seed,
     )
     with _config_fields("resolution"):
@@ -236,9 +251,9 @@ def _solve_problem(cfg: dict) -> tuple[DirichletProblem, SolveOptions]:
     with _config_fields("datum"):
         prob.datum_field(grid)
     opts = SolveOptions(
-        maxiter=cfg.get("maxiter", 800),
+        maxiter=_count(cfg, "maxiter", 800, 0),
         gtol=cfg.get("gtol", 1e-10),
-        multistart=cfg.get("multistart", 1),
+        multistart=_count(cfg, "multistart", 1, 0),
         perturbation=cfg.get("perturbation", 1e-2),
         seed=seed,
     )
@@ -264,11 +279,12 @@ def _cmd_solve(cfg: dict, out: Path) -> None:
 
 
 def _cmd_relax(cfg: dict, out: Path, args) -> None:
-    from .envelope import EnvelopeTable
-
     if args.table is None:
         raise ConfigError("relax requires --table pointing at a .qft file")
-    table = EnvelopeTable.load(args.table)
+    try:
+        table = EnvelopeTable.load(args.table)
+    except (OSError, ValueError, TypeError) as exc:  # TypeError: a header value of a wrong type
+        raise ConfigError(f"field '--table': {exc}") from exc
     prob, opts = _solve_problem(cfg)
     with _config_fields("--table"):
         _check_table(prob, table)

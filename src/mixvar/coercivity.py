@@ -98,19 +98,22 @@ class _PenalizedMoment:
         dF = inner.F.gradient(W)
 
         fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
-        moments = np.mean((fro**self.q).reshape(len(W), self.n_int), axis=1)
-        energies = np.mean(vals, axis=1)
+        moments = (fro**self.q).reshape(len(W), self.n_int).sum(axis=1) / self.n_int
+        deficits = self.t - moments
+        short = deficits > 0
+        totals = vals.sum(axis=1) / self.n_int
         weights = dF / self.n_int
-        safe = np.maximum(fro, 1e-300)[..., None, None]
-        totals = []
-        # the penalty in Python floats, row by row, as for a lone field
-        for i, (energy, moment) in enumerate(zip(energies.tolist(), moments.tolist())):
-            deficit = self.t - moment
-            totals.append(energy + (self.rho * deficit**2 if deficit > 0 else 0.0))
-            if deficit > 0:
-                dmom = self.q * safe[i] ** (self.q - 2.0) * W[i] / self.n_int
-                weights[i] = weights[i] - 2.0 * self.rho * deficit * dmom
-        values = _scatter(np.array(totals), ok, np.inf)
+        if short.any():
+            # only the rows short of the moment are penalised; the square is
+            # Python's float power (C pow), which rounds differently from
+            # numpy's square in about one case in a thousand
+            totals[short] += [self.rho * d**2 for d in deficits[short].tolist()]
+            Ws = _rows(W, short)
+            safe = np.maximum(_rows(fro, short), 1e-300)[..., None, None]
+            dmom = self.q * safe ** (self.q - 2.0) * Ws / self.n_int
+            coef = 2.0 * self.rho * deficits[short]
+            weights[short] -= coef.reshape((-1,) + (1,) * (Ws.ndim - 1)) * dmom
+        values = _scatter(totals, ok, np.inf)
         return _unbatch(values, _scatter(inner.adjoint(weights), ok, 0.0), x.shape[:-1])
 
 

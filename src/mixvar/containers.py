@@ -41,7 +41,10 @@ def read_container(path, magic: bytes) -> tuple[dict, np.ndarray]:
         got = fh.read(16)
         if got != magic:
             raise ValueError(f"bad magic in {path}: {got!r}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
+        raw = fh.read(8)
+        if len(raw) != 8:
+            raise ValueError(f"truncated header in {path}")
+        (hlen,) = struct.unpack("<Q", raw)
         header = json.loads(fh.read(hlen).decode("utf-8"))
         payload = np.frombuffer(fh.read(), dtype="<f8").astype(float)
     return header, payload

@@ -13,7 +13,10 @@ inequality exactly and the estimator returns F(V) to round-off for them.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -298,12 +301,106 @@ def is_aqc_at(F: Integrand, V, a, opts: EnvelopeOptions = EnvelopeOptions()) -> 
     return AQCVerdict(holds, est.value, est.reference, opts.tol, None if holds else est.witness)
 
 
+def _check_lattice(lattice, n: int, m: int) -> tuple[tuple[float, float, int], ...]:
+    """The lattice as one (lo, hi, count) triple per coordinate of R^{n x m}.
+
+    A count is an integer of at least 1; a count of 1 is the single point
+    lo == hi, and a larger one needs lo < hi.
+    """
+    if len(lattice) != n * m:
+        raise ValueError(f"lattice needs {n * m} coordinate ranges, got {len(lattice)}")
+    out = []
+    for k, entry in enumerate(lattice):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ValueError(f"lattice entry {k} must be [lo, hi, count], got {entry!r}")
+        lo, hi, count = entry
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in (lo, hi)):
+            raise ValueError(f"lattice entry {k}: lo and hi must be numbers, got {entry!r}")
+        if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
+            raise ValueError(f"lattice entry {k}: count must be an integer >= 1, got {count!r}")
+        lo, hi, count = float(lo), float(hi), int(count)
+        if count == 1 and lo != hi:
+            raise ValueError(f"lattice entry {k}: a count of 1 is the single point lo == hi, "
+                             f"got lo={lo}, hi={hi}")
+        if count > 1 and not lo < hi:
+            raise ValueError(f"lattice entry {k}: {count} points need lo < hi, "
+                             f"got lo={lo}, hi={hi}")
+        out.append((lo, hi, count))
+    return tuple(out)
+
+
+def _check_interior(lattice) -> None:
+    """The hull of a checked lattice must have an interior: every count at least 2."""
+    flat = [k for k, (_, _, c) in enumerate(lattice) if c < 2]
+    if flat:
+        raise ValueError(f"the table's hull is flat along lattice coordinate(s) {flat}: "
+                         f"its integrand needs a count of at least 2 in every coordinate")
+
+
+class _Multilinear:
+    """The multilinear interpolant of node values on a lattice, and its gradient.
+
+    Points are rows of an (N, D) array inside the lattice hull.  A point lies
+    in the cell whose lower corner is the last node at or below it along
+    every coordinate (the last cell at the upper hull face), so the value is
+    exact at nodes and the gradient on a cell face is the one-sided gradient
+    of that cell.  A coordinate with count 1 is constant: it takes no part
+    in the interpolation and its gradient component is 0.
+    """
+
+    def __init__(self, lattice, values: np.ndarray):
+        counts = [c for _, _, c in lattice]
+        self.lows = np.array([lo for lo, _, _ in lattice])
+        self.highs = np.array([hi for _, hi, _ in lattice])
+        self.axes = [d for d, c in enumerate(counts) if c > 1]
+        self.points = [np.linspace(*lattice[d]) for d in self.axes]
+        self.strides = np.array([math.prod(counts[d + 1:]) for d in self.axes], dtype=np.intp)
+        self.flat = values.reshape(-1)
+        # the corners of a cell: which active coordinates take the upper node
+        self.upper = np.array(list(itertools.product((False, True), repeat=len(self.axes))),
+                              dtype=bool)
+        self.offsets = self.upper @ self.strides
+
+    def inside(self, X: np.ndarray) -> np.ndarray:
+        return np.all((X >= self.lows) & (X <= self.highs), axis=-1)
+
+    def _cells(self, X: np.ndarray):
+        """Corner values (N, 2^k), corner weights per coordinate (N, 2^k, k), cell widths."""
+        base = np.zeros(len(X), dtype=np.intp)
+        t = np.empty((len(X), len(self.axes)))
+        widths = []
+        for j, (d, pts) in enumerate(zip(self.axes, self.points)):
+            i = np.clip(np.searchsorted(pts, X[:, d], side="right") - 1, 0, len(pts) - 2)
+            width = pts[i + 1] - pts[i]
+            t[:, j] = (X[:, d] - pts[i]) / width
+            base += i * self.strides[j]
+            widths.append(width)
+        corners = self.flat[base[:, None] + self.offsets]
+        weights = np.where(self.upper, t[:, None, :], 1.0 - t[:, None, :])
+        return corners, weights, widths
+
+    def value(self, X: np.ndarray) -> np.ndarray:
+        corners, weights, _ = self._cells(X)
+        return np.sum(corners * np.prod(weights, axis=2), axis=1)
+
+    def gradient(self, X: np.ndarray) -> np.ndarray:
+        corners, weights, widths = self._cells(X)
+        out = np.zeros(X.shape)
+        for j, d in enumerate(self.axes):
+            others = np.prod(np.delete(weights, j, axis=2), axis=2)
+            slopes = np.where(self.upper[:, j], corners, -corners)
+            out[:, d] = np.sum(slopes * others, axis=1) / widths[j]
+        return out
+
+
 @dataclass
 class EnvelopeTable:
     """Envelope values on a rectangular lattice in R^{n x m}.
 
     ``lattice`` is one (lo, hi, count) triple per coordinate, coordinates in
     row-major (n, m) order; ``values`` has the lattice counts as its shape.
+    A lattice that ``_check_lattice`` rejects, or an n or m that is not a
+    positive integer, is a ValueError.
     """
 
     a: tuple[int, ...]
@@ -316,7 +413,11 @@ class EnvelopeTable:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        counts = tuple(int(c) for (_, _, c) in self.lattice)
+        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1
+                   for k in (self.n, self.m)):
+            raise ValueError(f"n and m must be integers >= 1, got n={self.n!r}, m={self.m!r}")
+        self.lattice = _check_lattice(self.lattice, self.n, self.m)
+        counts = tuple(c for (_, _, c) in self.lattice)
         self.values = np.asarray(self.values, dtype=float).reshape(counts)
         if self.failures is None:
             self.failures = np.zeros(counts, dtype=bool)
@@ -337,38 +438,62 @@ class EnvelopeTable:
     def interpolate(self, V) -> float:
         return envelope_interpolate(self, V)
 
+    @functools.cached_property
+    def _interpolant(self) -> _Multilinear:
+        return _Multilinear(self.lattice, self.values)
+
     def as_integrand(self, fallback: Integrand | None = None) -> Integrand:
         """Integrand backed by multilinear interpolation of the table.
 
-        Outside the lattice hull: evaluate ``fallback`` when given (it always
-        dominates the envelope), raise otherwise.
+        Its gradient is the exact gradient of the interpolant.  That jumps
+        across cell faces, where it is one-sided: on a face inside the hull
+        it is the gradient of the cell above, on the upper hull face that of
+        the last cell.  Outside the lattice hull the value and gradient are
+        those of ``fallback`` when given (it always dominates the envelope);
+        without one the value is +inf and the gradient NaN.  The hull needs
+        an interior (every count at least 2), else ValueError: off a flat
+        hull the integrand is the fallback or +inf, and has no gradient.
+        The registration check samples the gradient inside cells, a quarter
+        cell or more from their faces.
         """
-        from scipy.interpolate import RegularGridInterpolator  # kept out of `import mixvar.cli`
-
-        interp = RegularGridInterpolator(
-            self.points, self.values, method="linear", bounds_error=False, fill_value=None,
-        )
-        lows = np.array([lo for lo, _, _ in self.lattice])
-        highs = np.array([hi for _, hi, _ in self.lattice])
+        _check_interior(self.lattice)
+        interp = self._interpolant
+        k = self.n * self.m
 
         def ev(V):
-            V = np.asarray(V, dtype=float)
-            flat = V.reshape(-1, self.n * self.m)
-            inside = np.all((flat >= lows) & (flat <= highs), axis=-1)
-            if fallback is None:
-                # +inf barrier outside the hull: a descent backtracks into the
-                # hull instead of extrapolating; callers must verify the final
-                # iterate stayed interior (see relax_compare)
-                out = np.full(flat.shape[0], np.inf)
-                if np.any(inside):
-                    out[inside] = interp(flat[inside])
-            else:
-                out = np.empty(flat.shape[0])
-                if np.any(inside):
-                    out[inside] = interp(np.clip(flat[inside], lows, highs))
-                if np.any(~inside):
-                    out[~inside] = fallback(flat[~inside].reshape(-1, self.n, self.m))
+            flat = V.reshape(-1, k)
+            inside = interp.inside(flat)
+            # +inf barrier outside the hull without a fallback: a descent
+            # backtracks into the hull instead of extrapolating; callers must
+            # verify the final iterate stayed interior (see relax_compare)
+            out = np.full(len(flat), np.inf)
+            out[inside] = interp.value(flat[inside])
+            if fallback is not None:
+                out[~inside] = fallback(flat[~inside].reshape(-1, self.n, self.m))
             return out.reshape(V.shape[:-2])
+
+        def gr(V):
+            flat = V.reshape(-1, k)
+            inside = interp.inside(flat)
+            out = np.full(flat.shape, np.nan)
+            out[inside] = interp.gradient(flat[inside])
+            if fallback is not None:
+                outside = flat[~inside].reshape(-1, self.n, self.m)
+                out[~inside] = fallback.gradient(outside).reshape(-1, k)
+            return out.reshape(V.shape)
+
+        def check_points(rng):
+            # a random cell, and a point of it at least a quarter cell from
+            # every face; the step stays within an eighth of the narrowest
+            # cell, so the central differences never cross a face
+            X, narrowest = interp.lows.copy(), np.inf
+            for d, pts in zip(interp.axes, interp.points):
+                i = rng.integers(len(pts) - 1)
+                width = pts[i + 1] - pts[i]
+                X[d] = pts[i] + rng.uniform(0.25, 0.75) * width
+                narrowest = min(narrowest, width)
+            V = X.reshape(self.n, self.m)
+            return V, min(1e-5 * (1.0 + np.linalg.norm(V)), narrowest / 8.0)
 
         C_up = None
         if fallback is not None and self.meta.get("C_upper") is not None:
@@ -377,8 +502,9 @@ class EnvelopeTable:
             delta = max((hi - lo) / max(c - 1, 1) for lo, hi, c in self.lattice)
             C_up = self.meta["C_upper"] * 2.0 ** max(self.p - 1.0, 0.0) * (1.0 + delta**self.p)
         return Integrand(
-            ev, self.n, self.m, self.p, grad=None, C_upper=C_up,
+            ev, self.n, self.m, self.p, grad=gr, C_upper=C_up,
             name="envelope_table", params={"source": self.meta.get("integrand")},
+            check_points=check_points,
         )
 
     def save(self, path) -> None:
@@ -397,12 +523,12 @@ class EnvelopeTable:
     @classmethod
     def load(cls, path) -> "EnvelopeTable":
         header, payload = read_container(path, TABLE_MAGIC)
-        counts = tuple(int(c) for (_, _, c) in header["lattice"])
-        failures = np.array(header["failures"], dtype=bool).reshape(counts)
+        missing = [key for key in ("a", "n", "m", "p", "lattice", "failures") if key not in header]
+        if missing:
+            raise ValueError(f"table header of {path} lacks {', '.join(missing)}")
         return cls(
-            tuple(header["a"]), header["n"], header["m"], header["p"],
-            tuple((lo, hi, int(c)) for lo, hi, c in header["lattice"]),
-            payload.reshape(counts), failures, header.get("meta", {}),
+            tuple(header["a"]), header["n"], header["m"], header["p"], header["lattice"],
+            payload, np.array(header["failures"], dtype=bool), header.get("meta", {}),
         )
 
 
@@ -428,9 +554,7 @@ def tabulate_envelope(
     if levels:
         _check_levels(levels)
     a_sv = a if isinstance(a, SmoothnessVector) else SmoothnessVector(tuple(a))
-    lattice = tuple((float(lo), float(hi), int(c)) for lo, hi, c in lattice)
-    if len(lattice) != F.n * F.m:
-        raise ValueError(f"lattice needs {F.n * F.m} coordinate ranges")
+    lattice = _check_lattice(lattice, F.n, F.m)
     counts = tuple(c for _, _, c in lattice)
     pts = [np.linspace(lo, hi, c) for lo, hi, c in lattice]
     Vs = np.array([[pts[d][i] for d, i in enumerate(idx)] for idx in np.ndindex(*counts)])
@@ -456,13 +580,10 @@ def tabulate_envelope(
 
 def envelope_interpolate(table: EnvelopeTable, V) -> float:
     """Multilinear interpolation, exact at nodes; no extrapolation."""
-    V = np.asarray(V, dtype=float).reshape(-1)
-    if V.shape[0] != table.n * table.m:
-        raise ValueError(f"query has {V.shape[0]} coordinates, table expects {table.n * table.m}")
-    from scipy.interpolate import RegularGridInterpolator  # kept out of `import mixvar.cli`
-
-    interp = RegularGridInterpolator(table.points, table.values, method="linear", bounds_error=True)
-    try:
-        return float(interp(V[None, :])[0])
-    except ValueError as exc:
-        raise ValueError(f"query {V} outside the envelope table hull") from exc
+    V = np.asarray(V, dtype=float).reshape(1, -1)
+    if V.shape[1] != table.n * table.m:
+        raise ValueError(f"query has {V.shape[1]} coordinates, table expects {table.n * table.m}")
+    interp = table._interpolant
+    if not interp.inside(V)[0]:
+        raise ValueError(f"query {V[0]} outside the envelope table hull")
+    return float(interp.value(V)[0])

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .smoothness import (
     AnisoBox,
@@ -429,7 +428,9 @@ def project_to_gradients(
     A = _free_operator(grid, tuple(alphas))[0]
     rhs = A.T @ np.moveaxis(V, -1, 0).reshape(-1, n)
     u_vals = np.zeros((free.size, n))
-    u_vals[free] = spla.splu((A.T @ A).tocsc()).solve(rhs)
+    from scipy.sparse.linalg import splu  # only this solve needs it; descents do not
+
+    u_vals[free] = splu((A.T @ A).tocsc()).solve(rhs)
 
     u = GridField(grid, u_vals.reshape(grid.shape + (n,)))
     recon = _stack(u, alphas)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._descent import StencilEnergy, prolong_zero_boundary, run_lbfgs_batch, smooth_noise
 from ._descent import run_lbfgs  # noqa: F401  (bench/layers.py traces it at this site)
-from .envelope import EnvelopeTable
+from .envelope import EnvelopeTable, _check_interior
 from .grid import APolynomial, Grid, GridField, a_gradient
 from .integrand import Integrand
 from .smoothness import SmoothnessVector, lower_set, pairing
@@ -207,13 +207,18 @@ def _check_refinement_levels(refinement_levels: int) -> None:
 
 
 def _check_table(prob: DirichletProblem, table: EnvelopeTable) -> None:
-    """The envelope table must be tabulated for the problem's a, n and m."""
+    """The envelope table must be tabulated for the problem's a, n and m.
+
+    Its hull must have an interior (every count at least 2), as the table
+    integrand of the envelope solve needs one.
+    """
     F = prob.integrand
     if (tuple(table.a), table.n, table.m) != (prob.a.a, F.n, F.m):
         raise ValueError(
             f"table has a={tuple(table.a)}, n={table.n}, m={table.m}; "
             f"the problem has a={prob.a.a}, n={F.n}, m={F.m}"
         )
+    _check_interior(table.lattice)
 
 
 def relax_compare(
@@ -229,10 +234,13 @@ def relax_compare(
     abort (no extrapolation).  Reports the gap sequence E_F - E_QF, which is
     bounded below by -gap_tol and expected to shrink as oscillations refine.
     A ladder of no levels, or a table for another a, n or m, raises
-    ValueError before any descent.
+    ValueError before any descent, and the table integrand is registered
+    (its gradient checked) before any descent too.
     """
     _check_refinement_levels(refinement_levels)
     _check_table(prob, table)
+    # registered (its gradient checked) before any descent runs
+    QF = table.as_integrand(fallback=None)
     base_res = prob.resolution
     ladders = [tuple((r - 1) * 2**lev + 1 for r in base_res) for lev in range(refinement_levels)]
 
@@ -256,7 +264,6 @@ def relax_compare(
         measures.append(a_gradient(result.u).values)
 
     # envelope solve at the finest level; hull excess aborts, never extrapolates
-    QF = table.as_integrand(fallback=None)
     fine_prob = replace(prob.at_resolution(ladders[-1]), integrand=QF)
     t0 = time.perf_counter()
     try:

@@ -138,7 +138,13 @@ def test_keys_of_another_subcommand_are_a_validation_error(tmp_path, capsys, com
     assert "unknown" in err and command in err
 
 
-def test_cli_import_leaves_scipy_stats_out():
+# scipy modules a descent subcommand has no use for: each costs start-up time
+UNUSED_SCIPY = ("scipy.ndimage", "scipy.interpolate", "scipy.sparse.linalg", "scipy.linalg",
+                "scipy.special", "scipy.optimize", "scipy.stats")
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports mixvar from here."""
     import subprocess
     import sys
     from pathlib import Path
@@ -146,13 +152,52 @@ def test_cli_import_leaves_scipy_stats_out():
     import mixvar
 
     src = str(Path(mixvar.__file__).resolve().parents[1])
-    # nor scipy.optimize or scipy.interpolate: a fresh start pays for none of them
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mixvar.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.interpolate') "
-            "if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                          + code, src, *args], capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # nor any other scipy module but scipy.sparse: a fresh start pays for none of them
+    code = f"import mixvar.cli; print([m for m in {UNUSED_SCIPY!r} if m in sys.modules])"
+    assert fresh_python(code) == "[]"
+
+
+def test_descent_subcommands_load_no_other_scipy_module(tmp_path):
+    configs = {
+        "envelope": {**ENVELOPE_CFG, "lattice": [[-1.0, 1.0, 3]], "resolution": 9},
+        "solve": {**SOLVE_CFG, "multistart": 1},
+        "coerce": {"a": [1, 2], "integrand": {"name": "pnorm", "params": {"p": 2, "n": 1, "m": 2}},
+                   "t_grid": [0.0, 1.0, 2.0], "q": 2.0, "resolution": 9, "multistart": 2,
+                   "maxiter": 50, "seed": 3},
+        "relax": {**SOLVE_CFG, "multistart": 1, "levels": 2},
+    }
+    argv = {
+        "envelope": ["--out", str(tmp_path / "t.qft")],
+        "solve": ["--out", str(tmp_path / "solve")],
+        "coerce": ["--out", str(tmp_path / "theta.csv")],
+        "relax": ["--table", str(tmp_path / "t.qft"), "--out", str(tmp_path / "relax")],
+    }
+    calls = []
+    for command, cfg in configs.items():
+        calls.append([command, "--config", write_config(tmp_path / f"{command}.json", cfg),
+                      *argv[command]])
+    code = ("import json; from mixvar.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[2])]; "
+            f"print(json.dumps([codes, [m for m in {UNUSED_SCIPY!r} if m in sys.modules]]))")
+    codes, loaded = json.loads(fresh_python(code, json.dumps(calls)))
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
+
+
+def test_a_table_written_by_a_fresh_interpreter_is_byte_identical(tmp_path):
+    # criterion 11 across processes: a process's first call writes the same bytes
+    cfg = write_config(tmp_path / "cfg.json", ENVELOPE_CFG)
+    fresh, here = tmp_path / "fresh.qft", tmp_path / "here.qft"
+    code = "from mixvar.cli import main; print(main(sys.argv[2:]))"
+    assert fresh_python(code, "envelope", "--config", cfg, "--out", str(fresh)) == "0"
+    assert main(["envelope", "--config", cfg, "--out", str(here)]) == 0
+    assert fresh.read_bytes() == here.read_bytes()
 
 
 def test_non_dyadic_levels_are_a_validation_error(tmp_path, capsys):
@@ -401,4 +446,78 @@ def test_relax_with_a_table_for_another_problem_is_a_validation_error(tmp_path, 
     assert rc == 2
     err = capsys.readouterr().err
     assert "'--table'" in err and "a=(1, 2)" in err
+    assert not out.exists()
+
+
+def no_descent(*args, **kwargs):
+    raise AssertionError("a descent ran before validation")
+
+
+@pytest.mark.parametrize("command, cfg_data, field, message", [
+    ("envelope", {**ENVELOPE_CFG, "lattice": [[-2.0, 2.0, 5]] * 2}, "'lattice'", "needs 1"),
+    ("envelope", {**ENVELOPE_CFG, "lattice": [[-2.0, 2.0]]}, "'lattice'", "[lo, hi, count]"),
+    ("envelope", {**ENVELOPE_CFG, "lattice": [5]}, "'lattice'", "[lo, hi, count]"),
+    ("envelope", {**ENVELOPE_CFG, "lattice": [[-2.0, 2.0, 0]]}, "'lattice'", "integer >= 1"),
+    ("envelope", {**ENVELOPE_CFG, "lattice": [[-2.0, 2.0, 1]]}, "'lattice'", "lo == hi"),
+    ("envelope", {**ENVELOPE_CFG, "multistart": 0}, "'multistart'", "integer >= 1"),
+    ("envelope", {**ENVELOPE_CFG, "maxiter": "20"}, "'maxiter'", "integer >= 0"),
+    ("coerce", {**ENVELOPE_CFG, "lattice": None, "q": 2.0, "t_grid": [0.0, 1.0, 2.0],
+                "maxiter": 2.5}, "'maxiter'", "integer >= 0"),
+    ("solve", {**SOLVE_CFG, "maxiter": "20"}, "'maxiter'", "integer >= 0"),
+    ("solve", {**SOLVE_CFG, "multistart": -1}, "'multistart'", "integer >= 0"),
+])
+def test_malformed_counts_and_lattices_are_validation_errors(tmp_path, capsys, monkeypatch,
+                                                             command, cfg_data, field, message):
+    for name in ("tabulate_envelope", "theta_estimate", "solve_dirichlet"):
+        monkeypatch.setattr(cli, name, no_descent)
+    cfg_data = {k: v for k, v in cfg_data.items() if v is not None}
+    cfg = write_config(tmp_path / "cfg.json", cfg_data)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and message in err
+    assert not out.exists()
+
+
+def table_file(path, lattice, magic=TABLE_MAGIC, nodes=3, **changes):
+    """A .qft file with the given lattice and zero values, written without any check.
+
+    A header key given as None in ``changes`` is left out.
+    """
+    from mixvar.containers import write_container
+
+    header = {"kind": "envelope-table", "a": [2], "n": 1, "m": 1, "p": 2.0, "lattice": lattice,
+              "meta": {}, "failures": [0] * nodes}
+    header.update(changes)
+    header = {key: val for key, val in header.items() if val is not None}
+    write_container(path, magic, header, np.zeros(nodes))
+    return path
+
+
+@pytest.mark.parametrize("make_table, message", [
+    (lambda d: d / "missing.qft", "No such file"),
+    (lambda d: table_file(d / "t.qft", [[-2.0, 2.0, 3]], b"NOT-A-TABLE-FILE"), "bad magic"),
+    (lambda d: d / "empty.qft", "bad magic"),
+    (lambda d: d / "truncated.qft", "truncated header"),
+    (lambda d: table_file(d / "t.qft", [[-2.0, 2.0, 3]] * 2), "needs 1"),
+    (lambda d: table_file(d / "t.qft", [[-2.0, 2.0, 3, 1]]), "[lo, hi, count]"),
+    (lambda d: table_file(d / "t.qft", [[-2.0, 2.0, 0]]), "integer >= 1"),
+    (lambda d: table_file(d / "t.qft", [[-2.0, 2.0, 1]]), "lo == hi"),
+    (lambda d: table_file(d / "t.qft", [[0.0, 0.0, 1]], nodes=1), "flat"),
+    (lambda d: table_file(d / "t.qft", [[-2.0, 2.0, 3]], failures=None), "lacks failures"),
+    (lambda d: table_file(d / "t.qft", [[-2.0, 2.0, 3]], a=2), "not iterable"),
+    (lambda d: table_file(d / "t.qft", [[-2.0, 2.0, 3]], n="1"), "n and m must be integers"),
+])
+def test_relax_with_an_unreadable_table_is_a_validation_error(tmp_path, capsys, monkeypatch,
+                                                              make_table, message):
+    monkeypatch.setattr(cli, "relax_compare", no_descent)
+    (tmp_path / "empty.qft").write_bytes(b"")
+    (tmp_path / "truncated.qft").write_bytes(TABLE_MAGIC + b"\x01\x02")
+    table_path = make_table(tmp_path)
+    cfg = write_config(tmp_path / "s.json", SOLVE_CFG)
+    out = tmp_path / "r"
+    rc = main(["relax", "--config", cfg, "--table", str(table_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'--table'" in err and message in err
     assert not out.exists()

@@ -3,8 +3,8 @@ import pytest
 from scipy.optimize import minimize
 from scipy.optimize._dcsrch import DCSRCH
 
-from mixvar._descent import (StencilEnergy, _Lbfgs, _Row, run_lbfgs, run_lbfgs_batch,
-                             start_portfolio)
+from mixvar._descent import (StencilEnergy, _box5, _Lbfgs, _Row, boundary_window, run_lbfgs,
+                             run_lbfgs_batch, smooth_noise, start_portfolio)
 from mixvar.envelope import EnvelopeTable
 from mixvar.grid import Grid
 from mixvar.integrand import builtin
@@ -239,3 +239,28 @@ def test_line_search_steps_match_minpack_dcsrch(name):
         while not row.search(float(phi(row.stp)), float(dphi(row.stp))) and len(steps) < 40:
             steps.append(row.stp)
         assert steps == expected, (name, stp0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (4,), (5,), (37,), (6, 1), (2, 9), (33, 17),
+                                   (1, 2, 3), (7, 5, 9)])
+def test_box_filter_is_bit_equal_to_ndimage(shape, n):
+    from scipy import ndimage
+
+    x = np.random.default_rng(sum(shape) + n).normal(size=shape + (n,)) * 3.0
+    for axis in range(len(shape)):
+        ref = ndimage.uniform_filter1d(x, size=5, axis=axis, mode="nearest")
+        assert np.array_equal(_box5(x, axis), ref)
+
+
+@pytest.mark.parametrize("a, res", [((2,), (33,)), ((1, 2), (9, 13)), ((1, 1, 2), (5, 6, 7))])
+def test_smooth_noise_is_bit_equal_to_the_ndimage_filter(a, res):
+    from scipy import ndimage
+
+    g = Grid(tuple(((-1, 1),) * len(a)), res, SmoothnessVector(a))
+    for n in (1, 2):
+        got = smooth_noise(g, n, np.random.default_rng(4))
+        ref = np.random.default_rng(4).standard_normal(g.shape + (n,))
+        for axis in range(g.ndim):
+            ref = ndimage.uniform_filter1d(ref, size=5, axis=axis, mode="nearest")
+        assert np.array_equal(got, ref * boundary_window(g)[..., None])

@@ -6,13 +6,15 @@ import pytest
 from mixvar.envelope import (
     EnvelopeOptions,
     EnvelopeTable,
+    _check_lattice,
     dacorogna_min,
     dacorogna_refine,
     envelope_interpolate,
     is_aqc_at,
     tabulate_envelope,
 )
-from mixvar.integrand import builtin, shifted
+from mixvar import envelope
+from mixvar.integrand import builtin, grad_check, shifted
 
 
 def lower_convex_hull_1d(f, lo=-3.0, hi=3.0, k=10**4):
@@ -314,3 +316,148 @@ def test_one_node_estimate_equals_the_node_inside_a_chunk(monkeypatch):
         assert alone.value == est.value
         assert alone.best_start == est.best_start
         assert alone.per_start == est.per_start
+
+
+def random_table(D, seed):
+    """A table on a random lattice of R^D (D = n * m) with random node values."""
+    n, m = {1: (1, 1), 2: (1, 2), 4: (2, 2)}[D]
+    rng = np.random.default_rng(seed)
+    lattice = tuple((-1.0 - rng.random(), 0.5 + rng.random(), int(rng.integers(2, 6)))
+                    for _ in range(D))
+    values = rng.normal(size=[c for _, _, c in lattice]) * 5.0
+    return EnvelopeTable((2,), n, m, 2.0, lattice, values, None), rng
+
+
+def hull_points(table, rng, k):
+    lows = np.array([lo for lo, _, _ in table.lattice])
+    highs = np.array([hi for _, hi, _ in table.lattice])
+    return lows + (highs - lows) * rng.random((k, len(lows)))
+
+
+@pytest.mark.parametrize("D", [1, 2, 4])
+def test_interpolant_matches_scipy_inside_the_hull(D):
+    from scipy.interpolate import RegularGridInterpolator
+
+    table, rng = random_table(D, D)
+    ref = RegularGridInterpolator(table.points, table.values, method="linear", bounds_error=True)
+    X = hull_points(table, rng, 500)
+    # points of the upper hull faces are inside
+    for d in range(D):
+        face = hull_points(table, rng, 20)
+        face[:, d] = table.lattice[d][1]
+        X = np.concatenate([X, face])
+    G = table.as_integrand()
+    got = G(X.reshape(-1, table.n, table.m))
+    assert np.allclose(got, ref(X), rtol=1e-13, atol=1e-13 * np.abs(table.values).max())
+    assert all(envelope_interpolate(table, x) == v for x, v in zip(X, got))
+    # exact at nodes, those on the upper hull faces included
+    counts = table.values.shape
+    nodes = [rng.integers(0, c, 40) for c in counts]
+    nodes = [np.concatenate([i, [c - 1, 0]]) for i, c in zip(nodes, counts)]
+    V = np.stack([table.points[d][i] for d, i in enumerate(nodes)], axis=1)
+    assert np.array_equal(G(V.reshape(-1, table.n, table.m)), table.values[tuple(nodes)])
+
+
+@pytest.mark.parametrize("D", [1, 2, 4])
+def test_interpolant_gradient_matches_central_differences(D):
+    table, rng = random_table(D, 10 + D)
+    G = table.as_integrand()
+    X = hull_points(table, rng, 200)
+    widths = np.array([(hi - lo) / (c - 1) for lo, hi, c in table.lattice])
+    h = 1e-6
+    for x in X:
+        offset = (x - np.array([lo for lo, _, _ in table.lattice])) / widths
+        if np.any(np.abs(offset - np.round(offset)) * widths < 10 * h):
+            continue  # the gradient jumps across cell faces
+        fd = [(G((x + h * e).reshape(table.n, table.m)) - G((x - h * e).reshape(table.n, table.m)))
+              / (2 * h) for e in np.eye(D)]
+        grad = G.gradient(x.reshape(table.n, table.m)).reshape(-1)
+        assert np.allclose(grad, fd, rtol=1e-7, atol=1e-7)
+
+
+def test_interpolant_gradient_is_one_sided_on_cell_faces():
+    table = EnvelopeTable((2,), 1, 1, 2.0, ((-1.0, 1.0, 3),), np.array([1.0, 0.0, 4.0]), None)
+    G = table.as_integrand()
+    # the cell above on the interior face, the last cell on the upper hull face
+    grads = G.gradient(np.array([-1.0, 0.0, 1.0]).reshape(3, 1, 1)).reshape(-1)
+    assert grads.tolist() == [-1.0, 4.0, 4.0]
+
+
+def test_interpolant_outside_the_hull():
+    F = builtin("pnorm", p=2, n=1, m=2)
+    table = EnvelopeTable((1, 2), 1, 2, 2.0, ((-1.0, 1.0, 3), (0.0, 2.0, 5)),
+                          np.arange(15.0).reshape(3, 5), None)
+    V = np.array([[[0.5, 1.0]], [[1.5, 1.0]], [[0.0, -0.1]]])
+    barrier = table.as_integrand()(V)
+    assert np.isfinite(barrier[0]) and np.all(barrier[1:] == np.inf)
+    G = table.as_integrand(fallback=F)
+    assert G(V)[0] == barrier[0]
+    assert np.array_equal(G(V)[1:], F(V[1:]))
+    grads = G.gradient(V)
+    assert np.array_equal(grads[1:], F.gradient(V[1:]))
+    assert np.array_equal(grads[0], table.as_integrand().gradient(V[:1])[0])
+    with pytest.raises(ValueError, match="hull"):
+        envelope_interpolate(table, np.array([1.5, 1.0]))
+
+
+def test_a_count_of_one_is_a_single_point():
+    table = EnvelopeTable((1, 2), 1, 2, 2.0, ((0.5, 0.5, 1), (0.0, 2.0, 3)),
+                          np.array([[1.0, 3.0, 7.0]]), None)
+    assert envelope_interpolate(table, np.array([0.5, 1.5])) == 5.0
+    with pytest.raises(ValueError, match="hull"):
+        envelope_interpolate(table, np.array([0.6, 1.5]))
+    # off a flat hull the integrand is the fallback or +inf: it has no gradient
+    for fallback in (None, builtin("pnorm", p=2, n=1, m=2)):
+        with pytest.raises(ValueError, match=r"flat along lattice coordinate\(s\) \[0\]"):
+            table.as_integrand(fallback=fallback)
+
+
+@pytest.mark.parametrize("n, m, lattice", [
+    (1, 1, ((2.0, 4.0, 3),)),                    # no standard-normal draw lands here
+    (1, 2, ((2.0, 4.0, 5), (-4.0, -3.0, 2))),
+    (1, 1, ((1000.0, 1000.001, 11),)),           # cells narrower than the default step
+    (1, 2, ((-3.0, 3.0, 33),) * 2),              # many cells and faces
+    (2, 2, ((-3.0, 3.0, 9), (-1.0, 2.0, 9), (0.0, 1.0, 5), (-2.0, 2.0, 9))),
+])
+def test_table_integrands_register_on_any_hull(n, m, lattice):
+    rng = np.random.default_rng(len(lattice))
+    values = rng.normal(size=[c for _, _, c in lattice]) * 5.0
+    table = EnvelopeTable((2,), n, m, 2.0, lattice, values, None)
+    for fallback in (None, builtin("pnorm", p=2, n=n, m=m)):
+        G = table.as_integrand(fallback=fallback)
+        assert grad_check(G) <= 1e-6
+        # the check's points lie inside cells, a quarter cell or more from their faces
+        V, h = G.check_points(np.random.default_rng(0))
+        x = V.reshape(-1)
+        for (lo, hi, c), xd in zip(lattice, x):
+            t = (xd - lo) / ((hi - lo) / (c - 1))
+            assert 0.25 <= t - np.floor(t) <= 0.75
+            assert h <= (hi - lo) / (c - 1) / 8
+
+
+def test_registration_still_catches_a_wrong_table_gradient(monkeypatch):
+    table = EnvelopeTable((2,), 1, 2, 2.0, ((2.0, 4.0, 5), (-1.0, 1.0, 3)),
+                          np.arange(15.0).reshape(5, 3), None)
+    exact = envelope._Multilinear.gradient
+    monkeypatch.setattr(envelope._Multilinear, "gradient",
+                        lambda self, X: exact(self, X) * 1.001)
+    with pytest.raises(ValueError, match="disagrees with finite differences"):
+        table.as_integrand()
+
+
+@pytest.mark.parametrize("lattice, match", [
+    ([(-1.0, 1.0, 3)] * 2, "needs 1 coordinate ranges, got 2"),
+    ([(-1.0, 1.0)], "entry 0 must be"),
+    ([[-1.0, 1.0, 3, 4]], "entry 0 must be"),
+    ([(-1.0, "1", 3)], "must be numbers"),
+    ([(-1.0, 1.0, 0)], "count must be an integer >= 1"),
+    ([(-1.0, 1.0, 2.5)], "count must be an integer >= 1"),
+    ([(-1.0, 1.0, 1)], "single point lo == hi"),
+    ([(1.0, -1.0, 3)], "need lo < hi"),
+])
+def test_malformed_lattices_are_rejected(lattice, match):
+    with pytest.raises(ValueError, match=match):
+        _check_lattice(lattice, 1, 1)
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    with pytest.raises(ValueError, match=match):
+        tabulate_envelope(F, (2,), lattice, FAST)

@@ -51,6 +51,14 @@ def test_grad_check_negative_control():
     assert grad_check(F, samples=20) > 0.1
 
 
+def test_a_nan_gradient_fails_registration():
+    def ev(V):
+        return np.sum(V**2, axis=(-2, -1))
+
+    with pytest.raises(ValueError, match="relative error inf"):
+        Integrand(ev, 1, 2, 2.0, grad=lambda V: np.full(V.shape, np.nan), name="nan-grad")
+
+
 def test_c_upper_sampling_rejects_undersized_bound():
     def ev(V):
         return 10.0 * np.sum(V**2, axis=(-2, -1))

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from mixvar import solver
 from mixvar.envelope import EnvelopeOptions, EnvelopeTable, tabulate_envelope
 from mixvar.grid import Grid, GridField, a_gradient, stencil_matrix
-from mixvar.integrand import builtin
+from mixvar.integrand import Integrand, builtin
 from mixvar.smoothness import SmoothnessVector, homogeneity_set
 from mixvar.solver import (
     DirichletProblem,
@@ -204,6 +204,50 @@ def test_relax_hull_exceeded_aborts():
     prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): 1.9}, 2.0, 9)
     with pytest.raises(RuntimeError, match="hull"):
         relax_compare(prob, table, refinement_levels=1, opts=SolveOptions(seed=13))
+
+
+def node_table(F, a, lattice):
+    """A table holding F at the nodes of the lattice."""
+    pts = [np.linspace(*r) for r in lattice]
+    V = np.stack(np.meshgrid(*pts, indexing="ij"), axis=-1).reshape(-1, F.n, F.m)
+    return EnvelopeTable(a, F.n, F.m, F.p, lattice, F(V), None)
+
+
+@pytest.mark.parametrize("a, datum, lattice", [
+    ((2,), {(2,): 3.0}, ((2.0, 4.0, 3),)),
+    ((1, 2), {(1, 0): 0.3, (0, 2): -0.2}, ((-2.0, 2.0, 33), (-2.0, 2.0, 33))),
+])
+def test_relax_runs_on_tables_far_from_the_origin_and_on_fine_lattices(a, datum, lattice):
+    F = builtin("pnorm", p=2, n=1, m=len(lattice))
+    table = node_table(F, a, lattice)
+    prob = DirichletProblem(a, ((-1.0, 1.0),) * len(a), F, datum, 2.0, 9)
+    rep = relax_compare(prob, table, refinement_levels=1, opts=SolveOptions(seed=5))
+    # the table lies above the convex F, so E_QF >= E_F
+    assert np.isfinite(rep.E_QF) and rep.E_QF >= rep.E_F[0] - 1e-12
+
+
+def test_relax_e_qf_matches_the_finite_difference_descent(monkeypatch):
+    # E_QF with the table's exact gradient against the same solve descending
+    # on central differences of the interpolant, on a kinked multi-cell table
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    table = tabulate_envelope(
+        F, (2,), [(-2.0, 2.0, 21)], EnvelopeOptions(resolution=33, multistart=2, seed=8)
+    )
+    exact = EnvelopeTable.as_integrand
+
+    def central_differences(self, fallback=None):
+        G = exact(self, fallback)
+        return Integrand(G.eval, G.n, G.m, G.p, C_upper=G.C_upper, name=G.name, params=G.params)
+
+    opts = SolveOptions(seed=11, multistart=2, perturbation=0.05)
+    for slope in (0.0, 0.3, 1.45):
+        prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): slope}, 4.0, 9)
+        monkeypatch.setattr(EnvelopeTable, "as_integrand", exact)
+        got = relax_compare(prob, table, refinement_levels=2, opts=opts)
+        monkeypatch.setattr(EnvelopeTable, "as_integrand", central_differences)
+        ref = relax_compare(prob, table, refinement_levels=2, opts=opts)
+        assert got.E_F == ref.E_F
+        assert abs(got.E_QF - ref.E_QF) <= 1e-12 * (1.0 + abs(ref.E_QF))
 
 
 def test_trace_snapshots_recorded():
