@@ -428,6 +428,11 @@ class _Lbfgs:
                 # the budget is checked before convergence, as scipy's _minimize_lbfgsb does
                 if row.nit >= self.maxiter or self.round > _MAXFUN:
                     row.stopped = True
+                elif stp == 0.0:
+                    # the search fell back to step 0 (an infinite trial gives
+                    # a nan step): the iterate did not move, which the
+                    # relative-f test would take for convergence
+                    row.stopped = True
                 elif gmax[i] <= self.gtol or f0 - f <= _FREL * max(abs(f0), abs(f), 1.0):
                     row.stopped = row.converged = True
                 else:
@@ -612,6 +617,10 @@ def run_lbfgs_batch(
     nothing else, so each result is the one a lone descent from that row
     gives.  Returns one result per row, in order; a start whose final value
     is not finite diverged, and callers drop it.
+
+    A line search that ends at step 0 (where an infinite trial value makes
+    it fall back) stops its row where it is, with ``converged`` False;
+    scipy's L-BFGS-B reports success there, since f did not rise.
 
     With ``snapshot_stride`` set, ``history`` holds the energy at x0 and at
     every accepted iterate, and ``snapshots`` a copy of every stride-th one.

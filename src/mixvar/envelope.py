@@ -17,6 +17,11 @@ import functools
 import itertools
 import math
 import numbers
+import os
+import pickle
+import signal
+import threading
+import traceback
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,10 +53,11 @@ __all__ = [
 
 DEFAULT_LEVELS = (17, 33, 65)
 
-# screening rows x free values per chunk of nodes: the energy's cost per row
-# flattens near 1e4 such cells, and every live row holds about 46 n_free + 821
-# doubles of descent state, so wider chunks cost memory and gain nothing
-_CHUNK_CELLS = 2**14
+# screening rows x free values per chunk of nodes: one chunk's rounds pay the
+# optimizer's per-round cost once, so wider chunks use less CPU (about 10%
+# less on a 3x3 lattice at 899 free values than 2^14), while every live row
+# holds about 46 n_free + 821 doubles of descent state
+_CHUNK_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -171,31 +177,139 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
 
 
 def _chunks(node_rows, n_free: int) -> list[list[int]]:
-    """The nodes of (node, screening rows) pairs, cut into consecutive runs.
+    """The nodes of (node, screening rows) pairs, cut into runs of consecutive nodes.
 
-    A run holds as many nodes as keep its rows x n_free within
-    ``_CHUNK_CELLS``, and at least one node.
+    There are ceil(cells / ``_CHUNK_CELLS``) runs, cells the sum of rows x
+    n_free, but no more than nodes.  Run c ends at the first node where the
+    running cell count reaches c / runs of the total (one node later or
+    earlier where a run would otherwise be empty), so the runs hold
+    near-equal cells.
     """
-    chunks: list[list[int]] = []
-    cells = 0
-    for node, k in node_rows:
-        if not chunks or cells + k * n_free > _CHUNK_CELLS:
-            chunks.append([])
-            cells = 0
-        chunks[-1].append(node)
-        cells += k * n_free
-    return chunks
+    if not node_rows:
+        return []
+    nodes = [node for node, _ in node_rows]
+    ends = np.cumsum([k * n_free for _, k in node_rows])
+    count = min(len(nodes), -(-int(ends[-1]) // _CHUNK_CELLS))
+    bounds = [0]
+    for c, cut in enumerate(np.searchsorted(ends, ends[-1] * np.arange(1, count) / count) + 1, 1):
+        bounds.append(min(max(int(cut), bounds[-1] + 1), len(nodes) - count + c))
+    bounds.append(len(nodes))
+    return [nodes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _usable_workers() -> int:
+    """The CPUs this process may run on, or 1 where it must not fork.
+
+    A process without ``os.fork`` or with a thread besides this one gets 1:
+    a child forked while another thread holds a lock could wait on it for
+    ever.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a worker process, as text."""
+
+    def __str__(self):
+        return "\n" + self.args[0]
+
+
+def _fork(fn, tasks: list) -> tuple[int, int]:
+    """Fork a child that runs fn on every task; returns its pid and the read end of its pipe.
+
+    The child inherits fn and everything it reads, so nothing but the reply
+    is pickled: (True, results) or (False, (exception, traceback text)),
+    the exception a ChildProcessError naming it where it does not pickle.
+    The child leaves through ``os._exit`` and never returns into the caller.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        try:
+            reply = pickle.dumps((True, [fn(task) for task in tasks]))
+        except BaseException as exc:  # sent to the parent, which raises it
+            text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+            try:
+                reply = pickle.dumps((False, (exc, text)))
+                pickle.loads(reply)  # some exceptions pickle but cannot be rebuilt
+            except Exception:
+                exc = ChildProcessError(f"{type(exc).__name__}: {exc}")
+                reply = pickle.dumps((False, (exc, text)))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read: int) -> tuple[bytes, int]:
+    """A child's whole reply and its wait status, once it has ended."""
+    with os.fdopen(read, "rb") as pipe:
+        reply = pipe.read()
+    return reply, os.waitpid(pid, 0)[1]
+
+
+def _map_forked(fn, tasks: list, workers: int) -> list:
+    """[fn(task) for task in tasks], shared out over up to ``workers`` processes.
+
+    The tasks are cut into contiguous runs of near-equal length.  This
+    process runs the first run and each other run goes to a forked child
+    (see ``_fork``); the results come back in task order.  An exception
+    of a child is raised here as itself, that of the earliest run first,
+    with the child's traceback as its cause.  Every child has been reaped
+    when this returns or raises; if this process's own run raises, the
+    children are killed first.
+    """
+    count = max(1, min(workers, len(tasks)))
+    runs = [tasks[k * len(tasks) // count:(k + 1) * len(tasks) // count] for k in range(count)]
+    children = []
+    try:
+        for run in runs[1:]:
+            children.append(_fork(fn, run))
+        out = [fn(task) for task in runs[0]]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        replies = [_reap(pid, read) for pid, read in children]
+    for reply, status in replies:
+        if not reply:
+            raise ChildProcessError(f"a worker process ended without a reply "
+                                    f"(wait status {status})")
+        ok, payload = pickle.loads(reply)
+        if not ok:
+            exc, text = payload
+            raise exc from _WorkerTraceback(text)
+        out += payload
+    return out
 
 
 def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: EnvelopeOptions,
-            seeds, mask_failures: bool = False):
+            seeds, mask_failures: bool = False, workers: int = 1):
     """``dacorogna_refine`` at every V of Vs, level by level in chunks of nodes.
 
     Returns each node's per-level values and final estimate.
     Each node's level descends from its own previous witness only, so no
-    value depends on the chunking.  With ``mask_failures`` a chunk that
-    raises RuntimeError runs again one node at a time, and a node that still
-    raises gets no estimate (None) and takes no further level.
+    value depends on the chunking.  A level's chunks run on up to
+    ``workers`` processes (``_map_forked``), which changes no value either.
+    With ``mask_failures`` a chunk that raises RuntimeError runs again one
+    node at a time, and a node that still raises gets no estimate (None) and
+    takes no further level.
     """
     values: list[list[float]] = [[] for _ in Vs]
     estimates: list[EnvelopeEstimate | None] = [None] * len(Vs)
@@ -209,9 +323,10 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
             warms[i] = None if prev is None else prolong_zero_boundary(prev, grid)
         n_free = int(np.count_nonzero(~grid.collar_mask())) * F.n
         node_rows = [(i, opts.multistart + (warms[i] is not None)) for i in live]
-        for nodes in _chunks(node_rows, n_free):
+
+        def chunk(nodes):
             try:
-                ests = _min_nodes(F, Vs[nodes], grid, level_opts,
+                return _min_nodes(F, Vs[nodes], grid, level_opts,
                                   [seeds[i] for i in nodes], [warms[i] for i in nodes])
             except RuntimeError:
                 if not mask_failures:
@@ -222,6 +337,10 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
                         ests += _min_nodes(F, Vs[[i]], grid, level_opts, [seeds[i]], [warms[i]])
                     except RuntimeError:
                         ests.append(None)
+                return ests
+
+        chunks = _chunks(node_rows, n_free)
+        for nodes, ests in zip(chunks, _map_forked(chunk, chunks, workers)):
             for i, est in zip(nodes, ests):
                 estimates[i] = est
                 if est is not None:
@@ -543,12 +662,16 @@ def tabulate_envelope(
     """Per-node envelope estimates over a lattice; failures masked, not fatal.
 
     The nodes of each refinement level run in chunks of consecutive node
-    ranks, one screening and one polishing batch per chunk.  Node seeds
-    derive from the node rank and every batched row is bit-equal to a lone
-    descent, so the values depend neither on the execution order nor on the
-    chunking.  Only a numerical failure (RuntimeError) is masked: its chunk
-    runs again node by node, and a node that still fails gets F(V) and a
-    failure flag; any other exception propagates.
+    ranks, one screening and one polishing batch per chunk.  A level with
+    several chunks runs them on one process per usable CPU (``_usable_workers``:
+    the CPU affinity, and 1 in a process with other threads): this one and
+    forked children, all reaped before this returns.  Node seeds derive from
+    the node rank and every batched row is bit-equal to a lone descent, so
+    the values depend neither on the execution order, nor on the chunking,
+    nor on the worker count.  Only a numerical failure
+    (RuntimeError) is masked: its chunk runs again node by node, and a node
+    that still fails gets F(V) and a failure flag; any other exception
+    propagates, from a child too.
     """
     _require_growth(F)
     if levels:
@@ -561,7 +684,7 @@ def tabulate_envelope(
     Vs = Vs.reshape(-1, F.n, F.m)
     seeds = [opts.seed + rank for rank in range(len(Vs))]
     _, estimates = _ladder(F, Vs, a_sv, list(levels) if levels else [opts.resolution], opts, seeds,
-                           mask_failures=True)
+                           mask_failures=True, workers=_usable_workers())
     values = np.array([float(F(V)) if est is None else est.value for V, est in zip(Vs, estimates)])
     failures = np.array([est is None for est in estimates])
 

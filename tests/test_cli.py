@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mixvar import cli
+from mixvar import cli, envelope
 from mixvar.cli import main
 from mixvar.containers import TABLE_MAGIC
 from mixvar.envelope import EnvelopeTable
@@ -54,6 +54,21 @@ def test_envelope_determinism_byte_identical(tmp_path):
     assert main(["envelope", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["envelope", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_envelope_bytes_do_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, cpus, forks):
+    # every node its own chunk: 1 usable CPU forks nothing, 2 fork one child,
+    # 4 fork three
+    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)
+    cfg = write_config(tmp_path / "cfg.json", ENVELOPE_CFG)
+    outputs = set()
+    for count in (1, 2, 4):
+        cpus(count)
+        out = tmp_path / f"{count}.qft"
+        assert main(["envelope", "--config", cfg, "--out", str(out)]) == 0
+        outputs.add((out.read_bytes(), (tmp_path / f"{count}.qft.summary.json").read_bytes()))
+    assert len(forks) == 0 + 1 + 3
+    assert len(outputs) == 1
 
 
 def faulty_integrand(c):

@@ -164,6 +164,26 @@ def test_a_failed_line_search_with_an_empty_memory_ends_the_descent():
     assert np.array_equal(res.x, x0) and res.value == 0.0  # the iterate it started from
 
 
+def test_a_search_that_ends_at_step_zero_is_not_converged():
+    # an energy that is +inf beyond |x - 0.5| < 0.2: the first trial, x = 0.6
+    # - 30 / 30, is infinite, the next step is nan and falls back to 0, and
+    # the search ends at the start.  scipy calls that a success
+    class Barrier:
+        def value_and_grad(self, x, rows=None):
+            inside = np.abs(x[..., 0] - 0.5) < 0.2
+            f = np.where(inside, 100.0 * (x[..., 0] - 0.45) ** 2, np.inf)
+            return f, np.where(inside, 200.0 * (x - 0.45).T, np.nan).T
+
+    x0 = np.array([0.6])
+    res = run_lbfgs(Barrier(), x0, maxiter=50)
+    ref = scipy_descent(Barrier(), x0, 50, 1e-9)
+    assert ref.success and np.abs(ref.jac).max() == pytest.approx(30.0)
+    assert not res.converged and not res.budget_exhausted
+    assert (res.value, res.iterations, res.nfev) == (ref.fun, ref.nit, ref.nfev)
+    assert (res.iterations, res.nfev) == (1, 3)
+    assert np.array_equal(res.x, x0) and res.value == Barrier().value_and_grad(x0[None])[0][0]
+
+
 def test_searches_that_end_at_the_largest_step_store_no_pair():
     # unbounded linear energy, unit gradient: every search extrapolates to
     # stp = 1e10 and ends there with a warning; y = 0, so s'y = 0 and the pair

@@ -1,3 +1,5 @@
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -290,6 +292,131 @@ def test_table_bytes_do_not_depend_on_the_chunking(tmp_path, monkeypatch, a, F, 
     tabulate_envelope(F, a, lattice, opts, levels=levels).save(tmp_path / "nodes.qft")
     assert max(sizes) == 1
     assert (tmp_path / "chunked.qft").read_bytes() == (tmp_path / "nodes.qft").read_bytes()
+
+
+@pytest.mark.parametrize("a, F, lattice, opts, levels", [
+    ((2,), builtin("double_well", w=1.0, n=1, m=1), [(-2.0, 2.0, 5)],
+     EnvelopeOptions(resolution=33, multistart=4, maxiter=300, screen_maxiter=40, seed=3), None),
+    ((1, 2), builtin("double_well", w=1.0, n=1, m=2, col=1), [(-0.5, 0.5, 2), (-1.5, 1.5, 2)],
+     EnvelopeOptions(resolution=33, multistart=3, maxiter=120, screen_maxiter=30, seed=11),
+     (9, 17, 33)),
+], ids=["1d", "2d-ladder"])
+def test_table_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, cpus, forks, a, F,
+                                                       lattice, opts, levels):
+    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)  # every node its own chunk
+    for workers in (1, 2, 3):
+        cpus(workers)
+        tabulate_envelope(F, a, lattice, opts, levels=levels).save(tmp_path / f"{workers}.qft")
+        if workers == 1:
+            assert forks == []
+    assert len(forks) == (1 + 2) * len(levels or [None])  # a child per extra worker and level
+    serial = (tmp_path / "1.qft").read_bytes()
+    assert (tmp_path / "2.qft").read_bytes() == serial
+    assert (tmp_path / "3.qft").read_bytes() == serial
+
+
+def fails_at_zero(F, exc):
+    """F whose batched evaluations (descents, not F(V) references) raise exc where V = 0."""
+    def ev(V):
+        if V.ndim > 2 and np.any(V == 0.0):
+            raise exc
+        return F.eval(V)
+
+    return replace(F, eval=ev)
+
+
+def test_a_failure_in_a_child_is_masked_as_in_process(monkeypatch, cpus, forks):
+    # nodes -3 -2 -1 | 0 1: two chunks, and the failing node V = 0 breaks the
+    # child's whole chunk, which runs again node by node inside the child
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    G = fails_at_zero(F, RuntimeError("integrand overflow"))
+    n_free = int(np.count_nonzero(~FAST.grid(envelope.SmoothnessVector((2,))).collar_mask()))
+    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 3 * FAST.multistart * n_free)
+    lattice = [(-3.0, 1.0, 5)]
+    cpus(1)
+    serial = tabulate_envelope(G, (2,), lattice, FAST)
+    cpus(2)
+    forked = tabulate_envelope(G, (2,), lattice, FAST)
+    assert len(forks) == 1
+    assert forked.failures.tolist() == serial.failures.tolist() == [False] * 3 + [True, False]
+    assert np.array_equal(forked.values, serial.values)
+    assert forked.values[3] == F(np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("lattice, where", [([(-3.0, 1.0, 5)], "child"),
+                                            ([(-1.0, 3.0, 5)], "parent")])
+def test_a_programming_error_in_any_worker_reaches_the_caller(monkeypatch, cpus, forks, lattice,
+                                                              where):
+    # every node its own chunk: nodes 0-1 run in this process, 2-4 in a child
+    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)
+    cpus(2)
+    G = fails_at_zero(builtin("double_well", w=1.0, n=1, m=1), TypeError("integrand bug"))
+    with pytest.raises(TypeError, match="integrand bug") as info:
+        tabulate_envelope(G, (2,), lattice, FAST)
+    assert len(forks) == 1
+    # a child's exception carries the child's traceback as its cause
+    assert ("in ev" in str(info.value.__cause__)) == (where == "child")
+
+
+def test_what_a_child_cannot_send_back_is_a_child_process_error(forks):
+    class Local(Exception):  # a class defined in a function does not pickle
+        pass
+
+    def fn(task):
+        if task == "raise":
+            raise Local("lost")
+        if task == "exit":
+            os._exit(0)
+        return task
+
+    assert envelope._map_forked(fn, ["a", "b", "c"], 3) == ["a", "b", "c"]
+    with pytest.raises(ChildProcessError, match="Local: lost"):
+        envelope._map_forked(fn, ["a", "raise"], 2)
+    with pytest.raises(ChildProcessError, match="without a reply"):
+        envelope._map_forked(fn, ["a", "exit"], 2)
+    assert len(forks) == 4
+
+
+def test_workers_are_the_usable_cpus_and_one_without_fork(monkeypatch, cpus):
+    cpus(3)
+    assert envelope._usable_workers() == 3
+    monkeypatch.delattr(os, "fork")
+    assert envelope._usable_workers() == 1
+
+
+def test_a_process_with_another_thread_tabulates_without_forking(monkeypatch, forks):
+    # a child forked while another thread holds a lock could wait on it for ever
+    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)  # five chunks on 4 usable CPUs
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        threaded = tabulate_envelope(F, (2,), [(-2.0, 2.0, 5)], FAST)
+    finally:
+        done.set()
+        thread.join()
+    assert forks == []
+    forked = tabulate_envelope(F, (2,), [(-2.0, 2.0, 5)], FAST)
+    assert len(forks) == 3
+    assert np.array_equal(threaded.values, forked.values)
+
+
+def test_chunks_are_balanced_runs_covering_every_node_once(monkeypatch):
+    # the 33-node level of a 3x3 lattice: 9 nodes of 5 rows x 899 free values
+    assert [len(c) for c in envelope._chunks([(i, 5) for i in range(9)], 899)] == [5, 4]
+    assert envelope._chunks([], 899) == []
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 100)
+    for _ in range(200):
+        nodes = sorted(rng.choice(60, size=rng.integers(1, 40), replace=False).tolist())
+        rows = dict(zip(nodes, rng.integers(4, 6, size=len(nodes)).tolist()))
+        n_free = int(rng.integers(1, 60))
+        chunks = envelope._chunks(list(rows.items()), n_free)
+        assert sum(chunks, []) == nodes
+        cells = [sum(rows[i] for i in c) * n_free for c in chunks]
+        assert len(chunks) == min(len(nodes), -(-sum(cells) // 100))
+        assert max(cells) - min(cells) <= 2 * 5 * n_free
 
 
 def test_one_node_estimate_equals_the_node_inside_a_chunk(monkeypatch):
