@@ -49,6 +49,8 @@ _EPS = np.finfo(float).eps
 # Moré–Thuente as L-BFGS-B calls it: sufficient decrease, curvature and
 # interval tolerances, and the largest step (the smallest is 0)
 _FTOL, _CURV, _XTOL, _STPMAX = 1e-3, 0.9, 0.1, 1e10
+# share of each axis over which boundary_window ramps up from 0 (half per face)
+_WINDOW_FRAC = 0.25
 
 
 def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -179,7 +181,6 @@ class DescentResult:
     converged: bool
     budget_exhausted: bool = False
     history: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)  # (iteration, x_k copies)
 
 
 def _div(a: float, b: float) -> float:
@@ -361,10 +362,10 @@ class _Lbfgs:
     and none copies the memory.
     """
 
-    def __init__(self, x0, f0, g0, maxiter: int, gtol: float, stride: int | None):
+    def __init__(self, x0, f0, g0, maxiter: int, gtol: float, history: bool):
         k, n = x0.shape
         m = _MAXCOR
-        self.maxiter, self.gtol, self.stride = maxiter, gtol, stride
+        self.maxiter, self.gtol, self.record = maxiter, gtol, history
         self.live = k
         self.round = 1  # energy evaluations of every live row so far
         self.rows = [_Row(i, f) for i, f in enumerate(np.asarray(f0, dtype=float).tolist())]
@@ -379,8 +380,7 @@ class _Lbfgs:
         self.theta = np.ones(k)
         self.pair = np.zeros((k, 4))  # a round's (slot, step, s'y, s'g) of the rows that store
         self.results: list[DescentResult] = [None] * k
-        self.history = [[row.f] if stride else [] for row in self.rows]
-        self.snapshots: list = [[] for _ in range(k)]
+        self.history = [[row.f] if history else [] for row in self.rows]
         new = []
         for i, gmax in enumerate(np.maximum.reduce(np.abs(self.g), axis=1).tolist()):
             if gmax <= gtol:
@@ -421,10 +421,8 @@ class _Lbfgs:
                 f0, stp, slope0 = row.f, row.stp, row.ginit
                 row.f = f
                 row.nit += 1
-                if self.stride:
+                if self.record:
                     self.history[row.id].append(f)
-                    if row.nit % self.stride == 0:
-                        self.snapshots[row.id].append((row.nit, self.xt[i].copy()))
                 # the budget is checked before convergence, as scipy's _minimize_lbfgsb does
                 if row.nit >= self.maxiter or self.round > _MAXFUN:
                     row.stopped = True
@@ -587,7 +585,7 @@ class _Lbfgs:
             budget = row.nit >= self.maxiter or self.round > _MAXFUN
             self.results[row.id] = DescentResult(
                 row.f, self.x[i].copy(), "", row.nit, self.round, row.converged,
-                budget and not row.converged, self.history[row.id], self.snapshots[row.id])
+                budget and not row.converged, self.history[row.id])
         kept = [i for i, row in enumerate(rows) if not row.stopped]
         self.live = live = len(kept)
         holes, movers = [i for i in gone if i < live], [i for i in kept if i >= live]
@@ -607,7 +605,7 @@ def run_lbfgs_batch(
     labels,
     maxiter: int = 400,
     gtol: float = 1e-9,
-    snapshot_stride: int | None = None,
+    history: bool = False,
 ) -> list[DescentResult]:
     """L-BFGS descents of ``energy.value_and_grad`` from every row of X0, in lockstep.
 
@@ -622,12 +620,12 @@ def run_lbfgs_batch(
     it fall back) stops its row where it is, with ``converged`` False;
     scipy's L-BFGS-B reports success there, since f did not rise.
 
-    With ``snapshot_stride`` set, ``history`` holds the energy at x0 and at
-    every accepted iterate, and ``snapshots`` a copy of every stride-th one.
+    With ``history``, each result's ``history`` holds the energy at x0 and
+    at every accepted iterate.
     """
     X0 = np.array(X0, dtype=float, order="C")
     f0, g0 = energy.value_and_grad(X0, np.arange(len(X0)))
-    run = _Lbfgs(X0, f0, g0, maxiter, gtol, snapshot_stride)
+    run = _Lbfgs(X0, f0, g0, maxiter, gtol, history)
     while run.live:
         run.step(*energy.value_and_grad(run.xt[:run.live], run.ids[:run.live]))
     for res, label in zip(run.results, labels):
@@ -641,23 +639,22 @@ def run_lbfgs(
     maxiter: int = 400,
     gtol: float = 1e-9,
     label: str = "",
-    snapshot_stride: int | None = None,
 ) -> DescentResult:
     """One L-BFGS descent from x0; raises RuntimeError when it diverges."""
-    res = run_lbfgs_batch(energy, np.asarray(x0)[None], [label], maxiter, gtol, snapshot_stride)[0]
+    res = run_lbfgs_batch(energy, np.asarray(x0)[None], [label], maxiter, gtol)[0]
     if not np.isfinite(res.value):
         raise RuntimeError(f"descent diverged (energy {res.value}) from start {label!r}")
     return res
 
 
-def boundary_window(grid: Grid, frac: float = 0.25) -> np.ndarray:
-    """Tensor-product smooth window: 0 on the faces, 1 on the inner (1-frac) part."""
+def boundary_window(grid: Grid) -> np.ndarray:
+    """Tensor-product smooth window: 0 on the faces, 1 on the inner (1 - _WINDOW_FRAC) part."""
     from .grid import _smooth_ramp
 
     vals = np.ones(grid.shape)
     for i, ax in enumerate(grid.axes()):
         lo, hi = grid.domain[i]
-        width = (hi - lo) * frac / 2.0
+        width = (hi - lo) * _WINDOW_FRAC / 2.0
         t = np.minimum(ax - lo, hi - ax) / width
         ramp = _smooth_ramp(t)
         shape = [1] * grid.ndim

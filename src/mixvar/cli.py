@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -105,12 +107,36 @@ def _require(cfg: dict, key: str, kind=None):
     return val
 
 
-def _count(cfg: dict, key: str, default: int, minimum: int) -> int:
-    """An optional integer field of at least ``minimum``."""
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
+
+
+def _count(cfg: dict, key: str, default: int, minimum: int, within: str = "") -> int:
+    """An optional integer field of at least ``minimum``; ``within`` prefixes its name."""
     val = cfg.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
-        raise ConfigError(f"field {key!r} must be an integer >= {minimum}, got {val!r}")
+    if not _is_int(val) or val < minimum:
+        raise ConfigError(f"field {within + key!r} must be an integer >= {minimum}, got {val!r}")
     return val
+
+
+def _number(cfg: dict, key: str, default: float, within: str = "") -> float:
+    """An optional finite real field; ``within`` prefixes its name."""
+    val = cfg.get(key, default)
+    if not _is_number(val):
+        raise ConfigError(f"field {within + key!r} must be a finite number, got {val!r}")
+    return float(val)
+
+
+def _domain(dom) -> tuple[tuple[float, float], ...]:
+    """A domain field: one [lo, hi] pair of finite numbers per axis."""
+    if not isinstance(dom, list) or not all(
+            isinstance(iv, list) and len(iv) == 2 and all(map(_is_number, iv)) for iv in dom):
+        raise ConfigError(f"field 'domain' must be a list of [lo, hi] number pairs, got {dom!r}")
+    return tuple((float(lo), float(hi)) for lo, hi in dom)
 
 
 def _smoothness(cfg: dict) -> SmoothnessVector:
@@ -167,9 +193,9 @@ def _cmd_envelope(cfg: dict, out: Path) -> None:
         with _config_fields("levels"):
             _check_levels(_require(cfg, "levels", list))
     opts = EnvelopeOptions(
-        resolution=cfg.get("resolution", 65),
+        resolution=_count(cfg, "resolution", 65, 1),
         multistart=_count(cfg, "multistart", 8, 1),
-        tol=cfg.get("tol", 1e-6),
+        tol=_number(cfg, "tol", 1e-6),
         maxiter=_count(cfg, "maxiter", 2000, 0),
         seed=seed,
     )
@@ -213,15 +239,16 @@ def _cmd_coerce(cfg: dict, out: Path, args) -> None:
         if len(_sorted_t_values(t_grid)) < 3:
             raise ValueError("the coercivity fit needs at least 3 t values")
     opts = ThetaOptions(
-        resolution=cfg.get("resolution", 17),
+        resolution=_count(cfg, "resolution", 17, 1),
         multistart=_count(cfg, "multistart", 4, 0),
         maxiter=_count(cfg, "maxiter", 400, 0),
         seed=seed,
     )
     with _config_fields("resolution"):
         opts.grid(a)
+    c_min = _number(cfg, "c_min", 1e-3)
     curve = theta_estimate(F, q, t_grid, a, opts)
-    fit = mean_coercivity_fit(curve, c_min=cfg.get("c_min", 1e-3))
+    fit = mean_coercivity_fit(curve, c_min=c_min)
     chash = config_hash(cfg)
     rows = [
         (float(t), float(th), d["feasibility_gap"], d["iterations"])
@@ -242,19 +269,23 @@ def _solve_problem(cfg: dict) -> tuple[DirichletProblem, SolveOptions]:
     a = _smoothness(cfg)
     F = _integrand(cfg)
     seed = _seed(cfg)
-    domain = tuple((float(lo), float(hi)) for lo, hi in _require(cfg, "domain", list))
+    domain = _domain(_require(cfg, "domain"))
     datum = _parse_datum(_require(cfg, "datum", dict))
-    resolution = _require(cfg, "resolution", (int, list))
-    prob = DirichletProblem(a, domain, F, datum, float(cfg.get("p", F.p)), resolution)
+    resolution = _require(cfg, "resolution")
+    if not (_is_int(resolution) or isinstance(resolution, list)
+            and all(_is_int(r) for r in resolution)):
+        raise ConfigError(f"field 'resolution' must be an integer or a list of integers, "
+                          f"got {resolution!r}")
+    prob = DirichletProblem(a, domain, F, datum, _number(cfg, "p", F.p), resolution)
     with _config_fields("domain", "resolution"):
         grid = prob.grid()
     with _config_fields("datum"):
         prob.datum_field(grid)
     opts = SolveOptions(
         maxiter=_count(cfg, "maxiter", 800, 0),
-        gtol=cfg.get("gtol", 1e-10),
+        gtol=_number(cfg, "gtol", 1e-10),
         multistart=_count(cfg, "multistart", 1, 0),
-        perturbation=cfg.get("perturbation", 1e-2),
+        perturbation=_number(cfg, "perturbation", 1e-2),
         seed=seed,
     )
     return prob, opts
@@ -288,10 +319,12 @@ def _cmd_relax(cfg: dict, out: Path, args) -> None:
     prob, opts = _solve_problem(cfg)
     with _config_fields("--table"):
         _check_table(prob, table)
-    levels = args.levels if args.levels is not None else cfg.get("levels", 3)
-    with _config_fields("--levels" if args.levels is not None else "levels"):
-        levels = int(levels)
-        _check_refinement_levels(levels)
+    if args.levels is None:
+        levels = _count(cfg, "levels", 3, 1)
+    else:
+        levels = args.levels
+        with _config_fields("--levels"):
+            _check_refinement_levels(levels)
     report = relax_compare(prob, table, levels, opts)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
@@ -325,22 +358,24 @@ def _cmd_ym(cfg: dict, out: Path) -> None:
     unknown = sorted(set(src_cfg) - _SOURCE_KEYS)
     if unknown:
         raise ConfigError(f"unknown field(s) for source: {', '.join(map(repr, unknown))}")
-    res = src_cfg.get("resolution", 65)
+    res = _count(src_cfg, "resolution", 65, 1, "source.")
+    components = _count(src_cfg, "components", 1, 1, "source.")
+    amplitude = _number(src_cfg, "amplitude", 1.0, "source.")
+    target_res = _count(src_cfg, "target_resolution", 2 * res - 1, 1, "source.")
+    j = _count(src_cfg, "j", 1, 0, "source.")
+    p = _number(cfg, "p", 2.0)
     with _config_fields("source"):
         grid = Grid(((-1.0, 1.0),) * a.ndim, (res,) * a.ndim, a)
+    domain = _domain(cfg.get("domain", [[-1.0, 1.0]] * a.ndim))
+    with _config_fields("domain", "source"):
+        target = Grid(domain, (target_res,) * a.ndim, a)
     from ._descent import smooth_noise
 
     rng = np.random.default_rng(seed)
-    phi = GridField(grid, smooth_noise(grid, src_cfg.get("components", 1), rng)
-                    * src_cfg.get("amplitude", 1.0)).with_zero_collar()
-    target_res = src_cfg.get("target_resolution", 2 * res - 1)
-    with _config_fields("domain", "source"):
-        target = Grid(tuple((float(lo), float(hi)) for lo, hi in
-                            cfg.get("domain", [[-1.0, 1.0]] * a.ndim)),
-                      (target_res,) * a.ndim, a)
-    tiled = scale_and_tile(phi, int(src_cfg.get("j", 1)), target)
+    phi = GridField(grid, smooth_noise(grid, components, rng) * amplitude).with_zero_collar()
+    tiled = scale_and_tile(phi, j, target)
     nu = empirical_measure(a_gradient(tiled))
-    bary, pmom = moments(nu, float(cfg.get("p", 2.0)))
+    bary, pmom = moments(nu, p)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     rows = [tuple(row) for row in nu.to_rows()]

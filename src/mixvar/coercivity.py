@@ -30,7 +30,7 @@ from .envelope import AQCVerdict, EnvelopeOptions, is_aqc_at
 from .grid import Grid, GridField, a_gradient
 from .grid import gradient_adjoint  # noqa: F401  (bench/layers.py traces it at this site)
 from .integrand import Integrand, minus_power
-from .smoothness import SmoothnessVector
+from .smoothness import SmoothnessVector, _as_sv
 
 __all__ = [
     "ThetaOptions",
@@ -40,15 +40,18 @@ __all__ = [
     "strong_qc_test",
 ]
 
+# penalty continuation: the weight rho of the first stage, its growth per
+# stage, and the number of stages
+_PENALTY_INIT = 10.0
+_PENALTY_GROWTH = 10.0
+_PENALTY_STAGES = 4
+
 
 @dataclass(frozen=True)
 class ThetaOptions:
     resolution: int = 17
     multistart: int = 4
     maxiter: int = 400
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
-    penalty_stages: int = 4
     seed: int = 0
     domain: tuple | None = None  # defaults to Q = [-1,1]^N; theta is domain-invariant
 
@@ -150,9 +153,8 @@ def theta_estimate(
     if F.C_upper is None:
         raise ValueError("theta estimation requires finite p-growth (C_upper)")
     _check_moment_order(F, q)
-    a_sv = a if isinstance(a, SmoothnessVector) else SmoothnessVector(tuple(a))
     t_values = _sorted_t_values(t_values)
-    grid = opts.grid(a_sv)
+    grid = opts.grid(_as_sv(a))
     inner = StencilEnergy(grid, F, np.zeros((F.n, F.m)))
     rng = np.random.default_rng(opts.seed)
 
@@ -197,8 +199,8 @@ def theta_estimate(
         xs = [inner.pack(phi0) for _, phi0 in starts]  # pack drops the collar
         live = list(range(len(starts)))
         iters = 0
-        rho = opts.penalty_init
-        for _ in range(opts.penalty_stages):
+        rho = _PENALTY_INIT
+        for _ in range(_PENALTY_STAGES):
             if not live:
                 break
             prob = _PenalizedMoment(inner, q, t, rho)
@@ -210,7 +212,7 @@ def theta_estimate(
                 xs[j] = res.x
                 iters += res.iterations
             live = [j for j, _ in finite]
-            rho *= opts.penalty_growth
+            rho *= _PENALTY_GROWTH
 
         best_phi = None
         best_val = np.inf
@@ -246,7 +248,6 @@ class CoercivityFit:
     c2: float
     coercive: bool
     degenerate: bool
-    c_min: float
 
 
 def mean_coercivity_fit(curve: ThetaCurve, c_min: float = 1e-3) -> CoercivityFit:
@@ -278,7 +279,7 @@ def mean_coercivity_fit(curve: ThetaCurve, c_min: float = 1e-3) -> CoercivityFit
         if c1 < 0.0:
             c1 = 0.0
         c2 = float(np.min(y - c1 * t))
-    return CoercivityFit(float(c1), float(c2), bool(c1 >= c_min), degenerate, c_min)
+    return CoercivityFit(float(c1), float(c2), bool(c1 >= c_min), degenerate)
 
 
 def strong_qc_test(

@@ -37,7 +37,7 @@ from ._descent import run_lbfgs  # noqa: F401  (bench/layers.py traces it at thi
 from .containers import TABLE_MAGIC, read_container, write_container
 from .grid import Grid, GridField
 from .integrand import Integrand
-from .smoothness import SmoothnessVector, homogeneity_set
+from .smoothness import SmoothnessVector, _as_sv
 
 __all__ = [
     "EnvelopeOptions",
@@ -58,6 +58,8 @@ DEFAULT_LEVELS = (17, 33, 65)
 # less on a 3x3 lattice at 899 free values than 2^14), while every live row
 # holds about 46 n_free + 821 doubles of descent state
 _CHUNK_CELLS = 2**15
+# screening leaders polished at a node where some start beats F(V)
+_POLISH_TOP = 3
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ class EnvelopeOptions:
     tol: float = 1e-6
     maxiter: int = 2000
     screen_maxiter: int = 300   # phase-1 budget per start; best few get the rest
-    polish_top: int = 3
     seed: int = 0
 
     def grid(self, a: SmoothnessVector) -> Grid:
@@ -91,10 +92,6 @@ def _require_growth(F: Integrand):
         raise ValueError("envelope estimation requires finite p-growth (C_upper)")
 
 
-def _mean_energy(grid: Grid) -> float:
-    return 1.0 / grid.n_interior
-
-
 def _family(label: str) -> str:
     return label.split("(")[0].rstrip("0123456789")
 
@@ -109,7 +106,7 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
     row is bit-equal to a lone descent, so each estimate is the one the node
     gets on its own.
     """
-    scale_mean = _mean_energy(grid)
+    scale_mean = 1.0 / grid.n_interior
     portfolios = []
     for V, seed, warm in zip(Vs, seeds, warms):
         rng = np.random.default_rng(seed)
@@ -139,7 +136,7 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
         promising = [r for r in screened if r.value < sum_threshold]
         polish = {r.start_label for r in screened[:1]}
         if promising:
-            polish.update(r.start_label for r in screened[: opts.polish_top])
+            polish.update(r.start_label for r in screened[:_POLISH_TOP])
             for fam in ("warm", "laminate", "random", "zero"):
                 best = next((r for r in promising if _family(r.start_label) == fam), None)
                 if best is not None:
@@ -300,17 +297,19 @@ def _map_forked(fn, tasks: list, workers: int) -> list:
 
 
 def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: EnvelopeOptions,
-            seeds, mask_failures: bool = False, workers: int = 1):
+            seeds, mask_failures: bool = False):
     """``dacorogna_refine`` at every V of Vs, level by level in chunks of nodes.
 
     Returns each node's per-level values and final estimate.
     Each node's level descends from its own previous witness only, so no
-    value depends on the chunking.  A level's chunks run on up to
-    ``workers`` processes (``_map_forked``), which changes no value either.
+    value depends on the chunking.  A level's chunks run on one process per
+    usable CPU (``_usable_workers``, ``_map_forked``), which changes no value
+    either.
     With ``mask_failures`` a chunk that raises RuntimeError runs again one
     node at a time, and a node that still raises gets no estimate (None) and
     takes no further level.
     """
+    workers = _usable_workers()
     values: list[list[float]] = [[] for _ in Vs]
     estimates: list[EnvelopeEstimate | None] = [None] * len(Vs)
     live = list(range(len(Vs)))
@@ -362,14 +361,15 @@ def dacorogna_min(
     phi = 0 is always evaluated exactly, hence value <= F(V) exactly.
     """
     _require_growth(F)
-    a = a if isinstance(a, SmoothnessVector) else SmoothnessVector(tuple(a))
     V = np.asarray(V, dtype=float).reshape(1, F.n, F.m)
-    return _min_nodes(F, V, opts.grid(a), opts, [opts.seed], [warm_start])[0]
+    return _min_nodes(F, V, opts.grid(_as_sv(a)), opts, [opts.seed], [warm_start])[0]
 
 
 def _check_levels(levels) -> None:
-    """Refinement ladders are dyadic: each level is 2 * previous - 1 nodes per axis."""
+    """Refinement ladders are dyadic integers: each level is 2 * previous - 1 nodes per axis."""
     levels = list(levels)
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in levels):
+        raise ValueError(f"levels must be integers, got {levels}")
     if any(fine != 2 * coarse - 1 for coarse, fine in zip(levels, levels[1:])):
         raise ValueError(f"levels must be dyadic (each level 2 * previous - 1), got {levels}")
 
@@ -394,9 +394,8 @@ def dacorogna_refine(
     """
     _check_levels(levels)
     _require_growth(F)
-    a_sv = a if isinstance(a, SmoothnessVector) else SmoothnessVector(tuple(a))
     V = np.asarray(V, dtype=float).reshape(1, F.n, F.m)
-    values, estimates = _ladder(F, V, a_sv, list(levels), opts, [opts.seed])
+    values, estimates = _ladder(F, V, _as_sv(a), list(levels), opts, [opts.seed])
     return values[0], estimates[0]
 
 
@@ -407,10 +406,6 @@ class AQCVerdict:
     reference: float
     tol: float
     witness: GridField | None
-
-    @property
-    def violation(self) -> float:
-        return max(0.0, self.reference - self.value)
 
 
 def is_aqc_at(F: Integrand, V, a, opts: EnvelopeOptions = EnvelopeOptions()) -> AQCVerdict:
@@ -546,16 +541,10 @@ class EnvelopeTable:
     def points(self) -> list[np.ndarray]:
         return [np.linspace(lo, hi, c) for lo, hi, c in self.lattice]
 
-    def node_value(self, idx) -> float:
-        return float(self.values[tuple(idx)])
-
     def node_point(self, idx) -> np.ndarray:
         pts = self.points
         coords = np.array([pts[d][i] for d, i in enumerate(idx)])
         return coords.reshape(self.n, self.m)
-
-    def interpolate(self, V) -> float:
-        return envelope_interpolate(self, V)
 
     @functools.cached_property
     def _interpolant(self) -> _Multilinear:
@@ -676,7 +665,7 @@ def tabulate_envelope(
     _require_growth(F)
     if levels:
         _check_levels(levels)
-    a_sv = a if isinstance(a, SmoothnessVector) else SmoothnessVector(tuple(a))
+    a_sv = _as_sv(a)
     lattice = _check_lattice(lattice, F.n, F.m)
     counts = tuple(c for _, _, c in lattice)
     pts = [np.linspace(lo, hi, c) for lo, hi, c in lattice]
@@ -684,7 +673,7 @@ def tabulate_envelope(
     Vs = Vs.reshape(-1, F.n, F.m)
     seeds = [opts.seed + rank for rank in range(len(Vs))]
     _, estimates = _ladder(F, Vs, a_sv, list(levels) if levels else [opts.resolution], opts, seeds,
-                           mask_failures=True, workers=_usable_workers())
+                           mask_failures=True)
     values = np.array([float(F(V)) if est is None else est.value for V, est in zip(Vs, estimates)])
     failures = np.array([est is None for est in estimates])
 

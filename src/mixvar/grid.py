@@ -26,6 +26,7 @@ from .smoothness import (
     AnisoBox,
     MultiIndex,
     SmoothnessVector,
+    _as_sv,
     homogeneity_set,
     kernel_monomials,
     lower_set,
@@ -51,6 +52,9 @@ __all__ = [
     "piecewise_gradient_approx",
 ]
 
+# halvings of the box radius piecewise_gradient_approx tries before it gives up
+_MAX_REFINEMENTS = 6
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -66,7 +70,7 @@ class Grid:
     a: SmoothnessVector
 
     def __post_init__(self):
-        a = self.a if isinstance(self.a, SmoothnessVector) else SmoothnessVector(tuple(self.a))
+        a = _as_sv(self.a)
         object.__setattr__(self, "a", a)
         dom = tuple((float(lo), float(hi)) for lo, hi in self.domain)
         object.__setattr__(self, "domain", dom)
@@ -91,10 +95,6 @@ class Grid:
         return np.array(
             [(hi - lo) / (c - 1) for (lo, hi), c in zip(self.domain, self.shape)]
         )
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.h))
 
     @property
     def volume(self) -> float:
@@ -196,17 +196,6 @@ class GridField:
         collar = self.values[self.grid.collar_mask()]
         return bool(np.all(np.abs(collar) <= tol))
 
-    def __add__(self, other: "GridField") -> "GridField":
-        return GridField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridField") -> "GridField":
-        return GridField(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridField":
-        return GridField(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
 
 class AGradientField:
     """Stack of derivative columns on the stencil-interior region.
@@ -232,17 +221,10 @@ class AGradientField:
     def n_columns(self) -> int:
         return self.values.shape[-1]
 
-    def column(self, alpha: MultiIndex) -> np.ndarray:
-        return self.values[..., self.alphas.index(tuple(alpha))]
-
     def mean(self) -> np.ndarray:
         """Discrete mean over interior nodes; exactly zero for zero-boundary fields."""
         flat = self.values.reshape(-1, self.n_components, self.n_columns)
         return flat.mean(axis=0)
-
-    def frobenius(self) -> np.ndarray:
-        """Pointwise Frobenius norm of the n x m matrix, shape interior_shape."""
-        return np.sqrt(np.sum(self.values**2, axis=(-2, -1)))
 
 
 def _forward_diff(values: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
@@ -609,7 +591,6 @@ def piecewise_gradient_approx(
     f: GridField,
     eps: float,
     p: float = 2.0,
-    max_refinements: int = 6,
     sigma: float | None = None,
 ) -> tuple[GridField, list[AnisoBox]]:
     """Blend local polynomials so the mixed-order gradient is constant on box cores.
@@ -647,7 +628,7 @@ def piecewise_gradient_approx(
 
     radius = _initial_radius(inner_domain, sv)
     mesh = grid.meshgrid()
-    for _ in range(max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         min_half = np.array([radius ** (1.0 / ai) for ai in sv.a])
         if np.any(min_half < 3.0 * h * np.array(sv.a)):
             raise RuntimeError(
@@ -678,7 +659,7 @@ def piecewise_gradient_approx(
             if err <= target:
                 return u, cores
         radius /= 2.0
-    raise RuntimeError(f"eps={eps} unattainable within {max_refinements} radius refinements")
+    raise RuntimeError(f"eps={eps} unattainable within {_MAX_REFINEMENTS} radius refinements")
 
 
 def _safe_vol(rect) -> float:

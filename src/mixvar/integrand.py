@@ -15,6 +15,8 @@ import numpy as np
 
 __all__ = ["Integrand", "builtin", "builtin_from_config", "grad_check"]
 
+# the registration gradient check: its random points and their seed
+_CHECK_SAMPLES = 20
 _CHECK_SEED = 20260501
 
 
@@ -22,8 +24,7 @@ _CHECK_SEED = 20260501
 class Integrand:
     """F with optional analytic gradient and p-growth metadata.
 
-    growth: |F(V)| <= C_upper (|V|^p + 1) when C_upper is set, and
-    F(V) >= c_lower |V|^p - C_const when c_lower is set.
+    growth: |F(V)| <= C_upper (|V|^p + 1) when C_upper is set.
 
     check_points(rng) -> (V, h), when set, draws the points of the
     registration gradient check for an F that is smooth only piecewise: a
@@ -38,16 +39,13 @@ class Integrand:
     p: float
     grad: callable | None = None
     C_upper: float | None = None
-    c_lower: float | None = None
-    C_const: float | None = None
-    convex: bool | None = None
     name: str = "custom"
     params: dict = field(default_factory=dict)
     check_points: callable | None = None
 
     def __post_init__(self):
         if self.grad is not None:
-            err = grad_check(self, samples=20, seed=_CHECK_SEED)
+            err = grad_check(self)
             if err > 1e-4:
                 raise ValueError(
                     f"analytic gradient of {self.name!r} disagrees with finite "
@@ -74,9 +72,6 @@ class Integrand:
             return np.asarray(self.grad(V), dtype=float)
         return _fd_gradient(self, V)
 
-    def to_config(self) -> dict:
-        return {"integrand": {"name": self.name, "params": self.params}}
-
 
 def _fro(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(V**2, axis=(-2, -1)))
@@ -96,8 +91,8 @@ def _fd_gradient(F: Integrand, V: np.ndarray, step=None) -> np.ndarray:
     return out
 
 
-def grad_check(F: Integrand, samples: int = 20, seed: int = _CHECK_SEED) -> float:
-    """Max over samples of ||grad - central FD|| / (1 + ||grad||).
+def grad_check(F: Integrand) -> float:
+    """Max over _CHECK_SAMPLES points of ||grad - central FD|| / (1 + ||grad||).
 
     Points and steps come from ``F.check_points`` when set.  Points where F
     is not finite are resampled, with a retry cap; a non-finite error at a
@@ -105,12 +100,12 @@ def grad_check(F: Integrand, samples: int = 20, seed: int = _CHECK_SEED) -> floa
     """
     if F.grad is None:
         raise ValueError("integrand has no analytic gradient to check")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CHECK_SEED)
     worst = 0.0
     got, tries = 0, 0
-    while got < samples:
+    while got < _CHECK_SAMPLES:
         tries += 1
-        if tries > 50 * samples:
+        if tries > 50 * _CHECK_SAMPLES:
             raise RuntimeError("could not sample enough finite points for grad_check")
         if F.check_points is None:
             V, h = rng.normal(size=(F.n, F.m)), None
@@ -139,8 +134,7 @@ def _pnorm(p: float, n: int, m: int) -> Integrand:
         return p * safe ** (p - 2.0) * V
 
     return Integrand(
-        ev, n, m, p, grad=gr, C_upper=1.0, c_lower=1.0, C_const=0.0,
-        convex=(p >= 1.0), name="pnorm", params={"p": p, "n": n, "m": m},
+        ev, n, m, p, grad=gr, C_upper=1.0, name="pnorm", params={"p": p, "n": n, "m": m},
     )
 
 
@@ -164,8 +158,7 @@ def _quadratic(A, n: int, m: int) -> Integrand:
         return (2.0 * v @ A.T).reshape(V.shape)
 
     return Integrand(
-        ev, n, m, 2.0, grad=gr, C_upper=float(eigs[-1]), c_lower=float(eigs[0]),
-        C_const=0.0, convex=True, name="quadratic",
+        ev, n, m, 2.0, grad=gr, C_upper=float(eigs[-1]), name="quadratic",
         params={"A": A.tolist(), "n": n, "m": m},
     )
 
@@ -178,10 +171,7 @@ def _pantographic() -> Integrand:
     def gr(V):
         return 2.0 * V
 
-    return Integrand(
-        ev, 1, 2, 2.0, grad=gr, C_upper=1.0, c_lower=1.0, C_const=0.0,
-        convex=True, name="pantographic", params={},
-    )
+    return Integrand(ev, 1, 2, 2.0, grad=gr, C_upper=1.0, name="pantographic", params={})
 
 
 def _double_well(col: int, w: float, n: int, m: int) -> Integrand:
@@ -199,11 +189,8 @@ def _double_well(col: int, w: float, n: int, m: int) -> Integrand:
         out[..., 0, col] = 4.0 * v * (v**2 - w**2)
         return out
 
-    c_lower = 0.5 if (n == 1 and m == 1) else None
-    C_const = w**4 if c_lower is not None else None
     return Integrand(
         ev, n, m, 4.0, grad=gr, C_upper=max(3.0, 1.0 + 2.0 * w**4),
-        c_lower=c_lower, C_const=C_const, convex=False,
         name="double_well", params={"col": col, "w": w, "n": n, "m": m},
     )
 
@@ -224,7 +211,7 @@ def shifted(F: Integrand, X0) -> Integrand:
         shift_norm = float(np.linalg.norm(X0))
         C_upper = F.C_upper * 2.0 ** max(F.p - 1.0, 0.0) * (1.0 + shift_norm**F.p + 1.0)
     return Integrand(
-        ev, F.n, F.m, F.p, grad=gr, C_upper=C_upper, convex=F.convex,
+        ev, F.n, F.m, F.p, grad=gr, C_upper=C_upper,
         name="shifted", params={"base": F.name, "base_params": F.params, "X0": X0.tolist()},
     )
 
@@ -249,7 +236,7 @@ def minus_power(F: Integrand, c: float, q: float) -> Integrand:
     if F.C_upper is not None:
         C_upper = F.C_upper + abs(c) + 1.0
     return Integrand(
-        ev, F.n, F.m, F.p, grad=gr, C_upper=C_upper, convex=None,
+        ev, F.n, F.m, F.p, grad=gr, C_upper=C_upper,
         name="minus_power", params={"base": F.name, "base_params": F.params, "c": c, "q": q},
     )
 
@@ -262,7 +249,7 @@ def _constant(c: float, n: int, m: int, p: float) -> Integrand:
         return np.zeros_like(V)
 
     return Integrand(
-        ev, n, m, p, grad=gr, C_upper=abs(c) + 1e-300, convex=True,
+        ev, n, m, p, grad=gr, C_upper=abs(c) + 1e-300,
         name="constant", params={"c": c, "n": n, "m": m, "p": p},
     )
 

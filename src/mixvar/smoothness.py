@@ -61,9 +61,6 @@ class SmoothnessVector:
         """|a^-1| = sum of 1/a_i, exact."""
         return sum(self.a_inv, Fraction(0))
 
-    def pairing(self, alpha: MultiIndex) -> Fraction:
-        return pairing(alpha, self)
-
     def to_json(self) -> list[int]:
         return list(self.a)
 

@@ -22,7 +22,7 @@ from ._descent import run_lbfgs  # noqa: F401  (bench/layers.py traces it at thi
 from .envelope import EnvelopeTable, _check_interior
 from .grid import APolynomial, Grid, GridField, a_gradient
 from .integrand import Integrand
-from .smoothness import SmoothnessVector, lower_set, pairing
+from .smoothness import SmoothnessVector, _as_sv, lower_set, pairing
 
 __all__ = [
     "DirichletProblem",
@@ -34,6 +34,9 @@ __all__ = [
     "relax_compare",
     "RelaxReport",
 ]
+
+# the most negative gap E_F - E_QF that still counts as E_QF <= E_F
+_GAP_TOL = 1e-8
 
 
 def apolynomial_datum(coeffs: dict, grid: Grid) -> GridField:
@@ -65,7 +68,7 @@ class DirichletProblem:
     resolution: tuple[int, ...]
 
     def __post_init__(self):
-        a = self.a if isinstance(self.a, SmoothnessVector) else SmoothnessVector(tuple(self.a))
+        a = _as_sv(self.a)
         object.__setattr__(self, "a", a)
         res = self.resolution
         if np.isscalar(res):
@@ -99,14 +102,12 @@ class SolveOptions:
     multistart: int = 1          # extra perturbed starts beyond the datum start
     perturbation: float = 1e-2
     seed: int = 0
-    checkpoints: int = 3
 
 
 @dataclass
 class SolveTrace:
     energies: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)  # (iteration, gradient stack array)
 
 
 @dataclass
@@ -162,10 +163,9 @@ def solve_dirichlet(
     if warm_start is not None:
         starts.append(("prolonged", warm_start.values))
 
-    stride = max(1, opts.maxiter // max(opts.checkpoints, 1))
     X0 = np.stack([energy.inner.pack(phi0) for _, phi0 in starts])  # pack drops the collar
     results = run_lbfgs_batch(energy, X0, [label for label, _ in starts],
-                              maxiter=opts.maxiter, gtol=opts.gtol, snapshot_stride=stride)
+                              maxiter=opts.maxiter, gtol=opts.gtol, history=True)
     best = None
     for res in results:
         if np.isfinite(res.value) and (best is None or res.value < best.value):
@@ -178,10 +178,6 @@ def solve_dirichlet(
     trace = SolveTrace(energies=list(best.history))
     _, g_final = energy.value_and_grad(best.x)
     trace.grad_norms = [float(np.linalg.norm(g_final))]
-    for it, xk in best.snapshots:
-        uk = GridField(grid, g.values + energy.inner.unpack(xk))
-        trace.snapshots.append((it, a_gradient(uk).values))
-    trace.snapshots.append((len(trace.energies) - 1, a_gradient(u).values))
     return SolveResult(u, best.value, trace, best.converged, best.start_label)
 
 
@@ -196,8 +192,7 @@ class RelaxReport:
     converged: list       # per level: the winning descent met gtol within maxiter
     wallclock: list
     no_gap_detected: bool
-    lower_bound_ok: bool  # E_QF <= E_F + tol at every level
-    measures: list        # per-level gradient stacks (atoms of the pushforward measure)
+    lower_bound_ok: bool  # E_QF <= E_F + _GAP_TOL at every level
 
 
 def _check_refinement_levels(refinement_levels: int) -> None:
@@ -226,13 +221,12 @@ def relax_compare(
     table: EnvelopeTable,
     refinement_levels: int = 3,
     opts: SolveOptions = SolveOptions(),
-    gap_tol: float = 1e-8,
 ) -> RelaxReport:
     """Solve with F on a refinement ladder, with the interpolated envelope once.
 
     The envelope solve runs at the finest level; out-of-hull gradient queries
     abort (no extrapolation).  Reports the gap sequence E_F - E_QF, which is
-    bounded below by -gap_tol and expected to shrink as oscillations refine.
+    bounded below by -_GAP_TOL and expected to shrink as oscillations refine.
     A ladder of no levels, or a table for another a, n or m, raises
     ValueError before any descent, and the table integrand is registered
     (its gradient checked) before any descent too.
@@ -248,7 +242,6 @@ def relax_compare(
     grad_norms: list[float] = []
     converged: list[bool] = []
     wallclock: list[float] = []
-    measures = []
     warm_phi: GridField | None = None
     for lev, res in enumerate(ladders):
         t0 = time.perf_counter()
@@ -261,7 +254,6 @@ def relax_compare(
         grad_norms.append(result.trace.grad_norms[0])
         converged.append(result.converged)
         wallclock.append(time.perf_counter() - t0)
-        measures.append(a_gradient(result.u).values)
 
     # envelope solve at the finest level; hull excess aborts, never extrapolates
     fine_prob = replace(prob.at_resolution(ladders[-1]), integrand=QF)
@@ -286,9 +278,9 @@ def relax_compare(
     wallclock.append(time.perf_counter() - t0)
 
     gaps = [e - E_QF for e in E_F]
-    no_gap = max(abs(g) for g in gaps) <= max(gap_tol, 1e-6 * (1.0 + abs(E_F[0])))
+    no_gap = max(abs(g) for g in gaps) <= max(_GAP_TOL, 1e-6 * (1.0 + abs(E_F[0])))
     return RelaxReport(
         list(range(refinement_levels)), [list(r) for r in ladders],
         E_F, E_QF, gaps, grad_norms, converged, wallclock, bool(no_gap),
-        bool(min(gaps) >= -gap_tol), measures,
+        bool(min(gaps) >= -_GAP_TOL),
     )

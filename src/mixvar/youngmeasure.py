@@ -34,6 +34,15 @@ __all__ = [
     "coordinate_quantile_distance",
 ]
 
+# scale_and_tile: the share of the target domain its boxes may leave uncovered
+_TILE_COVERAGE = 0.02
+# decompose: the residual size that counts as concentration, and the
+# truncation levels M of the oscillation tail masses
+_CONCENTRATION_DELTA = 1e-6
+_TAIL_LEVELS = (2.0, 4.0, 8.0)
+# coordinate_quantile_distance: the quantiles compared per coordinate
+_QUANTILES = 64
+
 
 @dataclass
 class EmpiricalMeasure:
@@ -91,11 +100,11 @@ def jensen_gap(nu: EmpiricalMeasure, g: Integrand, Qg: EnvelopeTable) -> float:
     return nu.pairing(g) - envelope_interpolate(Qg, bary)
 
 
-def scale_and_tile(phi: GridField, j: int, target: Grid, coverage_tol: float = 0.02) -> GridField:
+def scale_and_tile(phi: GridField, j: int, target: Grid) -> GridField:
     """Tile the target domain with anisotropically rescaled copies of phi.
 
     phi must be zero-boundary on Q = [-1,1]^N.  Boxes of radius <= 2^-j cover
-    all but ``coverage_tol`` of the target domain; on each box the copy
+    all but ``_TILE_COVERAGE`` of the target domain; on each box the copy
     r * phi(r^-1 (.) (x - x0)) is resampled onto the target nodes.  The result
     is zero-boundary and its gradient distribution matches phi's up to the
     uncovered sliver (atoms at 0) and resampling error.
@@ -113,7 +122,7 @@ def scale_and_tile(phi: GridField, j: int, target: Grid, coverage_tol: float = 0
 
     radius = 2.0 ** (-j)
     sv = target.a
-    cover = box_cover(target.domain, radius, sv, coverage_tol=coverage_tol)
+    cover = box_cover(target.domain, radius, sv, coverage_tol=_TILE_COVERAGE)
     # every box must contain enough target nodes to resolve the copy
     for i, ai in enumerate(sv.a):
         half = radius ** (1.0 / ai)
@@ -155,15 +164,12 @@ def scale_and_tile(phi: GridField, j: int, target: Grid, coverage_tol: float = 0
 class DecompositionReport:
     truncation_levels: list
     oscillation_tail_mass: list   # per element: {M: mean |.|^p over {|.|>M}}
-    concentration_fraction: list  # per element: volume fraction where |residual| > delta
-    delta: float
+    concentration_fraction: list  # per element: fraction of |residual| > _CONCENTRATION_DELTA
 
 
 def decompose(
     fields: list[GridField],
     p: float = 2.0,
-    delta: float = 1e-6,
-    tail_levels=(2.0, 4.0, 8.0),
 ) -> tuple[list[GridField], list[np.ndarray], DecompositionReport]:
     """Split each element into an oscillation field and a concentration residual.
 
@@ -190,11 +196,11 @@ def decompose(
 
         fro = np.sqrt(np.sum(Wg**2, axis=(-2, -1)))
         tails.append(
-            {M: float(np.mean(np.where(fro > M, fro**p, 0.0))) for M in tail_levels}
+            {M: float(np.mean(np.where(fro > M, fro**p, 0.0))) for M in _TAIL_LEVELS}
         )
         rfro = np.sqrt(np.sum(resid**2, axis=(-2, -1)))
-        fractions.append(float(np.mean(rfro > delta)))
-    report = DecompositionReport(levels, tails, fractions, delta)
+        fractions.append(float(np.mean(rfro > _CONCENTRATION_DELTA)))
+    report = DecompositionReport(levels, tails, fractions)
     return oscillation, concentration, report
 
 
@@ -260,13 +266,13 @@ def sliced_wasserstein(
 
 
 def coordinate_quantile_distance(
-    nu1: EmpiricalMeasure, nu2: EmpiricalMeasure, quantiles: int = 64
+    nu1: EmpiricalMeasure, nu2: EmpiricalMeasure
 ) -> np.ndarray:
     """Per-coordinate sup difference of quantile functions on a uniform grid."""
     k = nu1.atoms.shape[1] * nu1.atoms.shape[2]
     flat1 = nu1.atoms.reshape(len(nu1.weights), k)
     flat2 = nu2.atoms.reshape(len(nu2.weights), k)
-    qs = (np.arange(quantiles) + 0.5) / quantiles
+    qs = (np.arange(_QUANTILES) + 0.5) / _QUANTILES
     out = np.empty(k)
     for c in range(k):
         q1 = _weighted_quantiles(flat1[:, c], nu1.weights, qs)

@@ -430,6 +430,7 @@ def small_table(a, n, m):
     (["--levels", "0"], {}, "'--levels'"),
     ([], {"levels": 0}, "'levels'"),
     ([], {"levels": -2}, "'levels'"),
+    ([], {"levels": 2.5}, "'levels'"),
 ])
 def test_relax_without_levels_is_a_validation_error(tmp_path, capsys, monkeypatch,
                                                     argv, cfg_extra, field):
@@ -468,6 +469,9 @@ def no_descent(*args, **kwargs):
     raise AssertionError("a descent ran before validation")
 
 
+COERCE_CFG = {**ENVELOPE_CFG, "lattice": None, "q": 2.0, "t_grid": [0.0, 1.0, 2.0]}
+
+
 @pytest.mark.parametrize("command, cfg_data, field, message", [
     ("envelope", {**ENVELOPE_CFG, "lattice": [[-2.0, 2.0, 5]] * 2}, "'lattice'", "needs 1"),
     ("envelope", {**ENVELOPE_CFG, "lattice": [[-2.0, 2.0]]}, "'lattice'", "[lo, hi, count]"),
@@ -476,14 +480,31 @@ def no_descent(*args, **kwargs):
     ("envelope", {**ENVELOPE_CFG, "lattice": [[-2.0, 2.0, 1]]}, "'lattice'", "lo == hi"),
     ("envelope", {**ENVELOPE_CFG, "multistart": 0}, "'multistart'", "integer >= 1"),
     ("envelope", {**ENVELOPE_CFG, "maxiter": "20"}, "'maxiter'", "integer >= 0"),
-    ("coerce", {**ENVELOPE_CFG, "lattice": None, "q": 2.0, "t_grid": [0.0, 1.0, 2.0],
-                "maxiter": 2.5}, "'maxiter'", "integer >= 0"),
+    ("coerce", {**COERCE_CFG, "maxiter": 2.5}, "'maxiter'", "integer >= 0"),
     ("solve", {**SOLVE_CFG, "maxiter": "20"}, "'maxiter'", "integer >= 0"),
     ("solve", {**SOLVE_CFG, "multistart": -1}, "'multistart'", "integer >= 0"),
+    ("envelope", {**ENVELOPE_CFG, "tol": "x"}, "'tol'", "finite number"),
+    ("envelope", {**ENVELOPE_CFG, "resolution": 17.5}, "'resolution'", "integer >= 1"),
+    ("envelope", {**ENVELOPE_CFG, "levels": [9.5, 18]}, "'levels'", "integers"),
+    ("coerce", {**COERCE_CFG, "c_min": "x"}, "'c_min'", "finite number"),
+    ("coerce", {**COERCE_CFG, "resolution": "9"}, "'resolution'", "integer >= 1"),
+    ("solve", {**SOLVE_CFG, "gtol": "x"}, "'gtol'", "finite number"),
+    ("solve", {**SOLVE_CFG, "perturbation": "x"}, "'perturbation'", "finite number"),
+    ("solve", {**SOLVE_CFG, "p": "x"}, "'p'", "finite number"),
+    ("solve", {**SOLVE_CFG, "domain": [[-1, 1, 5]]}, "'domain'", "[lo, hi]"),
+    ("solve", {**SOLVE_CFG, "domain": [["a", "b"]]}, "'domain'", "[lo, hi]"),
+    ("solve", {**SOLVE_CFG, "resolution": [9.5]}, "'resolution'", "list of integers"),
+    ("ym", {**YM_CFG, "source": {**YM_CFG["source"], "j": "x"}}, "'source.j'", "integer >= 0"),
+    ("ym", {**YM_CFG, "source": {**YM_CFG["source"], "j": -1}}, "'source.j'", "integer >= 0"),
+    ("ym", {**YM_CFG, "source": {**YM_CFG["source"], "components": "x"}},
+     "'source.components'", "integer >= 1"),
+    ("ym", {**YM_CFG, "source": {**YM_CFG["source"], "amplitude": "x"}},
+     "'source.amplitude'", "finite number"),
+    ("ym", {**YM_CFG, "p": "x"}, "'p'", "finite number"),
 ])
 def test_malformed_counts_and_lattices_are_validation_errors(tmp_path, capsys, monkeypatch,
                                                              command, cfg_data, field, message):
-    for name in ("tabulate_envelope", "theta_estimate", "solve_dirichlet"):
+    for name in ("tabulate_envelope", "theta_estimate", "solve_dirichlet", "scale_and_tile"):
         monkeypatch.setattr(cli, name, no_descent)
     cfg_data = {k: v for k, v in cfg_data.items() if v is not None}
     cfg = write_config(tmp_path / "cfg.json", cfg_data)

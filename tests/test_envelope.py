@@ -142,6 +142,8 @@ def test_refinement_rejects_non_dyadic_levels(monkeypatch):
         dacorogna_refine(F, 0.0, (2,), levels=(17, 33, 66), opts=FAST)
     with pytest.raises(ValueError, match="dyadic"):
         tabulate_envelope(F, (2,), [(-1.0, 1.0, 3)], FAST, levels=(17, 40))
+    with pytest.raises(ValueError, match="integers"):
+        dacorogna_refine(F, 0.0, (2,), levels=(9.5, 18), opts=FAST)
 
 
 def test_translation_covariance():

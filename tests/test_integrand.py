@@ -28,12 +28,12 @@ def test_pnorm_gradient_and_fd_check():
     F = builtin("pnorm", p=2, n=1, m=2)
     V = np.array([[0.3, -1.1]])
     assert np.allclose(F.gradient(V), 2 * V)
-    assert grad_check(F, samples=20) <= 1e-6
+    assert grad_check(F) <= 1e-6
 
 
 def test_double_well_fd_check():
     F = builtin("double_well", col=0, w=1.0, n=1, m=2)
-    assert grad_check(F, samples=20) <= 1e-4
+    assert grad_check(F) <= 1e-4
 
 
 def test_grad_check_negative_control():
@@ -48,7 +48,7 @@ def test_grad_check_negative_control():
     # constructing without registration safety: check the reported error
     F = Integrand(ev, 1, 2, 2.0, grad=None, name="no-grad")
     F.grad = bad_grad
-    assert grad_check(F, samples=20) > 0.1
+    assert grad_check(F) > 0.1
 
 
 def test_a_nan_gradient_fails_registration():

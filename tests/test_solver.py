@@ -250,16 +250,6 @@ def test_relax_e_qf_matches_the_finite_difference_descent(monkeypatch):
         assert abs(got.E_QF - ref.E_QF) <= 1e-12 * (1.0 + abs(ref.E_QF))
 
 
-def test_trace_snapshots_recorded():
-    F = builtin("double_well", col=0, w=1.0, n=1, m=2)
-    prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, {(1, 0): 0.2}, 4.0, 17)
-    res = solve_dirichlet(prob, SolveOptions(seed=6, multistart=1, perturbation=0.1,
-                                             checkpoints=4))
-    assert len(res.trace.snapshots) >= 1
-    it, stack = res.trace.snapshots[-1]
-    assert stack.shape == prob.grid().interior_shape + (1, 2)
-
-
 @pytest.mark.parametrize("levels, table_shape, match", [
     (0, ((2,), 1, 1), "levels must be at least 1"),
     (-1, ((2,), 1, 1), "levels must be at least 1"),
