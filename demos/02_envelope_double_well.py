@@ -17,7 +17,7 @@ a = (2,)
 opts = EnvelopeOptions(resolution=129, multistart=16, maxiter=2000, seed=1)
 est = dacorogna_min(F, 0.0, a, opts)
 print(f"F(0) = {est.reference:.4f}, envelope estimate = {est.value:.5f}")
-print(f"best start: {est.best_start} out of {est.n_starts}")
+print(f"best start: {est.best_start} out of {len(est.per_start)}")
 
 # Refinement ladder with B-spline subdivision warm starts.
 values, _ = dacorogna_refine(F, 0.0, a, levels=(17, 33, 65), opts=EnvelopeOptions(multistart=8, seed=2))

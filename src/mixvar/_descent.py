@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, GridField, _free_operator, a_gradient
+from .grid import (Grid, GridField, _box, _stencil_adjoint, _stencil_forward, _stencil_table,
+                   a_gradient)
 # bench/layers.py traces these two at this site
 from .grid import gradient_adjoint, mixed_derivative  # noqa: F401
 from .integrand import Integrand
@@ -113,12 +114,18 @@ class StencilEnergy:
         self.per_row = per_row
         self.free = ~grid.collar_mask()
         self.n_free = int(np.count_nonzero(self.free)) * F.n
-        self._D, self._Dt = _free_operator(grid, tuple(self.alphas))
-        self._nodes = self.n_free // F.n
-        self._cols_shape = (len(self.alphas),) + grid.interior_shape + (F.n,)
+        # the stencils run on the nodes of the interior region, whose first
+        # a_i per axis are collar zeros and whose other nodes are the free ones
+        self._table, self._reach = _stencil_table(grid, tuple(self.alphas), grid.interior_shape,
+                                                  F.n)
+        self._size = grid.n_interior * F.n
+        self._interior = grid.interior_shape + (F.n,)
+        self._free_box = _box(grid.a.a, grid.interior_shape)
+        self._free_box_shape = tuple(c - 2 * ai for c, ai in zip(grid.shape, grid.a.a)) + (F.n,)
         d = grid.ndim
+        # (K, m, *interior, n) -> (K, *interior, n, m), and back with alpha first
         self._stack_axes = (0,) + tuple(range(2, d + 3)) + (1,)
-        self._adjoint_axes = (d + 2,) + tuple(range(1, d + 1)) + (0, d + 1)
+        self._adjoint_axes = (d + 2, 0) + tuple(range(1, d + 2))
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
         phi = np.zeros(self.grid.shape + (self.F.n,))
@@ -131,25 +138,31 @@ class StencilEnergy:
     def stack(self, X: np.ndarray) -> np.ndarray:
         """grad_a of the zero-boundary fields with free values X (K, n_free).
 
-        Returns (K, *interior_shape, n, m).  Each field's block keeps the
-        memory layout of a lone D_f product (alpha-major), so a batch row is
-        laid out like the single-field call; one field is not copied.
+        Returns (K, *interior_shape, n, m), a view of a (K, m, *interior, n)
+        array: each field's block keeps the memory layout of a lone field's
+        (alpha-major), so a batch row is laid out like the single-field call.
         """
         if not np.all(np.isfinite(X)):
             raise ValueError("field values must be finite")
-        k, n = len(X), self.F.n
-        # one column of the product per field component
-        columns = X.reshape(k, self._nodes, n).transpose(1, 0, 2).reshape(self._nodes, k * n)
-        cols = (self._D @ columns).reshape(len(self.alphas), self.grid.n_interior, k, n)
-        cols = np.ascontiguousarray(cols.transpose(2, 0, 1, 3)).reshape((k,) + self._cols_shape)
-        return cols.transpose(self._stack_axes)  # (K, m, *interior, n) -> (K, *interior, n, m)
+        k, size = len(X), self._size
+        nodes = np.zeros(k * size + self._reach)
+        nodes[:k * size].reshape((k,) + self._interior)[self._free_box] = X.reshape(
+            (k,) + self._free_box_shape)
+        # each alpha's column as one contiguous block: numpy is several times
+        # slower on strided rows than the one transposed copy below
+        cols = np.empty((len(self.alphas), k * size))
+        _stencil_forward(self._table, nodes, cols)
+        cols = np.ascontiguousarray(cols.reshape(len(self.alphas), k, size).swapaxes(0, 1))
+        return cols.reshape((k, len(self.alphas)) + self._interior).transpose(self._stack_axes)
 
     def adjoint(self, weights: np.ndarray) -> np.ndarray:
         """Gradient over the free values of sum(stack(X) * weights), per row: (K, n_free)."""
-        k, n = len(weights), self.F.n
-        # (K, *interior, n, m) -> (m, *interior, K, n): rows of D, one column per field
-        w = weights.transpose(self._adjoint_axes).reshape(self._Dt.shape[1], k * n)
-        return (self._Dt @ w).reshape(self._nodes, k, n).transpose(1, 0, 2).reshape(k, self.n_free)
+        k, size = len(weights), self._size
+        out = np.zeros(k * size + self._reach)
+        cols = np.ascontiguousarray(weights.transpose(self._adjoint_axes))  # no copy when m == 1
+        _stencil_adjoint(self._table, cols.reshape(len(self.alphas), k * size), out)
+        free = out[:k * size].reshape((k,) + self._interior)[self._free_box]
+        return np.ascontiguousarray(free).reshape(k, self.n_free)
 
     def value_and_grad(self, x: np.ndarray, rows=None):
         """Energy and gradient of one field (float, (n_free,)) or a batch ((K,), (K, n_free)).

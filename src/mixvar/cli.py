@@ -141,7 +141,7 @@ def _domain(dom) -> tuple[tuple[float, float], ...]:
 
 def _smoothness(cfg: dict) -> SmoothnessVector:
     a = _require(cfg, "a", list)
-    if not a or any((not isinstance(x, int)) or x < 1 for x in a):
+    if not a or any(not _is_int(x) or x < 1 for x in a):
         raise ConfigError(f"field 'a' must be a list of positive integers, got {a}")
     return SmoothnessVector(tuple(a))
 
@@ -149,7 +149,7 @@ def _smoothness(cfg: dict) -> SmoothnessVector:
 def _seed(cfg: dict) -> int:
     if "seed" not in cfg:
         raise ConfigError("field 'seed' is mandatory: runs must be reproducible")
-    if not isinstance(cfg["seed"], int):
+    if not _is_int(cfg["seed"]):
         raise ConfigError("field 'seed' must be an integer")
     return cfg["seed"]
 

@@ -82,7 +82,6 @@ class EnvelopeEstimate:
     reference: float            # F(V), the exact phi = 0 energy
     witness: GridField | None   # argmin test field (None when phi = 0 wins)
     best_start: str
-    n_starts: int
     budget_exhausted: bool
     per_start: list
 
@@ -155,7 +154,7 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
                 results[i][j] = res
 
     estimates = []
-    for reference, starts, node_results in zip(references, portfolios, results):
+    for reference, node_results in zip(references, results):
         best_value = reference
         best_start = "zero-exact"
         witness = None
@@ -168,8 +167,8 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
                 witness = GridField(grid, energy.unpack(res.x))
                 exhausted = res.budget_exhausted
         per_start = [(r.start_label, r.value * scale_mean, r.iterations) for r in node_results]
-        estimates.append(EnvelopeEstimate(best_value, reference, witness, best_start, len(starts),
-                                          exhausted, per_start))
+        estimates.append(EnvelopeEstimate(best_value, reference, witness, best_start, exhausted,
+                                          per_start))
     return estimates
 
 

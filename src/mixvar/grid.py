@@ -18,9 +18,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .smoothness import (
     AnisoBox,
@@ -32,6 +32,9 @@ from .smoothness import (
     lower_set,
     pairing,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Grid",
@@ -192,9 +195,8 @@ class GridField:
         vals[self.grid.collar_mask()] = 0.0
         return GridField(self.grid, vals)
 
-    def is_zero_on_collar(self, tol: float = 0.0) -> bool:
-        collar = self.values[self.grid.collar_mask()]
-        return bool(np.all(np.abs(collar) <= tol))
+    def is_zero_on_collar(self) -> bool:
+        return not np.any(self.values[self.grid.collar_mask()])
 
 
 class AGradientField:
@@ -255,12 +257,15 @@ def mixed_derivative(f: GridField, alpha: MultiIndex) -> np.ndarray:
 
 
 def _stack(f: GridField, alphas: list[MultiIndex]) -> AGradientField:
-    grid = f.grid
-    D, _ = _operator(grid, tuple(alphas))
-    cols = (D @ f.values.reshape(-1, f.n_components)).reshape(
-        (len(alphas),) + grid.interior_shape + (f.n_components,)
-    )
-    return AGradientField(grid, alphas, np.moveaxis(cols, 0, -1))
+    grid, n = f.grid, f.n_components
+    table, reach = _stencil_table(grid, tuple(alphas), grid.shape, n)
+    # every interior node lies below size, so its terms read inside the array
+    size = f.values.size - reach
+    cols = np.zeros((len(alphas), f.values.size))
+    _stencil_forward(table, np.ascontiguousarray(f.values).reshape(-1), cols[:, :size])
+    interior = _box((0,) * grid.ndim, grid.interior_shape)
+    cols = cols.reshape((len(alphas),) + grid.shape + (n,))[interior]
+    return AGradientField(grid, alphas, np.moveaxis(np.ascontiguousarray(cols), 0, -1))
 
 
 def a_gradient(f: GridField) -> AGradientField:
@@ -286,55 +291,100 @@ def gradient_adjoint(grid: Grid, alphas: list[MultiIndex], weights: np.ndarray) 
     This is the chain-rule backbone for energy gradients.
     """
     n = weights.shape[-2]
-    w = np.moveaxis(weights, -1, 0).reshape(-1, n)
-    _, Dt = _operator(grid, tuple(alphas))
-    return (Dt @ w).reshape(grid.shape + (n,))
+    table, reach = _stencil_table(grid, tuple(alphas), grid.shape, n)
+    cols = np.zeros((len(alphas),) + grid.shape + (n,))
+    cols[_box((0,) * grid.ndim, grid.interior_shape)] = np.moveaxis(weights, -1, 0)
+    out = np.zeros(cols[0].size)
+    _stencil_adjoint(table, cols.reshape(len(alphas), -1)[:, :out.size - reach], out)
+    return out.reshape(grid.shape + (n,))
 
 
-def _diff_matrix_1d(count: int, order: int, h: float, n_rows: int) -> sp.csr_matrix:
-    """Rows i = forward difference of ``order`` at node i, for i < n_rows."""
-    coeffs = [(-1) ** (order - k) * math.comb(order, k) / h**order for k in range(order + 1)]
-    diags = [np.full(n_rows, c) for c in coeffs]
-    return sp.diags(diags, offsets=list(range(order + 1)), shape=(n_rows, count)).tocsr()
+def _coefficients(order: int, h: float) -> list[float]:
+    """The forward difference of ``order`` at node i: weights of nodes i .. i + order."""
+    return [(-1) ** (order - k) * math.comb(order, k) / h**order for k in range(order + 1)]
 
 
 def stencil_matrix(grid: Grid, alpha: MultiIndex) -> sp.csr_matrix:
-    """Sparse matrix of d^alpha from node values to interior values (per component)."""
-    mats = []
+    """Sparse matrix of d^alpha from node values to interior values (per component).
+
+    The descents apply the same entries without it (``_stencil_table``);
+    this builder is their reference.
+    """
+    import scipy.sparse as sp  # only this builder and project_to_gradients load scipy
+
+    M = None
     for ax, o in enumerate(alpha):
-        mats.append(
-            _diff_matrix_1d(grid.shape[ax], o, grid.h[ax], grid.interior_shape[ax])
-        )
-    M = mats[0]
-    for mat in mats[1:]:
-        M = sp.kron(M, mat, format="csr")
+        rows = grid.interior_shape[ax]
+        diags = [np.full(rows, c) for c in _coefficients(o, grid.h[ax])]
+        mat = sp.diags(diags, offsets=list(range(o + 1)), shape=(rows, grid.shape[ax])).tocsr()
+        M = mat if M is None else sp.kron(M, mat, format="csr")
     return M
 
 
-@functools.lru_cache(maxsize=32)
-def _operator(grid: Grid, alphas: tuple[MultiIndex, ...]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The derivative stack D as one sparse matrix, and its transpose.
+def _box(lo: tuple[int, ...], hi: tuple[int, ...]) -> tuple:
+    """Index of the nodes lo_i .. hi_i - 1 per axis, of every leading axis and component."""
+    return (slice(None), *(slice(l, h) for l, h in zip(lo, hi)), slice(None))
 
-    D stacks one stencil_matrix block per alpha: rows are alpha-major, then
-    interior nodes in C order; columns are the grid nodes in C order.  Every
-    forward stack and every adjoint goes through this one operator.
+
+@functools.lru_cache(maxsize=64)
+def _stencil_table(grid: Grid, alphas: tuple[MultiIndex, ...], extent: tuple[int, ...],
+                   n: int) -> tuple[tuple, int]:
+    """The derivative stack D as flat shifts on node arrays of shape extent + (n,).
+
+    The term of offset o adds weight * x[q + shift] to the value at node q,
+    shift being o's flat index.  An alpha's terms follow its offsets in
+    lexicographic order, the column order of a stencil_matrix row, and each
+    weight is the product of the 1-D coefficients in axis order, as
+    ``sp.kron`` forms it; summed term by term from zero they give D's CSR
+    product bit for bit, and summed in reverse D^T's.  A read past the end
+    of the rows lands on the next row's first a_i nodes along some axis, so
+    it adds a zero term wherever those nodes (the low collar) hold zeros;
+    adding zero to a sum begun at +0.0 changes no bit of it.
+
+    Per alpha, returns its distinct weight magnitudes and its terms (shift,
+    index of the magnitude, np.add or np.subtract by the weight's sign):
+    terms of equal magnitude share one product, and subtracting it is adding
+    its negation, bit for bit.  Also returns the largest shift, the reach.
     """
-    D = sp.vstack([stencil_matrix(grid, al) for al in alphas], format="csr")
-    return D, D.T.tocsr()
+    h = grid.h
+    strides = np.cumprod((extent + (n,))[::-1])[::-1][1:].tolist()
+    table = []
+    for alpha in alphas:
+        terms = [(0, 1.0)]
+        for ax, o in enumerate(alpha):
+            terms = [(shift + k * strides[ax], w * c) for shift, w in terms
+                     for k, c in enumerate(_coefficients(o, h[ax]))]
+        magnitudes = list(dict.fromkeys(abs(float(w)) for _, w in terms))
+        table.append((tuple(magnitudes), tuple(
+            (shift, magnitudes.index(abs(float(w))), np.subtract if w < 0 else np.add)
+            for shift, w in terms)))
+    return tuple(table), max(shift for _, terms in table for shift, _, _ in terms)
 
 
-@functools.lru_cache(maxsize=32)
-def _free_operator(grid: Grid, alphas: tuple[MultiIndex, ...]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """D restricted to the free (non-collar) columns, D_f, and its transpose.
+def _stencil_forward(table: tuple, x: np.ndarray, cols: np.ndarray) -> None:
+    """cols[j] = D_alpha_j x term by term, for flat x: each alpha's CSR product, bit for bit.
 
-    D_f maps the free node values of a zero-boundary field (C order, then
-    component) straight to its derivative stack; D_f^T maps interior weights
-    to the gradient over the free values.  Each row keeps D's entry order, so
-    both products are bit-equal to going through the full node array.
+    ``cols`` is (m, size): the first ``size`` values of the flat layout.
     """
-    D, Dt = _operator(grid, alphas)
-    free = ~grid.collar_mask().reshape(-1)
-    return D[:, free], Dt[free]
+    size = cols.shape[1]
+    for col, (magnitudes, terms) in zip(cols, table):
+        products = [w * x for w in magnitudes]
+        for i, (shift, j, op) in enumerate(terms):
+            # the first term is added to 0.0, where the CSR sum begins
+            op(col if i else 0.0, products[j][shift:shift + size], out=col)
+
+
+def _stencil_adjoint(table: tuple, cols: np.ndarray, out: np.ndarray) -> None:
+    """out += sum_j D_alpha_j^T cols[j], term by term in the row order of D^T's CSR.
+
+    The layout is _stencil_forward's, with the flat ``out`` in x's place.
+    """
+    size = cols.shape[1]
+    for col, (magnitudes, terms) in zip(cols, table):
+        products = [w * col for w in magnitudes]
+        for shift, j, op in reversed(terms):
+            window = out[shift:shift + size]
+            op(window, products[j], out=window)
 
 
 def sobolev_norm(f: GridField, p: float, variant: str = "full") -> float:
@@ -406,12 +456,13 @@ def project_to_gradients(
         raise ValueError(f"V shape {V.shape}, expected {expected}")
     n = V.shape[-2]
 
+    import scipy.sparse as sp  # only this solve and stencil_matrix load scipy; descents do not
+    from scipy.sparse.linalg import splu
+
     free = ~grid.collar_mask().reshape(-1)
-    A = _free_operator(grid, tuple(alphas))[0]
+    A = sp.vstack([stencil_matrix(grid, al) for al in alphas], format="csr")[:, free]
     rhs = A.T @ np.moveaxis(V, -1, 0).reshape(-1, n)
     u_vals = np.zeros((free.size, n))
-    from scipy.sparse.linalg import splu  # only this solve needs it; descents do not
-
     u_vals[free] = splu((A.T @ A).tocsc()).solve(rhs)
 
     u = GridField(grid, u_vals.reshape(grid.shape + (n,)))

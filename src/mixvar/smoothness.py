@@ -61,13 +61,6 @@ class SmoothnessVector:
         """|a^-1| = sum of 1/a_i, exact."""
         return sum(self.a_inv, Fraction(0))
 
-    def to_json(self) -> list[int]:
-        return list(self.a)
-
-    @classmethod
-    def from_json(cls, data) -> "SmoothnessVector":
-        return cls(tuple(int(x) for x in data))
-
 
 def _as_sv(a) -> SmoothnessVector:
     if isinstance(a, SmoothnessVector):

@@ -115,7 +115,7 @@ def scale_and_tile(phi: GridField, j: int, target: Grid) -> GridField:
     for (lo, hi) in src.domain:
         if abs(lo + 1.0) > 1e-12 or abs(hi - 1.0) > 1e-12:
             raise ValueError("scale-and-tile source must live on Q = [-1,1]^N")
-    if not phi.is_zero_on_collar(tol=0.0):
+    if not phi.is_zero_on_collar():
         raise ValueError("scale-and-tile source must vanish on its collar")
     if j < 0:
         raise ValueError("scale count must be nonnegative")

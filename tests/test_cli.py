@@ -56,6 +56,28 @@ def test_envelope_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_solve_and_coerce_determinism_byte_identical(tmp_path):
+    # criterion 11 beyond tables: a 2-D Dirichlet solve and the penalised theta descents
+    solve = write_config(tmp_path / "solve.json", {
+        "a": [1, 2], "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+        "integrand": {"name": "double_well", "params": {"w": 1.0, "n": 1, "m": 2, "col": 1}},
+        "datum": {"coeffs": {"1,0": [0.5], "0,2": [0.3]}}, "p": 4.0, "resolution": 9,
+        "maxiter": 100, "multistart": 2, "seed": 5,
+    })
+    coerce = write_config(tmp_path / "coerce.json", {
+        "a": [1, 2], "integrand": {"name": "pnorm", "params": {"p": 2.0, "n": 1, "m": 2}},
+        "t_grid": [0.0, 1.0, 2.0], "q": 2.0, "resolution": 9, "multistart": 2, "maxiter": 50,
+        "seed": 3,
+    })
+    runs = []
+    for run in ("one", "two"):
+        assert main(["solve", "--config", solve, "--out", str(tmp_path / run)]) == 0
+        assert main(["coerce", "--config", coerce, "--out", str(tmp_path / f"{run}.csv")]) == 0
+        runs.append([(tmp_path / run / "u.field").read_bytes(),
+                     (tmp_path / f"{run}.csv").read_bytes()])
+    assert runs[0] == runs[1]
+
+
 def test_envelope_bytes_do_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, cpus, forks):
     # every node its own chunk: 1 usable CPU forks nothing, 2 fork one child,
     # 4 fork three
@@ -153,9 +175,8 @@ def test_keys_of_another_subcommand_are_a_validation_error(tmp_path, capsys, com
     assert "unknown" in err and command in err
 
 
-# scipy modules a descent subcommand has no use for: each costs start-up time
-UNUSED_SCIPY = ("scipy.ndimage", "scipy.interpolate", "scipy.sparse.linalg", "scipy.linalg",
-                "scipy.special", "scipy.optimize", "scipy.stats")
+# the descent subcommands run on numpy alone: importing any scipy module costs start-up time
+SCIPY_MODULES = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
 
 
 def fresh_python(code: str, *args: str) -> str:
@@ -172,13 +193,11 @@ def fresh_python(code: str, *args: str) -> str:
     return out.stdout.strip()
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # nor any other scipy module but scipy.sparse: a fresh start pays for none of them
-    code = f"import mixvar.cli; print([m for m in {UNUSED_SCIPY!r} if m in sys.modules])"
-    assert fresh_python(code) == "[]"
+def test_cli_import_loads_no_scipy():
+    assert fresh_python(f"import mixvar.cli; print({SCIPY_MODULES})") == "[]"
 
 
-def test_descent_subcommands_load_no_other_scipy_module(tmp_path):
+def test_descent_subcommands_load_no_scipy(tmp_path):
     configs = {
         "envelope": {**ENVELOPE_CFG, "lattice": [[-1.0, 1.0, 3]], "resolution": 9},
         "solve": {**SOLVE_CFG, "multistart": 1},
@@ -199,7 +218,7 @@ def test_descent_subcommands_load_no_other_scipy_module(tmp_path):
                       *argv[command]])
     code = ("import json; from mixvar.cli import main; "
             "codes = [main(argv) for argv in json.loads(sys.argv[2])]; "
-            f"print(json.dumps([codes, [m for m in {UNUSED_SCIPY!r} if m in sys.modules]]))")
+            f"print(json.dumps([codes, {SCIPY_MODULES}]))")
     codes, loaded = json.loads(fresh_python(code, json.dumps(calls)))
     assert codes == [0, 0, 0, 0]
     assert loaded == []
@@ -273,6 +292,16 @@ def test_missing_seed_is_a_validation_error(tmp_path, capsys):
     rc = main(["envelope", "--config", cfg, "--out", str(tmp_path / "x.qft")])
     assert rc == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("seed", True), ("a", [True])])
+def test_json_booleans_are_not_integers(tmp_path, capsys, key, value):
+    # bool is an int in Python: true must not run as seed 1 or as a=(1,)
+    cfg = write_config(tmp_path / "cfg.json", {**ENVELOPE_CFG, key: value})
+    out = tmp_path / "x.qft"
+    assert main(["envelope", "--config", cfg, "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path):

@@ -17,7 +17,7 @@ from mixvar.grid import (
     sobolev_norm,
     truncate,
 )
-from mixvar.smoothness import AnisoBox, SmoothnessVector
+from mixvar.smoothness import AnisoBox, SmoothnessVector, homogeneity_set, lower_set
 
 
 SV12 = SmoothnessVector((1, 2))
@@ -590,3 +590,85 @@ def test_per_row_bases_are_bit_equal_to_one_energy_per_row(a, n):
     assert np.array_equal(some_grads, grads[rows])
     with pytest.raises(ValueError, match="per-row"):
         StencilEnergy(g, F, Vs[0], per_row=True)
+
+
+# stencil tables against the CSR products of stencil_matrix, the sparse reference
+STENCIL_CASES = [(2,), (1, 2), (2, 2), (1, 2, 3), (2, 4)]
+
+
+def stencil_grid(a):
+    # unequal counts and spacings per axis, so a mixed-up axis shows
+    counts = tuple(2 * ai + 3 + i for i, ai in enumerate(a))
+    return Grid(tuple((0.0, 1.0 + 0.5 * i) for i in range(len(a))), counts, SmoothnessVector(a))
+
+
+def sparse_stack(grid, alphas):
+    import scipy.sparse as sp
+
+    from mixvar.grid import stencil_matrix
+
+    D = sp.vstack([stencil_matrix(grid, al) for al in alphas], format="csr")
+    return D, D.T.tocsr()
+
+
+def same_bits(x, y):
+    """Equal shapes and bytes, so a zero of the other sign differs too."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def with_signed_zeros(values):
+    values = values.copy()
+    flat = values.reshape(-1)
+    flat[::7], flat[3::11] = 0.0, -0.0
+    return values
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", STENCIL_CASES)
+def test_free_value_stencils_are_bit_equal_to_the_csr_products(a, n, k):
+    from mixvar._descent import StencilEnergy
+    from mixvar.integrand import builtin
+
+    g = stencil_grid(a)
+    alphas = homogeneity_set(g.a)
+    F = builtin("pnorm", p=2.0, n=n, m=len(alphas))
+    energy = StencilEnergy(g, F, np.zeros((n, F.m)))
+    D, Dt = sparse_stack(g, alphas)
+    free = energy.free.reshape(-1)
+    Df, Dft = D[:, free], Dt[free]
+    rng = np.random.default_rng(11)
+    nodes = energy.n_free // n
+
+    X = with_signed_zeros(rng.normal(size=(k, energy.n_free)))
+    ref = Df @ X.reshape(k, nodes, n).transpose(1, 0, 2).reshape(nodes, k * n)
+    ref = ref.reshape((len(alphas),) + g.interior_shape + (k, n))
+    assert same_bits(energy.stack(X), np.moveaxis(ref, (0, -2), (-1, 0)))
+
+    w = with_signed_zeros(rng.normal(size=(k,) + g.interior_shape + (n, len(alphas))))
+    ref = Dft @ np.moveaxis(w, (-1, 0), (0, -2)).reshape(-1, k * n)
+    assert same_bits(energy.adjoint(w), ref.reshape(nodes, k, n).transpose(1, 0, 2).reshape(k, -1))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", STENCIL_CASES)
+def test_node_array_stencils_are_bit_equal_to_the_csr_products(a, n, k):
+    from mixvar.grid import gradient_adjoint
+
+    g = stencil_grid(a)
+    rng = np.random.default_rng(12)
+    for stack, alphas in ((a_gradient, homogeneity_set(g.a)),
+                          (full_gradient, lower_set(g.a, strict=False))):
+        D, Dt = sparse_stack(g, alphas)
+        for _ in range(k):
+            f = GridField(g, with_signed_zeros(rng.normal(size=g.shape + (n,))))
+            W = stack(f)
+            assert W.alphas == alphas
+            ref = (D @ f.values.reshape(-1, n)).reshape((len(alphas),) + g.interior_shape + (n,))
+            assert same_bits(W.values, np.moveaxis(ref, 0, -1))
+
+            w = with_signed_zeros(rng.normal(size=g.interior_shape + (n, len(alphas))))
+            ref = Dt @ np.moveaxis(w, -1, 0).reshape(-1, n)
+            assert same_bits(gradient_adjoint(g, alphas, w), ref.reshape(g.shape + (n,)))

@@ -155,12 +155,10 @@ def test_box_cover_errors():
         box_cover(((-1, 1), (-1, 1)), 1e-4, (1, 2), max_boxes=50)
 
 
-def test_smoothness_vector_validation_and_json():
+def test_smoothness_vector_validation():
     with pytest.raises(ValueError):
         SmoothnessVector((0, 2))
     with pytest.raises(ValueError):
         SmoothnessVector(())
     sv = SmoothnessVector((1, 2))
-    assert sv.to_json() == [1, 2]
-    assert SmoothnessVector.from_json([1, 2]) == sv
     assert sv.inv_sum == Fraction(3, 2)
