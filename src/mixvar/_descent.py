@@ -24,10 +24,19 @@ row at a time, in Python floats: with one to three rows per round, as in a
 Dirichlet solve or a theta curve, a vectorised line search cost more than
 the energy.  No row's arithmetic reads another row, so a row of a batch is
 bit-equal to the same row run alone.
+
+``SobolevEnergy`` runs the same energy in the coordinates of the discrete
+a-Sobolev metric, the Kronecker sum of the pure columns' D_i^T D_i, which
+the fast diagonalisation method (Lynch, Rice & Thomas, Numer. Math. 6, 1964)
+turns into one dense eigenbasis per axis.  A descent in those coordinates is
+a Sobolev-gradient descent in Neuberger's sense: its quadratic part is about
+the identity, so it converges in tens of iterations where the flat metric,
+whose condition number grows like h^(-2 max a_i), spends its whole budget.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +61,10 @@ _EPS = np.finfo(float).eps
 _FTOL, _CURV, _XTOL, _STPMAX = 1e-3, 0.9, 0.1, 1e10
 # share of each axis over which boundary_window ramps up from 0 (half per face)
 _WINDOW_FRAC = 0.25
+# multiply-adds per matrix product of the Sobolev transforms: OpenBLAS runs a
+# product up to this size on one thread, while one it shares out over threads
+# can change its bits with the thread count (measured at 125 x 125 x 127)
+_SERIAL_MADDS = 2**18
 
 
 def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -128,12 +141,15 @@ class StencilEnergy:
         self._adjoint_axes = (d + 2, 0) + tuple(range(1, d + 2))
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
-        phi = np.zeros(self.grid.shape + (self.F.n,))
-        phi[self.free] = x.reshape(-1, self.F.n)
+        """The zero-boundary field of free values x (n_free,), or one per row of x (K, n_free)."""
+        lead = x.shape[:-1]
+        phi = np.zeros(lead + self.grid.shape + (self.F.n,))
+        phi[..., self.free, :] = x.reshape(lead + (-1, self.F.n))
         return phi
 
     def pack(self, phi: np.ndarray) -> np.ndarray:
-        return phi[self.free].reshape(-1)
+        """The free values of a field (*grid.shape, n), or of each of a batch (K, ...)."""
+        return phi[..., self.free, :].reshape(phi.shape[:phi.ndim - self.grid.ndim - 1] + (-1,))
 
     def stack(self, X: np.ndarray) -> np.ndarray:
         """grad_a of the zero-boundary fields with free values X (K, n_free).
@@ -182,6 +198,107 @@ class StencilEnergy:
         values = _scatter(_rows(vals, ok).sum(axis=1), ok, np.inf)
         grads = _scatter(self.adjoint(_rows(dF, ok)), ok, 0.0)
         return _unbatch(values, grads, x.shape[:-1])
+
+
+@functools.lru_cache(maxsize=16)
+def _sobolev_basis(grid: Grid) -> tuple:
+    """Per axis the eigenbasis Q_i of M_i = D_i^T D_i on its free nodes, and sqrt(Lambda).
+
+    D_i is the pure a_i-th forward difference along axis i over h_i^a_i.
+    Each free node lies a_i or more nodes from both ends, so all a_i + 1 of
+    its stencils lie in the interior, and M_i is Toeplitz: the 2a_i-th
+    central difference, (-1)^d C(2a_i, a_i + d) / h_i^(2a_i) on diagonal d.
+    Returns the Q_i, their transposes (both C-contiguous) and the square
+    root of the Kronecker sum Lambda = sum_i mu_i of the eigenvalues, shaped
+    (f_1, ..., f_N, 1) to broadcast over the components.  On long axes the
+    bits of ``numpy.linalg.eigh`` can change with the BLAS thread count
+    (seen at 253 free nodes under 1 and 2 OpenBLAS threads, not at 125).
+    """
+    bases, roots = [], 0.0
+    for i, (c, ai, h) in enumerate(zip(grid.shape, grid.a.a, grid.h.tolist())):
+        f = c - 2 * ai
+        M = np.zeros((f, f))
+        for d in range(-ai, ai + 1):
+            k = np.arange(max(0, -d), min(f, f - d))
+            M[k, k + d] = (-1) ** abs(d) * math.comb(2 * ai, ai + d) / h ** (2 * ai)
+        mu, Q = np.linalg.eigh(M)
+        bases.append((Q, np.ascontiguousarray(Q.T)))
+        roots = roots + mu.reshape((-1,) + (1,) * (grid.ndim - i - 1))
+    roots = np.sqrt(roots)[..., None]
+    for arr in (roots, *(Q for pair in bases for Q in pair)):
+        arr.flags.writeable = False  # every caller shares the cached arrays
+    return tuple(bases), roots
+
+
+def _along_axes(mats, x: np.ndarray) -> np.ndarray:
+    """(M_1 kron ... kron M_N) x for one field x (f_1, ..., f_N, n): M_i along axis i.
+
+    Each product is cut into column blocks of at most _SERIAL_MADDS
+    multiply-adds (single columns on an axis of more than 512 free nodes),
+    so its bits do not depend on the BLAS thread count.
+    """
+    for i, M in enumerate(mats):
+        y = np.moveaxis(x, i, 0)
+        cols = np.ascontiguousarray(y).reshape(len(M), -1)
+        out = np.empty_like(cols)
+        step = max(1, _SERIAL_MADDS // M.size)
+        for j in range(0, cols.shape[1], step):
+            np.matmul(M, cols[:, j:j + step], out=out[:, j:j + step])
+        x = np.moveaxis(out.reshape(y.shape), 0, i)
+    return x
+
+
+class SobolevEnergy:
+    """A StencilEnergy over z = Lambda^(1/2) Q^T x, the coordinates of the a-Sobolev metric.
+
+    The metric is A = Q Lambda Q^T = sum_i I kron M_i kron I, the Kronecker
+    sum of the pure columns a_i e_i of D_f^T D_f (see ``_sobolev_basis``).
+    Every homogeneity set holds those columns, so A is SPD; it equals
+    D_f^T D_f where every column is pure (N = 1, a = (1, 2)) and leaves out
+    the mixed ones otherwise (a = (2, 2)).  So |z|^2 is the discrete
+    a-seminorm of x, a quadratic F makes the energy about |z|^2, and a
+    descent's ``gtol`` bounds the z-gradient Lambda^(-1/2) Q^T g.
+
+    ``value_and_grad`` maps z to x, calls the wrapped energy's and maps its
+    gradient back; ``pack`` and ``unpack`` map fields to z and back.  Every
+    transform runs row by row, so each row of a batch is bit-equal to the
+    same row alone.
+    """
+
+    def __init__(self, energy: StencilEnergy):
+        self.energy = energy
+        self.n_free = energy.n_free
+        self._shape = energy._free_box_shape
+        bases, self._root = _sobolev_basis(energy.grid)
+        self._Q = [Q for Q, _ in bases]
+        self._Qt = [Qt for _, Qt in bases]
+
+    def _per_row(self, X: np.ndarray, fn) -> np.ndarray:
+        """fn applied to each row of X (..., n_free) laid out as a field (f_1, ..., f_N, n)."""
+        rows = X.reshape((-1,) + self._shape)
+        out = np.empty(rows.shape)
+        for x, o in zip(rows, out):
+            o[...] = fn(x)
+        return out.reshape(X.shape)
+
+    def _to_x(self, Z: np.ndarray) -> np.ndarray:
+        return self._per_row(Z, lambda z: _along_axes(self._Q, z / self._root))
+
+    def _to_z(self, X: np.ndarray) -> np.ndarray:
+        return self._per_row(X, lambda x: _along_axes(self._Qt, x) * self._root)
+
+    def pack(self, phi: np.ndarray) -> np.ndarray:
+        """z of a zero-boundary field (*grid.shape, n), or of each of a batch (K, ...)."""
+        return self._to_z(self.energy.pack(phi))
+
+    def unpack(self, z: np.ndarray) -> np.ndarray:
+        """The zero-boundary field of z (n_free,), or one per row of z (K, n_free)."""
+        return self.energy.unpack(self._to_x(z))
+
+    def value_and_grad(self, z: np.ndarray, rows=None):
+        """The wrapped energy at x(z), and its z-gradient Lambda^(-1/2) Q^T g(x)."""
+        values, grads = self.energy.value_and_grad(self._to_x(z), rows)
+        return values, self._per_row(grads, lambda g: _along_axes(self._Qt, g) / self._root)
 
 
 @dataclass

@@ -6,6 +6,17 @@ fixed to Q without loss.  The estimator descends from a multistart portfolio
 (zero, laminate profiles, scaled smooth noise) and always evaluates phi = 0
 exactly, so the returned value never exceeds F(V).
 
+A descent has two phases.  Every start first screens for
+``EnvelopeOptions.screen_maxiter`` (default 200) iterations in the flat
+metric of the free values, which carries it into a basin and ranks it.  The
+leaders that screening left unconverged then polish for the rest of
+``maxiter`` in the discrete a-Sobolev metric (``SobolevEnergy``), where
+they converge in tens of iterations; there the descent's gradient
+tolerance (``gtol``, 1e-9) bounds the gradient in the metric's coordinates,
+Lambda^(-1/2) Q^T g, not the flat one.  Screening, not the metric, picks
+the basins: descending in the metric from the starts themselves sends each
+start into its nearest basin, and the estimates come out higher.
+
 Because the forward-difference stencils have exactly zero mean on
 zero-boundary fields, convex integrands satisfy the discrete Jensen
 inequality exactly and the estimator returns F(V) to round-off for them.
@@ -28,6 +39,7 @@ import numpy as np
 
 from ._descent import (
     DescentResult,
+    SobolevEnergy,
     StencilEnergy,
     prolong_zero_boundary,
     run_lbfgs_batch,
@@ -68,7 +80,7 @@ class EnvelopeOptions:
     multistart: int = 8
     tol: float = 1e-6
     maxiter: int = 2000
-    screen_maxiter: int = 300   # phase-1 budget per start; best few get the rest
+    screen_maxiter: int = 200   # flat screening budget per start; the leaders polish for the rest
     seed: int = 0
 
     def grid(self, a: SmoothnessVector) -> Grid:
@@ -101,9 +113,10 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
 
     Node i draws its random starts from ``seeds[i]`` and, when ``warms[i]``
     is a field, also descends from it.  The starts of all nodes screen in one
-    batched descent and every node's chosen starts polish in a second; each
-    row is bit-equal to a lone descent, so each estimate is the one the node
-    gets on its own.
+    batched descent in the flat metric and every node's chosen starts polish
+    in a second, in the a-Sobolev metric; each row is bit-equal to a lone
+    descent, so each estimate is the one the node gets on its own.  A
+    polished start reports the iterations of both phases.
     """
     scale_mean = 1.0 / grid.n_interior
     portfolios = []
@@ -115,11 +128,12 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
         portfolios.append(starts)
     owner = np.array([i for i, starts in enumerate(portfolios) for _ in starts], dtype=int)
 
-    # screen every start briefly, then spend the remaining budget on the
-    # leaders; the warm start and the best of each start family always get
-    # polished so a screening mis-ranking cannot starve them
+    # screen every start briefly in the flat metric, which carries it into a
+    # basin; then polish the leaders to convergence in the a-Sobolev metric.
+    # The warm start and the best of each start family always get polished
+    # so a screening mis-ranking cannot starve them
     energy = StencilEnergy(grid, F, Vs[owner], per_row=True)
-    X0 = np.stack([energy.pack(vals) for starts in portfolios for _, vals in starts])  # no collar
+    X0 = energy.pack(np.stack([vals for starts in portfolios for _, vals in starts]))  # no collar
     screen = run_lbfgs_batch(energy, X0, [label for starts in portfolios for label, _ in starts],
                              maxiter=min(opts.screen_maxiter, opts.maxiter))
     references = [float(F(V)) for V in Vs]
@@ -145,13 +159,16 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
         results.append(screened)
     remaining = opts.maxiter - min(opts.screen_maxiter, opts.maxiter)
     if remaining > 0 and chosen:
-        energy = StencilEnergy(grid, F, Vs[[i for i, _ in chosen]], per_row=True)
-        polished = run_lbfgs_batch(energy, np.stack([results[i][j].x for i, j in chosen]),
-                                   [results[i][j].start_label for i, j in chosen],
-                                   maxiter=remaining)
-        for (i, j), res in zip(chosen, polished):
+        metric = SobolevEnergy(StencilEnergy(grid, F, Vs[[i for i, _ in chosen]], per_row=True))
+        starts = [results[i][j] for i, j in chosen]
+        Z0 = metric.pack(energy.unpack(np.stack([r.x for r in starts])))
+        polished = run_lbfgs_batch(metric, Z0, [r.start_label for r in starts], maxiter=remaining)
+        X = energy.pack(metric.unpack(np.stack([res.x for res in polished])))
+        for (i, j), start, res, x in zip(chosen, starts, polished, X):
             if np.isfinite(res.value):  # a diverged polish keeps its screening result
-                results[i][j] = res
+                # back to free values; the iterations and evaluations count both phases
+                results[i][j] = replace(res, x=x, iterations=start.iterations + res.iterations,
+                                        nfev=start.nfev + res.nfev)
 
     estimates = []
     for reference, node_results in zip(references, results):

@@ -26,6 +26,10 @@ ENVELOPE_CFG = {
     "seed": 7,
 }
 
+# a budget past the screening one: a start of the 33-node middle node polishes
+POLISHED_ENVELOPE_CFG = {**ENVELOPE_CFG, "lattice": [[-1.0, 1.0, 3]], "resolution": 33,
+                         "maxiter": 300}
+
 
 SOLVE_CFG = {
     "a": [2], "domain": [[-1, 1]],
@@ -199,7 +203,7 @@ def test_cli_import_loads_no_scipy():
 
 def test_descent_subcommands_load_no_scipy(tmp_path):
     configs = {
-        "envelope": {**ENVELOPE_CFG, "lattice": [[-1.0, 1.0, 3]], "resolution": 9},
+        "envelope": POLISHED_ENVELOPE_CFG,
         "solve": {**SOLVE_CFG, "multistart": 1},
         "coerce": {"a": [1, 2], "integrand": {"name": "pnorm", "params": {"p": 2, "n": 1, "m": 2}},
                    "t_grid": [0.0, 1.0, 2.0], "q": 2.0, "resolution": 9, "multistart": 2,
@@ -225,13 +229,15 @@ def test_descent_subcommands_load_no_scipy(tmp_path):
 
 
 def test_a_table_written_by_a_fresh_interpreter_is_byte_identical(tmp_path):
-    # criterion 11 across processes: a process's first call writes the same bytes
-    cfg = write_config(tmp_path / "cfg.json", ENVELOPE_CFG)
-    fresh, here = tmp_path / "fresh.qft", tmp_path / "here.qft"
-    code = "from mixvar.cli import main; print(main(sys.argv[2:]))"
-    assert fresh_python(code, "envelope", "--config", cfg, "--out", str(fresh)) == "0"
-    assert main(["envelope", "--config", cfg, "--out", str(here)]) == 0
-    assert fresh.read_bytes() == here.read_bytes()
+    # criterion 11 across processes: a process's first call writes the same
+    # bytes, with and without a polishing batch
+    for name, cfg_data in (("screened", ENVELOPE_CFG), ("polished", POLISHED_ENVELOPE_CFG)):
+        cfg = write_config(tmp_path / f"{name}.json", cfg_data)
+        fresh, here = tmp_path / f"{name}-fresh.qft", tmp_path / f"{name}-here.qft"
+        code = "from mixvar.cli import main; print(main(sys.argv[2:]))"
+        assert fresh_python(code, "envelope", "--config", cfg, "--out", str(fresh)) == "0"
+        assert main(["envelope", "--config", cfg, "--out", str(here)]) == 0
+        assert fresh.read_bytes() == here.read_bytes()
 
 
 def test_non_dyadic_levels_are_a_validation_error(tmp_path, capsys):

@@ -3,8 +3,9 @@ import pytest
 from scipy.optimize import minimize
 from scipy.optimize._dcsrch import DCSRCH
 
-from mixvar._descent import (StencilEnergy, _box5, _Lbfgs, _Row, boundary_window, run_lbfgs,
-                             run_lbfgs_batch, smooth_noise, start_portfolio)
+from mixvar import _descent
+from mixvar._descent import (SobolevEnergy, StencilEnergy, _box5, _Lbfgs, _Row, boundary_window,
+                             run_lbfgs, run_lbfgs_batch, smooth_noise, start_portfolio)
 from mixvar.envelope import EnvelopeTable
 from mixvar.grid import Grid
 from mixvar.integrand import builtin
@@ -282,3 +283,109 @@ def test_smooth_noise_is_bit_equal_to_the_ndimage_filter(a, res):
         for axis in range(g.ndim):
             ref = ndimage.uniform_filter1d(ref, size=5, axis=axis, mode="nearest")
         assert np.array_equal(got, ref * boundary_window(g)[..., None])
+
+
+# the a-Sobolev metric of the polish: exact where every column is pure, an
+# approximation with mixed columns (a = (2, 2))
+METRIC_CASES = [(2,), (1, 2), (2, 2), (1, 2, 3)]
+
+
+def metric_grid(a):
+    # unequal counts and spacings per axis, so a mixed-up axis shows
+    counts = tuple(2 * ai + 3 + i for i, ai in enumerate(a))
+    return Grid(tuple((0.0, 1.0 + 0.5 * i) for i in range(len(a))), counts, SmoothnessVector(a))
+
+
+def same_bits(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def metric_matrix(metric):
+    """The metric A = Q Lambda Q^T, from z = Lambda^(1/2) Q^T x of each unit x."""
+    Z = metric.pack(metric.energy.unpack(np.eye(metric.n_free)))
+    return Z @ Z.T
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", METRIC_CASES)
+def test_sobolev_rows_are_bit_equal_to_lone_rows(a, n, k):
+    g = metric_grid(a)
+    m = len(homogeneity_set(g.a))
+    F = builtin("double_well", col=0, w=1.0, n=n, m=m)
+    rng = np.random.default_rng(21)
+    metric = SobolevEnergy(StencilEnergy(g, F, rng.normal(size=(3, n, m)), per_row=True))
+    rows = np.array([2, 0, 1][:k])
+    Z = rng.normal(size=(k, metric.n_free))
+    values, grads = metric.value_and_grad(Z, rows)
+    phis = metric.unpack(Z)
+    packed = metric.pack(phis)
+    for i, row in enumerate(rows):
+        value, grad = metric.value_and_grad(Z[i:i + 1], row[None])
+        assert same_bits(values[i], value[0]) and same_bits(grads[i], grad[0])
+        assert same_bits(phis[i], metric.unpack(Z[i]))
+        assert same_bits(packed[i], metric.pack(phis[i]))
+
+
+@pytest.mark.parametrize("a", METRIC_CASES)
+def test_sobolev_unpack_inverts_pack(a):
+    for n in (1, 2):
+        g = metric_grid(a)
+        F = builtin("pnorm", p=2.0, n=n, m=len(homogeneity_set(g.a)))
+        metric = SobolevEnergy(StencilEnergy(g, F, np.zeros((n, F.m))))
+        phi = metric.energy.unpack(np.random.default_rng(22).normal(size=metric.n_free))
+        assert np.max(np.abs(metric.unpack(metric.pack(phi)) - phi)) <= 1e-12
+
+
+@pytest.mark.parametrize("a", METRIC_CASES)
+def test_sobolev_metric_is_the_kronecker_sum_of_the_pure_columns(a):
+    g = metric_grid(a)
+    alphas = homogeneity_set(g.a)
+    F = builtin("pnorm", p=2.0, n=1, m=len(alphas))
+    energy = StencilEnergy(g, F, np.zeros((1, F.m)))
+    A = metric_matrix(SobolevEnergy(energy))
+    # D_f^T D_f from the stencils of each unit x, and that of its pure columns alone
+    full = energy.stack(np.eye(energy.n_free)).reshape(energy.n_free, -1, F.m)
+    pure = [j for j, alpha in enumerate(alphas) if np.count_nonzero(alpha) == 1]
+    gram_all = np.einsum("kqj,lqj->kl", full, full)
+    gram_pure = np.einsum("kqj,lqj->kl", full[..., pure], full[..., pure])
+    scale = np.max(np.abs(gram_pure))
+    assert np.max(np.abs(A - gram_pure)) <= 1e-10 * scale
+    assert np.linalg.eigvalsh(A)[0] > 0.0
+    assert np.allclose(A, gram_all, rtol=0, atol=1e-10 * scale) == (len(pure) == len(alphas))
+
+
+@pytest.mark.parametrize("a, shape", [((2,), (129,)), ((1, 2), (17, 33)), ((1, 2, 3), (7, 9, 11))])
+def test_a_quadratic_energy_converges_at_once_in_the_sobolev_metric(a, shape):
+    # pnorm p=2: D_f^T D_f is the metric, so the energy is |z|^2 plus a constant
+    g = Grid(tuple(((-1.0, 1.0),) * len(a)), shape, SmoothnessVector(a))
+    rng = np.random.default_rng(23)
+    F = builtin("pnorm", p=2.0, n=1, m=len(homogeneity_set(g.a)))
+    metric = SobolevEnergy(StencilEnergy(g, F, rng.normal(size=(1, F.m))))
+    Z0 = metric.pack(np.stack([vals for _, vals in start_portfolio(g, 1, 6, 2.0, rng)]))
+    for res in run_lbfgs_batch(metric, Z0, [""] * len(Z0), maxiter=200):
+        assert res.converged and res.iterations <= 3
+
+
+def test_the_sobolev_metric_with_mixed_columns_is_spd_and_a_polish_converges():
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), (13, 15), SmoothnessVector((2, 2)))
+    m = len(homogeneity_set(g.a))
+    rng = np.random.default_rng(24)
+    energy = StencilEnergy(g, builtin("double_well", col=1, w=1.0, n=2, m=m),
+                           rng.normal(size=(2, m)) * 0.3)
+    metric = SobolevEnergy(energy)
+    assert np.linalg.eigvalsh(metric_matrix(metric))[0] > 0.0
+    Z0 = metric.pack(np.stack([vals for _, vals in start_portfolio(g, 2, 4, 1.0, rng)]))
+    for res in run_lbfgs_batch(metric, Z0, [""] * len(Z0), maxiter=500):
+        assert res.converged and not res.budget_exhausted
+
+
+def test_column_blocks_leave_the_sobolev_transform_unchanged(monkeypatch):
+    g = Grid(((-1.0, 1.0), (-1.0, 1.0)), (9, 13), SmoothnessVector((1, 2)))
+    F = builtin("pnorm", p=2.0, n=2, m=2)
+    metric = SobolevEnergy(StencilEnergy(g, F, np.zeros((2, 2))))
+    Z = np.random.default_rng(25).normal(size=(2, metric.n_free))
+    whole = metric.unpack(Z)
+    monkeypatch.setattr(_descent, "_SERIAL_MADDS", 1)  # one column per product
+    assert np.allclose(metric.unpack(Z), whole, rtol=0, atol=1e-14)

@@ -447,6 +447,45 @@ def test_one_node_estimate_equals_the_node_inside_a_chunk(monkeypatch):
         assert alone.per_start == est.per_start
 
 
+def test_a_polished_start_reports_its_screening_and_polishing_iterations(monkeypatch):
+    batches = []
+    run = envelope.run_lbfgs_batch
+
+    def recorded(energy, X0, labels, **kwargs):
+        batches.append(run(energy, X0, labels, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(envelope, "run_lbfgs_batch", recorded)
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    opts = EnvelopeOptions(resolution=33, multistart=5, maxiter=300, screen_maxiter=40, seed=0)
+    est = dacorogna_min(F, np.array([[0.3]]), (2,), opts)
+    screen, polish = batches
+    iterations = {label: its for label, _, its in est.per_start}
+    assert polish
+    for res in polish:
+        screened = next(r for r in screen if r.start_label == res.start_label)
+        assert screened.iterations == 40
+        assert iterations[res.start_label] == 40 + res.iterations
+
+
+def test_a_tabulation_without_a_polishing_budget_never_builds_the_metric(monkeypatch):
+    built = []
+    metric = envelope.SobolevEnergy
+
+    def recorded(energy):
+        built.append(energy)
+        return metric(energy)
+
+    monkeypatch.setattr(envelope, "SobolevEnergy", recorded)
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    opts = EnvelopeOptions(resolution=33, multistart=4, maxiter=200, seed=3)
+    assert opts.screen_maxiter == 200
+    tabulate_envelope(F, (2,), [(-1.0, 1.0, 3)], opts)
+    assert built == []
+    tabulate_envelope(F, (2,), [(-1.0, 1.0, 3)], replace(opts, maxiter=201))
+    assert built
+
+
 def random_table(D, seed):
     """A table on a random lattice of R^D (D = n * m) with random node values."""
     n, m = {1: (1, 1), 2: (1, 2), 4: (2, 2)}[D]
