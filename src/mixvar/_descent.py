@@ -42,8 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (Grid, GridField, _box, _stencil_adjoint, _stencil_forward, _stencil_table,
-                   a_gradient)
+from .grid import Grid, GridField, _stencil_adjoint, _stencil_forward, _stencil_table, a_gradient
 # bench/layers.py traces these two at this site
 from .grid import gradient_adjoint, mixed_derivative  # noqa: F401
 from .integrand import Integrand
@@ -90,8 +89,23 @@ def _finite_rows(a: np.ndarray) -> np.ndarray:
     return np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
 
 
-def _unbatch(values: np.ndarray, grads: np.ndarray, lead: tuple):
-    """Batch results back to the caller's leading shape; a float for one field."""
+def _finite_terms(F: Integrand, W: np.ndarray):
+    """Node values (K, nodes), dF and ``ok`` of F at a batch W (K, ..., n, m): the finite-row rule.
+
+    Only the rows where F and dF are finite at every node are kept (``ok``);
+    ``_unbatch`` gives the others the energy +inf and a zero gradient.
+    """
+    vals = F(W).reshape(len(W), -1)
+    ok = _finite_rows(vals)
+    dF = _scatter(F.gradient(_rows(W, ok)), ok, 0.0)
+    # finite value but broken derivative (e.g. FD probe hit a barrier)
+    ok &= _finite_rows(dF)
+    return _rows(vals, ok), _rows(dF, ok), ok
+
+
+def _unbatch(values: np.ndarray, grads: np.ndarray, ok: np.ndarray, lead: tuple):
+    """The kept rows' results, +inf and a zero gradient elsewhere; a float for one field."""
+    values, grads = _scatter(values, ok, np.inf), _scatter(grads, ok, 0.0)
     if not lead:
         return float(values[0]), grads[0]
     return values.reshape(lead), grads.reshape(lead + grads.shape[1:])
@@ -125,16 +139,16 @@ class StencilEnergy:
             raise ValueError(f"base gradient has shape {base.shape}")
         self.base = base
         self.per_row = per_row
-        self.free = ~grid.collar_mask()
-        self.n_free = int(np.count_nonzero(self.free)) * F.n
+        # the free nodes of every leading axis and component (Python 3.10 has no x[..., *box])
+        self._free = (Ellipsis, *grid.free_box, slice(None))
+        self._free_shape = grid.free_shape + (F.n,)
+        self.n_free = math.prod(self._free_shape)
         # the stencils run on the nodes of the interior region, whose first
         # a_i per axis are collar zeros and whose other nodes are the free ones
         self._table, self._reach = _stencil_table(grid, tuple(self.alphas), grid.interior_shape,
                                                   F.n)
         self._size = grid.n_interior * F.n
         self._interior = grid.interior_shape + (F.n,)
-        self._free_box = _box(grid.a.a, grid.interior_shape)
-        self._free_box_shape = tuple(c - 2 * ai for c, ai in zip(grid.shape, grid.a.a)) + (F.n,)
         d = grid.ndim
         # (K, m, *interior, n) -> (K, *interior, n, m), and back with alpha first
         self._stack_axes = (0,) + tuple(range(2, d + 3)) + (1,)
@@ -144,12 +158,12 @@ class StencilEnergy:
         """The zero-boundary field of free values x (n_free,), or one per row of x (K, n_free)."""
         lead = x.shape[:-1]
         phi = np.zeros(lead + self.grid.shape + (self.F.n,))
-        phi[..., self.free, :] = x.reshape(lead + (-1, self.F.n))
+        phi[self._free] = x.reshape(lead + self._free_shape)
         return phi
 
     def pack(self, phi: np.ndarray) -> np.ndarray:
         """The free values of a field (*grid.shape, n), or of each of a batch (K, ...)."""
-        return phi[..., self.free, :].reshape(phi.shape[:phi.ndim - self.grid.ndim - 1] + (-1,))
+        return phi[self._free].reshape(phi.shape[:phi.ndim - self.grid.ndim - 1] + (-1,))
 
     def stack(self, X: np.ndarray) -> np.ndarray:
         """grad_a of the zero-boundary fields with free values X (K, n_free).
@@ -162,8 +176,8 @@ class StencilEnergy:
             raise ValueError("field values must be finite")
         k, size = len(X), self._size
         nodes = np.zeros(k * size + self._reach)
-        nodes[:k * size].reshape((k,) + self._interior)[self._free_box] = X.reshape(
-            (k,) + self._free_box_shape)
+        nodes[:k * size].reshape((k,) + self._interior)[self._free] = X.reshape(
+            (k,) + self._free_shape)
         # each alpha's column as one contiguous block: numpy is several times
         # slower on strided rows than the one transposed copy below
         cols = np.empty((len(self.alphas), k * size))
@@ -177,7 +191,7 @@ class StencilEnergy:
         out = np.zeros(k * size + self._reach)
         cols = np.ascontiguousarray(weights.transpose(self._adjoint_axes))  # no copy when m == 1
         _stencil_adjoint(self._table, cols.reshape(len(self.alphas), k * size), out)
-        free = out[:k * size].reshape((k,) + self._interior)[self._free_box]
+        free = out[:k * size].reshape((k,) + self._interior)[self._free]
         return np.ascontiguousarray(free).reshape(k, self.n_free)
 
     def value_and_grad(self, x: np.ndarray, rows=None):
@@ -190,14 +204,50 @@ class StencilEnergy:
         # the field axis of the stack is outermost, so numpy lays out every
         # row of W as it lays out a lone field's W: F's reductions add up alike
         W = base + self.stack(x.reshape(-1, self.n_free))
-        vals = self.F(W).reshape(len(W), -1)
-        ok = _finite_rows(vals)
-        dF = _scatter(self.F.gradient(_rows(W, ok)), ok, 0.0)
-        # finite value but broken derivative (e.g. FD probe hit a barrier)
-        ok &= _finite_rows(dF)
-        values = _scatter(_rows(vals, ok).sum(axis=1), ok, np.inf)
-        grads = _scatter(self.adjoint(_rows(dF, ok)), ok, 0.0)
-        return _unbatch(values, grads, x.shape[:-1])
+        vals, dF, ok = _finite_terms(self.F, W)
+        return _unbatch(vals.sum(axis=1), self.adjoint(dF), ok, x.shape[:-1])
+
+
+class _PenalizedMoment:
+    """mean F(grad phi) + rho * max(0, t - mean |grad phi|^q)^2 with exact gradient.
+
+    ``inner`` gives the fields' stencils and F; its base is not added.
+    """
+
+    def __init__(self, inner: StencilEnergy, q: float, t: float, rho: float):
+        self.inner = inner
+        self.q = q
+        self.t = t
+        self.rho = rho
+        self.n_int = inner.grid.n_interior
+
+    def value_and_grad(self, x: np.ndarray, rows=None):
+        """Value and gradient of one field (float, (n_free,)) or a batch ((K,), (K, n_free)).
+
+        No base is added to the fields, so ``rows`` is unused.
+        """
+        inner = self.inner
+        W = inner.stack(x.reshape(-1, inner.n_free))
+        vals, dF, ok = _finite_terms(inner.F, W)
+        W = _rows(W, ok)
+
+        fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
+        moments = (fro**self.q).reshape(len(W), self.n_int).sum(axis=1) / self.n_int
+        deficits = self.t - moments
+        short = deficits > 0
+        totals = vals.sum(axis=1) / self.n_int
+        weights = dF / self.n_int
+        if short.any():
+            # only the rows short of the moment are penalised; the square is
+            # Python's float power (C pow), which rounds differently from
+            # numpy's square in about one case in a thousand
+            totals[short] += [self.rho * d**2 for d in deficits[short].tolist()]
+            Ws = _rows(W, short)
+            safe = np.maximum(_rows(fro, short), 1e-300)[..., None, None]
+            dmom = self.q * safe ** (self.q - 2.0) * Ws / self.n_int
+            coef = 2.0 * self.rho * deficits[short]
+            weights[short] -= coef.reshape((-1,) + (1,) * (Ws.ndim - 1)) * dmom
+        return _unbatch(totals, inner.adjoint(weights), ok, x.shape[:-1])
 
 
 @functools.lru_cache(maxsize=16)
@@ -215,8 +265,7 @@ def _sobolev_basis(grid: Grid) -> tuple:
     (seen at 253 free nodes under 1 and 2 OpenBLAS threads, not at 125).
     """
     bases, roots = [], 0.0
-    for i, (c, ai, h) in enumerate(zip(grid.shape, grid.a.a, grid.h.tolist())):
-        f = c - 2 * ai
+    for i, (f, ai, h) in enumerate(zip(grid.free_shape, grid.a.a, grid.h.tolist())):
         M = np.zeros((f, f))
         for d in range(-ai, ai + 1):
             k = np.arange(max(0, -d), min(f, f - d))
@@ -260,15 +309,15 @@ class SobolevEnergy:
     descent's ``gtol`` bounds the z-gradient Lambda^(-1/2) Q^T g.
 
     ``value_and_grad`` maps z to x, calls the wrapped energy's and maps its
-    gradient back; ``pack`` and ``unpack`` map fields to z and back.  Every
-    transform runs row by row, so each row of a batch is bit-equal to the
-    same row alone.
+    gradient back; ``to_z`` and ``to_x`` map free values to z and back.
+    Every transform runs row by row, so each row of a batch is bit-equal to
+    the same row alone.
     """
 
     def __init__(self, energy: StencilEnergy):
         self.energy = energy
         self.n_free = energy.n_free
-        self._shape = energy._free_box_shape
+        self._shape = energy._free_shape
         bases, self._root = _sobolev_basis(energy.grid)
         self._Q = [Q for Q, _ in bases]
         self._Qt = [Qt for _, Qt in bases]
@@ -281,23 +330,17 @@ class SobolevEnergy:
             o[...] = fn(x)
         return out.reshape(X.shape)
 
-    def _to_x(self, Z: np.ndarray) -> np.ndarray:
+    def to_x(self, Z: np.ndarray) -> np.ndarray:
+        """The free values x of z (n_free,), or of each row of Z (..., n_free)."""
         return self._per_row(Z, lambda z: _along_axes(self._Q, z / self._root))
 
-    def _to_z(self, X: np.ndarray) -> np.ndarray:
+    def to_z(self, X: np.ndarray) -> np.ndarray:
+        """z of the free values x (n_free,), or of each row of X (..., n_free)."""
         return self._per_row(X, lambda x: _along_axes(self._Qt, x) * self._root)
-
-    def pack(self, phi: np.ndarray) -> np.ndarray:
-        """z of a zero-boundary field (*grid.shape, n), or of each of a batch (K, ...)."""
-        return self._to_z(self.energy.pack(phi))
-
-    def unpack(self, z: np.ndarray) -> np.ndarray:
-        """The zero-boundary field of z (n_free,), or one per row of z (K, n_free)."""
-        return self.energy.unpack(self._to_x(z))
 
     def value_and_grad(self, z: np.ndarray, rows=None):
         """The wrapped energy at x(z), and its z-gradient Lambda^(-1/2) Q^T g(x)."""
-        values, grads = self.energy.value_and_grad(self._to_x(z), rows)
+        values, grads = self.energy.value_and_grad(self.to_x(z), rows)
         return values, self._per_row(grads, lambda g: _along_axes(self._Qt, g) / self._root)
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import numbers
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -36,7 +34,7 @@ from .envelope import (
     tabulate_envelope,
 )
 from .grid import Grid, GridField
-from .integrand import builtin_from_config
+from .integrand import _is_int, _is_number, builtin_from_config
 from .smoothness import SmoothnessVector
 from .solver import (
     DirichletProblem,
@@ -107,14 +105,6 @@ def _require(cfg: dict, key: str, kind=None):
     return val
 
 
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
-def _is_number(val) -> bool:
-    return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
-
-
 def _count(cfg: dict, key: str, default: int, minimum: int, within: str = "") -> int:
     """An optional integer field of at least ``minimum``; ``within`` prefixes its name."""
     val = cfg.get(key, default)
@@ -171,6 +161,9 @@ def _parse_datum(raw) -> dict:
             gamma = tuple(int(t) for t in str(key).split(","))
         except ValueError as exc:
             raise ConfigError(f"bad datum exponent {key!r}: use 'i,j' integers") from exc
+        if not (_is_number(val) or isinstance(val, list) and val and all(map(_is_number, val))):
+            raise ConfigError(f"field 'datum': coefficient {key!r} must be a finite number or "
+                              f"a list of them, got {val!r}")
         out[gamma] = val
     return out
 
@@ -227,8 +220,10 @@ def _cmd_coerce(cfg: dict, out: Path, args) -> None:
     q = args.q if args.q is not None else cfg.get("q")
     if q is None:
         raise ConfigError("missing 'q' (config field or --q)")
+    if not _is_number(q):
+        raise ConfigError(f"field 'q' must be a finite number, got {q!r}")
+    q = float(q)
     with _config_fields("q"):
-        q = float(q)
         _check_moment_order(F, q)
     with _config_fields("t_grid" if args.t is None else "--t"):
         if args.t is not None:
@@ -236,6 +231,8 @@ def _cmd_coerce(cfg: dict, out: Path, args) -> None:
             t_grid = np.linspace(float(lo), float(hi), int(count)).tolist()
         else:
             t_grid = _require(cfg, "t_grid", list)
+            if not all(map(_is_number, t_grid)):
+                raise ValueError(f"t values must be finite numbers, got {t_grid!r}")
         if len(_sorted_t_values(t_grid)) < 3:
             raise ValueError("the coercivity fit needs at least 3 t values")
     opts = ThetaOptions(
@@ -298,13 +295,13 @@ def _cmd_solve(cfg: dict, out: Path) -> None:
     chash = config_hash(cfg)
     save_field(out / "u.field", result.u, {"config_hash": chash, "config": cfg})
     _write_csv(out / "trace.csv", f"# config_hash={chash}", ["iteration", "energy"],
-               list(enumerate(result.trace.energies)))
+               list(enumerate(result.energies)))
     report = {
         "config_hash": chash,
         "energy": result.energy,
         "converged": result.converged,
         "start": result.start_label,
-        "grad_norm": result.trace.grad_norms[0] if result.trace.grad_norms else None,
+        "grad_norm": result.grad_norm,
     }
     (out / "report.json").write_text(canonical_json(report) + "\n", encoding="utf-8")
 

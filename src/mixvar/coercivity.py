@@ -17,10 +17,7 @@ import numpy as np
 
 from ._descent import (
     StencilEnergy,
-    _finite_rows,
-    _rows,
-    _scatter,
-    _unbatch,
+    _PenalizedMoment,
     laminate_profile,
     run_lbfgs_batch,
     start_portfolio,
@@ -76,48 +73,6 @@ class ThetaCurve:
             raise ValueError("t values must be strictly increasing")
         if np.any(self.t_values < 0):
             raise ValueError("t values must be nonnegative")
-
-
-class _PenalizedMoment:
-    """mean F(grad phi) + rho * max(0, t - mean |grad phi|^q)^2 with exact gradient."""
-
-    def __init__(self, inner: StencilEnergy, q: float, t: float, rho: float):
-        self.inner = inner
-        self.q = q
-        self.t = t
-        self.rho = rho
-        self.n_int = inner.grid.n_interior
-
-    def value_and_grad(self, x: np.ndarray, rows=None):
-        """Value and gradient of one field (float, (n_free,)) or a batch ((K,), (K, n_free)).
-
-        No base is added to the fields, so ``rows`` is unused.
-        """
-        inner = self.inner
-        W = inner.stack(x.reshape(-1, inner.n_free))
-        vals = inner.F(W).reshape(len(W), -1)
-        ok = _finite_rows(vals)
-        W, vals = _rows(W, ok), _rows(vals, ok)
-        dF = inner.F.gradient(W)
-
-        fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
-        moments = (fro**self.q).reshape(len(W), self.n_int).sum(axis=1) / self.n_int
-        deficits = self.t - moments
-        short = deficits > 0
-        totals = vals.sum(axis=1) / self.n_int
-        weights = dF / self.n_int
-        if short.any():
-            # only the rows short of the moment are penalised; the square is
-            # Python's float power (C pow), which rounds differently from
-            # numpy's square in about one case in a thousand
-            totals[short] += [self.rho * d**2 for d in deficits[short].tolist()]
-            Ws = _rows(W, short)
-            safe = np.maximum(_rows(fro, short), 1e-300)[..., None, None]
-            dmom = self.q * safe ** (self.q - 2.0) * Ws / self.n_int
-            coef = 2.0 * self.rho * deficits[short]
-            weights[short] -= coef.reshape((-1,) + (1,) * (Ws.ndim - 1)) * dmom
-        values = _scatter(totals, ok, np.inf)
-        return _unbatch(values, _scatter(inner.adjoint(weights), ok, 0.0), x.shape[:-1])
 
 
 def _check_moment_order(F: Integrand, q: float) -> None:

@@ -7,8 +7,8 @@ fixed to Q without loss.  The estimator descends from a multistart portfolio
 exactly, so the returned value never exceeds F(V).
 
 A descent has two phases.  Every start first screens for
-``EnvelopeOptions.screen_maxiter`` (default 200) iterations in the flat
-metric of the free values, which carries it into a basin and ranks it.  The
+``_SCREEN_MAXITER`` (200) iterations in the flat metric of the free
+values, which carries it into a basin and ranks it.  The
 leaders that screening left unconverged then polish for the rest of
 ``maxiter`` in the discrete a-Sobolev metric (``SobolevEnergy``), where
 they converge in tens of iterations; there the descent's gradient
@@ -72,6 +72,8 @@ DEFAULT_LEVELS = (17, 33, 65)
 _CHUNK_CELLS = 2**15
 # screening leaders polished at a node where some start beats F(V)
 _POLISH_TOP = 3
+# flat screening budget per start; the leaders polish for the rest of maxiter
+_SCREEN_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,6 @@ class EnvelopeOptions:
     multistart: int = 8
     tol: float = 1e-6
     maxiter: int = 2000
-    screen_maxiter: int = 200   # flat screening budget per start; the leaders polish for the rest
     seed: int = 0
 
     def grid(self, a: SmoothnessVector) -> Grid:
@@ -134,8 +135,9 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
     # so a screening mis-ranking cannot starve them
     energy = StencilEnergy(grid, F, Vs[owner], per_row=True)
     X0 = energy.pack(np.stack([vals for starts in portfolios for _, vals in starts]))  # no collar
+    screen_maxiter = min(_SCREEN_MAXITER, opts.maxiter)
     screen = run_lbfgs_batch(energy, X0, [label for starts in portfolios for label, _ in starts],
-                             maxiter=min(opts.screen_maxiter, opts.maxiter))
+                             maxiter=screen_maxiter)
     references = [float(F(V)) for V in Vs]
     results: list[list[DescentResult]] = []
     chosen = []  # (node, index into its results) of every start to polish
@@ -157,13 +159,13 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
         chosen += [(i, j) for j, r in enumerate(screened)
                    if r.start_label in polish and r.budget_exhausted]
         results.append(screened)
-    remaining = opts.maxiter - min(opts.screen_maxiter, opts.maxiter)
+    remaining = opts.maxiter - screen_maxiter
     if remaining > 0 and chosen:
         metric = SobolevEnergy(StencilEnergy(grid, F, Vs[[i for i, _ in chosen]], per_row=True))
         starts = [results[i][j] for i, j in chosen]
-        Z0 = metric.pack(energy.unpack(np.stack([r.x for r in starts])))
+        Z0 = metric.to_z(np.stack([r.x for r in starts]))
         polished = run_lbfgs_batch(metric, Z0, [r.start_label for r in starts], maxiter=remaining)
-        X = energy.pack(metric.unpack(np.stack([res.x for res in polished])))
+        X = metric.to_x(np.stack([res.x for res in polished]))
         for (i, j), start, res, x in zip(chosen, starts, polished, X):
             if np.isfinite(res.value):  # a diverged polish keeps its screening result
                 # back to free values; the iterations and evaluations count both phases
@@ -189,25 +191,15 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
     return estimates
 
 
-def _chunks(node_rows, n_free: int) -> list[list[int]]:
-    """The nodes of (node, screening rows) pairs, cut into runs of consecutive nodes.
+def _runs(items: list, count: int) -> list[list]:
+    """``items`` cut into ``count`` runs of consecutive items, longer runs first.
 
-    There are ceil(cells / ``_CHUNK_CELLS``) runs, cells the sum of rows x
-    n_free, but no more than nodes.  Run c ends at the first node where the
-    running cell count reaches c / runs of the total (one node later or
-    earlier where a run would otherwise be empty), so the runs hold
-    near-equal cells.
+    Run lengths differ by at most 1; no count gives no runs.
     """
-    if not node_rows:
-        return []
-    nodes = [node for node, _ in node_rows]
-    ends = np.cumsum([k * n_free for _, k in node_rows])
-    count = min(len(nodes), -(-int(ends[-1]) // _CHUNK_CELLS))
     bounds = [0]
-    for c, cut in enumerate(np.searchsorted(ends, ends[-1] * np.arange(1, count) / count) + 1, 1):
-        bounds.append(min(max(int(cut), bounds[-1] + 1), len(nodes) - count + c))
-    bounds.append(len(nodes))
-    return [nodes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    for k in range(count):
+        bounds.append(bounds[-1] + len(items) // count + (k < len(items) % count))
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _usable_workers() -> int:
@@ -279,7 +271,7 @@ def _reap(pid: int, read: int) -> tuple[bytes, int]:
 def _map_forked(fn, tasks: list, workers: int) -> list:
     """[fn(task) for task in tasks], shared out over up to ``workers`` processes.
 
-    The tasks are cut into contiguous runs of near-equal length.  This
+    The tasks are cut into ``_runs``, one per process.  This
     process runs the first run and each other run goes to a forked child
     (see ``_fork``); the results come back in task order.  An exception
     of a child is raised here as itself, that of the earliest run first,
@@ -287,8 +279,7 @@ def _map_forked(fn, tasks: list, workers: int) -> list:
     when this returns or raises; if this process's own run raises, the
     children are killed first.
     """
-    count = max(1, min(workers, len(tasks)))
-    runs = [tasks[k * len(tasks) // count:(k + 1) * len(tasks) // count] for k in range(count)]
+    runs = _runs(tasks, max(1, min(workers, len(tasks))))
     children = []
     try:
         for run in runs[1:]:
@@ -336,8 +327,10 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
         for i in live:
             prev = estimates[i].witness if level else None
             warms[i] = None if prev is None else prolong_zero_boundary(prev, grid)
-        n_free = int(np.count_nonzero(~grid.collar_mask())) * F.n
-        node_rows = [(i, opts.multistart + (warms[i] is not None)) for i in live]
+        # ceil(cells / _CHUNK_CELLS) runs of nodes, cells the screening rows x free values
+        rows = sum(opts.multistart + (warms[i] is not None) for i in live)
+        cells = rows * math.prod(grid.free_shape) * F.n
+        chunks = _runs(live, min(len(live), -(-cells // _CHUNK_CELLS)))
 
         def chunk(nodes):
             try:
@@ -354,7 +347,6 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
                         ests.append(None)
                 return ests
 
-        chunks = _chunks(node_rows, n_free)
         for nodes, ests in zip(chunks, _map_forked(chunk, chunks, workers)):
             for i, est in zip(nodes, ests):
                 estimates[i] = est
@@ -369,7 +361,6 @@ def dacorogna_min(
     V,
     a,
     opts: EnvelopeOptions = EnvelopeOptions(),
-    warm_start: GridField | None = None,
 ) -> EnvelopeEstimate:
     """Upper estimate of the envelope at V on the fixed test box Q = [-1,1]^N.
 
@@ -378,7 +369,7 @@ def dacorogna_min(
     """
     _require_growth(F)
     V = np.asarray(V, dtype=float).reshape(1, F.n, F.m)
-    return _min_nodes(F, V, opts.grid(_as_sv(a)), opts, [opts.seed], [warm_start])[0]
+    return _min_nodes(F, V, opts.grid(_as_sv(a)), opts, [opts.seed], [None])[0]
 
 
 def _check_levels(levels) -> None:

@@ -120,6 +120,16 @@ class Grid:
         return tuple(c - ai for c, ai in zip(self.shape, self.a.a))
 
     @property
+    def free_shape(self) -> tuple[int, ...]:
+        """Extent of the free nodes, a_i .. c_i - a_i - 1 per axis: the nodes off the collar."""
+        return tuple(c - 2 * ai for c, ai in zip(self.shape, self.a.a))
+
+    @property
+    def free_box(self) -> tuple[slice, ...]:
+        """Index of the free nodes along every axis."""
+        return tuple(slice(ai, ai + f) for ai, f in zip(self.a.a, self.free_shape))
+
+    @property
     def n_interior(self) -> int:
         return int(np.prod(self.interior_shape))
 
@@ -137,14 +147,8 @@ class Grid:
 
     def collar_mask(self) -> np.ndarray:
         """Boolean mask of the zero-boundary collar (width a_i per axis)."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for i, ai in enumerate(self.a.a):
-            sl_lo = [slice(None)] * self.ndim
-            sl_hi = [slice(None)] * self.ndim
-            sl_lo[i] = slice(0, ai)
-            sl_hi[i] = slice(self.shape[i] - ai, self.shape[i])
-            mask[tuple(sl_lo)] = True
-            mask[tuple(sl_hi)] = True
+        mask = np.ones(self.shape, dtype=bool)
+        mask[self.free_box] = False
         return mask
 
     def refine(self) -> "Grid":

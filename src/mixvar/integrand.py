@@ -9,6 +9,7 @@ growth constant, so broken metadata fails fast.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,16 @@ class Integrand:
         if self.grad is not None:
             return np.asarray(self.grad(V), dtype=float)
         return _fd_gradient(self, V)
+
+
+def _is_int(val) -> bool:
+    """An integer, and not a bool (JSON's true is not 1)."""
+    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    """A finite real number, and not a bool."""
+    return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
 
 
 def _fro(V: np.ndarray) -> np.ndarray:
@@ -264,6 +275,9 @@ _BUILTIN_PARAMS = {
     "shifted": {"F", "X0"},
     "minus_power": {"F", "c", "q"},
 }
+# the built-in parameters that are integers, and those that are finite numbers
+_INT_PARAMS = {"n", "m", "col"}
+_NUMBER_PARAMS = {"c", "p", "w", "q"}
 
 
 def builtin(name: str, **params) -> Integrand:
@@ -273,13 +287,21 @@ def builtin(name: str, **params) -> Integrand:
     double_well(col=0, w=1.0, n=1, m=1); constant(c, n, m, p);
     shifted(F, X0); minus_power(F, c, q).  A parameter the integrand does
     not read is a ValueError, so a misspelt one cannot fall back to its
-    default.
+    default, and so is an n, m or col that is not an integer or a c, p, w
+    or q that is not a finite number (a bool is neither).
     """
     if name not in _BUILTIN_PARAMS:
         raise ValueError(f"unknown integrand {name!r}")
     unknown = sorted(set(params) - _BUILTIN_PARAMS[name])
     if unknown:
         raise ValueError(f"integrand {name!r} has no parameter(s) {', '.join(map(repr, unknown))}")
+    for key, val in params.items():
+        if key in _INT_PARAMS and not _is_int(val):
+            raise ValueError(f"integrand {name!r} parameter {key!r} must be an integer, "
+                             f"got {val!r}")
+        if key in _NUMBER_PARAMS and not _is_number(val):
+            raise ValueError(f"integrand {name!r} parameter {key!r} must be a finite number, "
+                             f"got {val!r}")
     if name == "constant":
         return _constant(
             float(params.get("c", 0.0)), int(params.get("n", 1)),

@@ -35,6 +35,9 @@ __all__ = [
 
 MultiIndex = tuple[int, ...]
 
+# the most boxes box_cover may place before it gives up
+_MAX_BOXES = 200_000
+
 
 @dataclass(frozen=True)
 class SmoothnessVector:
@@ -203,7 +206,6 @@ def box_cover(
     max_radius: float,
     a,
     coverage_tol: float = 0.05,
-    max_boxes: int = 200_000,
 ) -> BoxCover:
     """Disjoint anisotropic boxes of radius <= max_radius inside a rectangle.
 
@@ -236,9 +238,9 @@ def box_cover(
         counts = [int(math.floor((hi - lo) / w + 1e-12)) for (lo, hi), w in zip(rect, widths)]
         if all(c >= 1 for c in counts):
             n_new = int(np.prod(counts))
-            if len(boxes) + n_new > max_boxes:
+            if len(boxes) + n_new > _MAX_BOXES:
                 raise RuntimeError(
-                    f"box cover exceeds budget of {max_boxes} boxes at radius {radius}"
+                    f"box cover exceeds budget of {_MAX_BOXES} boxes at radius {radius}"
                 )
             for idx in itertools.product(*(range(c) for c in counts)):
                 center = tuple(

@@ -12,7 +12,7 @@ refinement levels are directly comparable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +27,6 @@ from .smoothness import SmoothnessVector, _as_sv, lower_set, pairing
 __all__ = [
     "DirichletProblem",
     "SolveOptions",
-    "SolveTrace",
     "SolveResult",
     "apolynomial_datum",
     "solve_dirichlet",
@@ -83,8 +82,6 @@ class DirichletProblem:
             if self.datum.grid.shape == grid.shape:
                 return self.datum
             raise ValueError("grid-field datum does not match the requested resolution")
-        if isinstance(self.datum, APolynomial):
-            return self.datum.sample(grid)
         return apolynomial_datum(self.datum, grid)
 
     def at_resolution(self, resolution) -> "DirichletProblem":
@@ -105,30 +102,24 @@ class SolveOptions:
 
 
 @dataclass
-class SolveTrace:
-    energies: list = field(default_factory=list)
-    grad_norms: list = field(default_factory=list)
-
-
-@dataclass
 class SolveResult:
     u: GridField
     energy: float
-    trace: SolveTrace
+    energies: list        # the winning descent's energy at x0 and at every accepted iterate
+    grad_norm: float      # norm of the energy's gradient over the free values at u
     converged: bool
     start_label: str
 
 
-class _DirichletEnergy:
+class _DirichletEnergy(StencilEnergy):
     """Quadrature energy integrand(grad_a(g + phi)) over free DOFs, one field or a batch."""
 
     def __init__(self, grid: Grid, F: Integrand, g: GridField):
-        base = a_gradient(g).values
-        self.inner = StencilEnergy(grid, F, base)
+        super().__init__(grid, F, a_gradient(g).values)
         self.weight = grid.quad_weight
 
     def value_and_grad(self, x, rows=None):
-        v, grad = self.inner.value_and_grad(x, rows)
+        v, grad = super().value_and_grad(x, rows)
         return v * self.weight, grad * self.weight
 
 
@@ -140,7 +131,7 @@ def solve_dirichlet(
     """Quasi-Newton descent to a stationary point of the Dirichlet problem.
 
     The returned field agrees with the datum on the collar bit-exactly (those
-    nodes are never touched).  Trace energies are the accepted-iterate
+    nodes are never touched).  ``energies`` are the accepted-iterate
     energies, nonincreasing by construction of the line search.  A
     ``warm_start`` (a zero-boundary field, e.g. a prolonged coarser minimizer)
     runs as the last start, labelled "prolonged", so ties go to the others.
@@ -149,7 +140,7 @@ def solve_dirichlet(
     F = prob.integrand
     g = prob.datum_field(grid)
     energy = _DirichletEnergy(grid, F, g)
-    base_energy = energy.value_and_grad(np.zeros(energy.inner.n_free))[0]
+    base_energy = energy.value_and_grad(np.zeros(energy.n_free))[0]
     if not np.isfinite(base_energy):
         raise RuntimeError(
             "integrand is infinite at the datum gradient; provide a barrier-safe start"
@@ -163,7 +154,7 @@ def solve_dirichlet(
     if warm_start is not None:
         starts.append(("prolonged", warm_start.values))
 
-    X0 = np.stack([energy.inner.pack(phi0) for _, phi0 in starts])  # pack drops the collar
+    X0 = np.stack([energy.pack(phi0) for _, phi0 in starts])  # pack drops the collar
     results = run_lbfgs_batch(energy, X0, [label for label, _ in starts],
                               maxiter=opts.maxiter, gtol=opts.gtol, history=True)
     best = None
@@ -173,12 +164,10 @@ def solve_dirichlet(
     if best is None:
         raise RuntimeError("all descent starts diverged")
 
-    phi = energy.inner.unpack(best.x)
-    u = GridField(grid, g.values + phi)
-    trace = SolveTrace(energies=list(best.history))
+    u = GridField(grid, g.values + energy.unpack(best.x))
     _, g_final = energy.value_and_grad(best.x)
-    trace.grad_norms = [float(np.linalg.norm(g_final))]
-    return SolveResult(u, best.value, trace, best.converged, best.start_label)
+    return SolveResult(u, best.value, list(best.history), float(np.linalg.norm(g_final)),
+                       best.converged, best.start_label)
 
 
 @dataclass
@@ -251,7 +240,7 @@ def relax_compare(
         result = solve_dirichlet(lev_prob, replace(opts, seed=opts.seed + lev), warm_start=warm)
         warm_phi = GridField(grid, result.u.values - lev_prob.datum_field(grid).values)
         E_F.append(result.energy)
-        grad_norms.append(result.trace.grad_norms[0])
+        grad_norms.append(result.grad_norm)
         converged.append(result.converged)
         wallclock.append(time.perf_counter() - t0)
 

@@ -162,7 +162,6 @@ def scale_and_tile(phi: GridField, j: int, target: Grid) -> GridField:
 
 @dataclass
 class DecompositionReport:
-    truncation_levels: list
     oscillation_tail_mass: list   # per element: {M: mean |.|^p over {|.|>M}}
     concentration_fraction: list  # per element: fraction of |residual| > _CONCENTRATION_DELTA
 
@@ -182,12 +181,9 @@ def decompose(
     concentration: list[np.ndarray] = []
     tails = []
     fractions = []
-    levels = []
     for lev, u in enumerate(fields):
-        k = 2.0**lev
-        levels.append(k)
         W = full_gradient(u)
-        Wt = truncate(W.values, k)
+        Wt = truncate(W.values, 2.0**lev)
         g, _ = project_to_gradients(u.grid, Wt, W.alphas)
         Wg = full_gradient(g).values
         resid = W.values - Wg
@@ -200,7 +196,7 @@ def decompose(
         )
         rfro = np.sqrt(np.sum(resid**2, axis=(-2, -1)))
         fractions.append(float(np.mean(rfro > _CONCENTRATION_DELTA)))
-    report = DecompositionReport(levels, tails, fractions)
+    report = DecompositionReport(tails, fractions)
     return oscillation, concentration, report
 
 

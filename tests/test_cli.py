@@ -1,14 +1,16 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from mixvar import cli, envelope
 from mixvar.cli import main
+from mixvar.coercivity import ThetaOptions
 from mixvar.containers import TABLE_MAGIC
-from mixvar.envelope import EnvelopeTable
+from mixvar.envelope import EnvelopeOptions, EnvelopeTable
 from mixvar.integrand import builtin_from_config
+from mixvar.solver import SolveOptions
 
 
 def write_config(path, payload):
@@ -536,6 +538,22 @@ COERCE_CFG = {**ENVELOPE_CFG, "lattice": None, "q": 2.0, "t_grid": [0.0, 1.0, 2.
     ("ym", {**YM_CFG, "source": {**YM_CFG["source"], "amplitude": "x"}},
      "'source.amplitude'", "finite number"),
     ("ym", {**YM_CFG, "p": "x"}, "'p'", "finite number"),
+    # JSON booleans and strings are not numbers: none may run as 1.0, 0 or 2.0
+    ("coerce", {**COERCE_CFG, "q": True}, "'q'", "finite number"),
+    ("coerce", {**COERCE_CFG, "q": "2"}, "'q'", "finite number"),
+    ("coerce", {**COERCE_CFG, "t_grid": [False, True, "3"]}, "'t_grid'", "finite numbers"),
+    ("solve", {**SOLVE_CFG, "datum": {"coeffs": {"2": True, "0": "0.5"}}}, "'datum'",
+     "finite number"),
+    ("solve", {**SOLVE_CFG, "integrand": {"name": "pnorm", "params": {"p": "3", "n": 1, "m": 1}}},
+     "'p'", "finite number"),
+    ("envelope", {**ENVELOPE_CFG, "integrand": {"name": "double_well", "params": {"w": True}}},
+     "'w'", "finite number"),
+    ("envelope", {**ENVELOPE_CFG, "integrand": {"name": "double_well", "params": {"n": True}}},
+     "'n'", "an integer"),
+    ("envelope", {**ENVELOPE_CFG, "integrand": {"name": "double_well", "params": {"m": 1.7}}},
+     "'m'", "an integer"),
+    ("envelope", {**ENVELOPE_CFG, "integrand": {"name": "double_well", "params": {"col": False}}},
+     "'col'", "an integer"),
 ])
 def test_malformed_counts_and_lattices_are_validation_errors(tmp_path, capsys, monkeypatch,
                                                              command, cfg_data, field, message):
@@ -548,6 +566,21 @@ def test_malformed_counts_and_lattices_are_validation_errors(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert field in err and message in err
     assert not out.exists()
+
+
+# option fields that no config key sets, each with the reason it stays
+UNSET_OPTION_FIELDS = {
+    (ThetaOptions, "domain"): "the domain-invariance property test of theta sets it",
+}
+
+
+@pytest.mark.parametrize("options, command", [
+    (EnvelopeOptions, "envelope"), (ThetaOptions, "coerce"), (SolveOptions, "solve"),
+])
+def test_every_option_field_is_a_config_key_of_its_subcommand(options, command):
+    # a field only tests set belongs in a module constant the tests patch
+    unread = {f.name for f in fields(options)} - cli._CONFIG_KEYS[command]
+    assert unread == {name for owner, name in UNSET_OPTION_FIELDS if owner is options}
 
 
 def table_file(path, lattice, magic=TABLE_MAGIC, nodes=3, **changes):

@@ -303,7 +303,7 @@ def same_bits(x, y):
 
 def metric_matrix(metric):
     """The metric A = Q Lambda Q^T, from z = Lambda^(1/2) Q^T x of each unit x."""
-    Z = metric.pack(metric.energy.unpack(np.eye(metric.n_free)))
+    Z = metric.to_z(np.eye(metric.n_free))
     return Z @ Z.T
 
 
@@ -319,23 +319,26 @@ def test_sobolev_rows_are_bit_equal_to_lone_rows(a, n, k):
     rows = np.array([2, 0, 1][:k])
     Z = rng.normal(size=(k, metric.n_free))
     values, grads = metric.value_and_grad(Z, rows)
-    phis = metric.unpack(Z)
-    packed = metric.pack(phis)
+    X = metric.to_x(Z)
+    back = metric.to_z(X)
     for i, row in enumerate(rows):
         value, grad = metric.value_and_grad(Z[i:i + 1], row[None])
         assert same_bits(values[i], value[0]) and same_bits(grads[i], grad[0])
-        assert same_bits(phis[i], metric.unpack(Z[i]))
-        assert same_bits(packed[i], metric.pack(phis[i]))
+        assert same_bits(X[i], metric.to_x(Z[i]))
+        assert same_bits(back[i], metric.to_z(X[i]))
 
 
 @pytest.mark.parametrize("a", METRIC_CASES)
 def test_sobolev_unpack_inverts_pack(a):
+    # a zero-boundary field to z and back: pack, to_z, then to_x, unpack
     for n in (1, 2):
         g = metric_grid(a)
         F = builtin("pnorm", p=2.0, n=n, m=len(homogeneity_set(g.a)))
-        metric = SobolevEnergy(StencilEnergy(g, F, np.zeros((n, F.m))))
-        phi = metric.energy.unpack(np.random.default_rng(22).normal(size=metric.n_free))
-        assert np.max(np.abs(metric.unpack(metric.pack(phi)) - phi)) <= 1e-12
+        energy = StencilEnergy(g, F, np.zeros((n, F.m)))
+        metric = SobolevEnergy(energy)
+        phi = energy.unpack(np.random.default_rng(22).normal(size=metric.n_free))
+        z = metric.to_z(energy.pack(phi))
+        assert np.max(np.abs(energy.unpack(metric.to_x(z)) - phi)) <= 1e-12
 
 
 @pytest.mark.parametrize("a", METRIC_CASES)
@@ -362,8 +365,10 @@ def test_a_quadratic_energy_converges_at_once_in_the_sobolev_metric(a, shape):
     g = Grid(tuple(((-1.0, 1.0),) * len(a)), shape, SmoothnessVector(a))
     rng = np.random.default_rng(23)
     F = builtin("pnorm", p=2.0, n=1, m=len(homogeneity_set(g.a)))
-    metric = SobolevEnergy(StencilEnergy(g, F, rng.normal(size=(1, F.m))))
-    Z0 = metric.pack(np.stack([vals for _, vals in start_portfolio(g, 1, 6, 2.0, rng)]))
+    energy = StencilEnergy(g, F, rng.normal(size=(1, F.m)))
+    metric = SobolevEnergy(energy)
+    starts = np.stack([vals for _, vals in start_portfolio(g, 1, 6, 2.0, rng)])
+    Z0 = metric.to_z(energy.pack(starts))
     for res in run_lbfgs_batch(metric, Z0, [""] * len(Z0), maxiter=200):
         assert res.converged and res.iterations <= 3
 
@@ -376,7 +381,8 @@ def test_the_sobolev_metric_with_mixed_columns_is_spd_and_a_polish_converges():
                            rng.normal(size=(2, m)) * 0.3)
     metric = SobolevEnergy(energy)
     assert np.linalg.eigvalsh(metric_matrix(metric))[0] > 0.0
-    Z0 = metric.pack(np.stack([vals for _, vals in start_portfolio(g, 2, 4, 1.0, rng)]))
+    starts = np.stack([vals for _, vals in start_portfolio(g, 2, 4, 1.0, rng)])
+    Z0 = metric.to_z(energy.pack(starts))
     for res in run_lbfgs_batch(metric, Z0, [""] * len(Z0), maxiter=500):
         assert res.converged and not res.budget_exhausted
 
@@ -386,6 +392,6 @@ def test_column_blocks_leave_the_sobolev_transform_unchanged(monkeypatch):
     F = builtin("pnorm", p=2.0, n=2, m=2)
     metric = SobolevEnergy(StencilEnergy(g, F, np.zeros((2, 2))))
     Z = np.random.default_rng(25).normal(size=(2, metric.n_free))
-    whole = metric.unpack(Z)
+    whole = metric.to_x(Z)
     monkeypatch.setattr(_descent, "_SERIAL_MADDS", 1)  # one column per product
-    assert np.allclose(metric.unpack(Z), whole, rtol=0, atol=1e-14)
+    assert np.allclose(metric.to_x(Z), whole, rtol=0, atol=1e-14)

@@ -274,18 +274,18 @@ def test_tabulate_masks_only_the_node_whose_descent_fails(monkeypatch):
     assert np.array_equal(table.values[keep], clean.values[keep])
 
 
-# screen_maxiter < maxiter: every chunk runs a polishing batch too
-@pytest.mark.parametrize("a, F, lattice, opts, levels", [
+# a screening budget below maxiter: every chunk runs a polishing batch too
+@pytest.mark.parametrize("a, F, lattice, opts, screen, levels", [
     ((2,), builtin("double_well", w=1.0, n=1, m=1), [(-2.0, 2.0, 5)],
-     EnvelopeOptions(resolution=33, multistart=4, maxiter=300, screen_maxiter=40, seed=3), None),
+     EnvelopeOptions(resolution=33, multistart=4, maxiter=300, seed=3), 40, None),
     ((1, 2), builtin("double_well", w=1.0, n=1, m=2, col=1), [(-0.5, 0.5, 2), (-1.5, 1.5, 2)],
-     EnvelopeOptions(resolution=33, multistart=3, maxiter=120, screen_maxiter=30, seed=11),
-     (9, 17, 33)),
+     EnvelopeOptions(resolution=33, multistart=3, maxiter=120, seed=11), 30, (9, 17, 33)),
 ], ids=["1d", "2d-ladder"])
 def test_table_bytes_do_not_depend_on_the_chunking(tmp_path, monkeypatch, a, F, lattice, opts,
-                                                   levels):
+                                                   screen, levels):
     import mixvar.envelope as envelope
 
+    monkeypatch.setattr(envelope, "_SCREEN_MAXITER", screen)
     sizes = record_chunks(monkeypatch)
     tabulate_envelope(F, a, lattice, opts, levels=levels).save(tmp_path / "chunked.qft")
     assert max(sizes) > 1
@@ -296,15 +296,15 @@ def test_table_bytes_do_not_depend_on_the_chunking(tmp_path, monkeypatch, a, F, 
     assert (tmp_path / "chunked.qft").read_bytes() == (tmp_path / "nodes.qft").read_bytes()
 
 
-@pytest.mark.parametrize("a, F, lattice, opts, levels", [
+@pytest.mark.parametrize("a, F, lattice, opts, screen, levels", [
     ((2,), builtin("double_well", w=1.0, n=1, m=1), [(-2.0, 2.0, 5)],
-     EnvelopeOptions(resolution=33, multistart=4, maxiter=300, screen_maxiter=40, seed=3), None),
+     EnvelopeOptions(resolution=33, multistart=4, maxiter=300, seed=3), 40, None),
     ((1, 2), builtin("double_well", w=1.0, n=1, m=2, col=1), [(-0.5, 0.5, 2), (-1.5, 1.5, 2)],
-     EnvelopeOptions(resolution=33, multistart=3, maxiter=120, screen_maxiter=30, seed=11),
-     (9, 17, 33)),
+     EnvelopeOptions(resolution=33, multistart=3, maxiter=120, seed=11), 30, (9, 17, 33)),
 ], ids=["1d", "2d-ladder"])
 def test_table_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, cpus, forks, a, F,
-                                                       lattice, opts, levels):
+                                                       lattice, opts, screen, levels):
+    monkeypatch.setattr(envelope, "_SCREEN_MAXITER", screen)
     monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)  # every node its own chunk
     for workers in (1, 2, 3):
         cpus(workers)
@@ -349,7 +349,7 @@ def test_a_failure_in_a_child_is_masked_as_in_process(monkeypatch, cpus, forks):
                                             ([(-1.0, 3.0, 5)], "parent")])
 def test_a_programming_error_in_any_worker_reaches_the_caller(monkeypatch, cpus, forks, lattice,
                                                               where):
-    # every node its own chunk: nodes 0-1 run in this process, 2-4 in a child
+    # every node its own chunk: nodes 0-2 run in this process, 3-4 in a child
     monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)
     cpus(2)
     G = fails_at_zero(builtin("double_well", w=1.0, n=1, m=1), TypeError("integrand bug"))
@@ -404,21 +404,20 @@ def test_a_process_with_another_thread_tabulates_without_forking(monkeypatch, fo
     assert np.array_equal(threaded.values, forked.values)
 
 
-def test_chunks_are_balanced_runs_covering_every_node_once(monkeypatch):
-    # the 33-node level of a 3x3 lattice: 9 nodes of 5 rows x 899 free values
-    assert [len(c) for c in envelope._chunks([(i, 5) for i in range(9)], 899)] == [5, 4]
-    assert envelope._chunks([], 899) == []
+def test_chunks_are_balanced_runs_covering_every_node_once():
+    # the 33-node level of a 3x3 lattice: 9 nodes of 5 rows x 899 free values,
+    # ceil(45 * 899 / _CHUNK_CELLS) = 2 runs, the longer one first
+    assert -(-45 * 899 // envelope._CHUNK_CELLS) == 2
+    assert [len(c) for c in envelope._runs(list(range(9)), 2)] == [5, 4]
+    assert envelope._runs([], 0) == []
     rng = np.random.default_rng(0)
-    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 100)
     for _ in range(200):
         nodes = sorted(rng.choice(60, size=rng.integers(1, 40), replace=False).tolist())
-        rows = dict(zip(nodes, rng.integers(4, 6, size=len(nodes)).tolist()))
-        n_free = int(rng.integers(1, 60))
-        chunks = envelope._chunks(list(rows.items()), n_free)
-        assert sum(chunks, []) == nodes
-        cells = [sum(rows[i] for i in c) * n_free for c in chunks]
-        assert len(chunks) == min(len(nodes), -(-sum(cells) // 100))
-        assert max(cells) - min(cells) <= 2 * 5 * n_free
+        count = int(rng.integers(1, len(nodes) + 1))
+        runs = envelope._runs(nodes, count)
+        assert sum(runs, []) == nodes and len(runs) == count
+        lengths = [len(run) for run in runs]
+        assert max(lengths) - min(lengths) <= 1 and lengths == sorted(lengths, reverse=True)
 
 
 def test_one_node_estimate_equals_the_node_inside_a_chunk(monkeypatch):
@@ -433,7 +432,8 @@ def test_one_node_estimate_equals_the_node_inside_a_chunk(monkeypatch):
 
     monkeypatch.setattr(envelope, "run_lbfgs_batch", counted)
     F = builtin("double_well", w=1.0, n=1, m=1)
-    opts = EnvelopeOptions(resolution=33, multistart=5, maxiter=300, screen_maxiter=40, seed=0)
+    monkeypatch.setattr(envelope, "_SCREEN_MAXITER", 40)
+    opts = EnvelopeOptions(resolution=33, multistart=5, maxiter=300, seed=0)
     Vs = np.array([0.9, 0.0, -0.4]).reshape(3, 1, 1)
     seeds = [5, 6, 7]
     chunk = envelope._min_nodes(F, Vs, opts.grid(envelope.SmoothnessVector((2,))), opts, seeds,
@@ -457,7 +457,8 @@ def test_a_polished_start_reports_its_screening_and_polishing_iterations(monkeyp
 
     monkeypatch.setattr(envelope, "run_lbfgs_batch", recorded)
     F = builtin("double_well", w=1.0, n=1, m=1)
-    opts = EnvelopeOptions(resolution=33, multistart=5, maxiter=300, screen_maxiter=40, seed=0)
+    monkeypatch.setattr(envelope, "_SCREEN_MAXITER", 40)
+    opts = EnvelopeOptions(resolution=33, multistart=5, maxiter=300, seed=0)
     est = dacorogna_min(F, np.array([[0.3]]), (2,), opts)
     screen, polish = batches
     iterations = {label: its for label, _, its in est.per_start}
@@ -479,7 +480,7 @@ def test_a_tabulation_without_a_polishing_budget_never_builds_the_metric(monkeyp
     monkeypatch.setattr(envelope, "SobolevEnergy", recorded)
     F = builtin("double_well", w=1.0, n=1, m=1)
     opts = EnvelopeOptions(resolution=33, multistart=4, maxiter=200, seed=3)
-    assert opts.screen_maxiter == 200
+    assert envelope._SCREEN_MAXITER == 200
     tabulate_envelope(F, (2,), [(-1.0, 1.0, 3)], opts)
     assert built == []
     tabulate_envelope(F, (2,), [(-1.0, 1.0, 3)], replace(opts, maxiter=201))

@@ -444,7 +444,7 @@ def test_free_dof_energy_is_bit_equal_to_the_full_node_path(a, n):
     W = energy.base + a_gradient(GridField(g, energy.unpack(x))).values
     value, grad = energy.value_and_grad(x)
     assert np.array_equal(value, float(np.sum(F(W))))
-    ref = gradient_adjoint(g, energy.alphas, F.gradient(W))[energy.free].reshape(-1)
+    ref = gradient_adjoint(g, energy.alphas, F.gradient(W))[~g.collar_mask()].reshape(-1)
     assert np.array_equal(grad, ref)
 
 
@@ -467,7 +467,7 @@ def test_free_dof_penalized_moment_is_bit_equal_to_the_full_node_path(a, n):
             ref_value += rho * deficit**2
             dmom = q * np.maximum(fro, 1e-300)[..., None, None] ** (q - 2.0) * W / g.n_interior
             weights = weights - 2.0 * rho * deficit * dmom
-        ref_grad = gradient_adjoint(g, energy.alphas, weights)[energy.free].reshape(-1)
+        ref_grad = gradient_adjoint(g, energy.alphas, weights)[~g.collar_mask()].reshape(-1)
         value, grad = _PenalizedMoment(energy, q, t, rho).value_and_grad(x)
         assert np.array_equal(value, ref_value)
         assert np.array_equal(grad, ref_grad)
@@ -483,6 +483,28 @@ def test_free_dof_energy_rejects_non_finite_values():
         for prob in (energy, _PenalizedMoment(energy, 2.0, 1.0, 10.0)):
             with pytest.raises(ValueError, match="finite"):
                 prob.value_and_grad(y)
+
+
+def test_a_row_with_a_broken_gradient_gets_inf_and_a_zero_gradient():
+    # |V|^1.5 with the naive gradient 1.5 |V|^(-1/2) V: finite values, NaN gradient at V = 0
+    from mixvar.coercivity import _PenalizedMoment
+    from mixvar._descent import StencilEnergy
+    from mixvar.integrand import Integrand
+
+    def ev(V):
+        return np.sqrt(np.sum(V**2, axis=(-2, -1))) ** 1.5
+
+    def gr(V):
+        return 1.5 * np.sqrt(np.sum(V**2, axis=(-2, -1)))[..., None, None] ** -0.5 * V
+
+    F = Integrand(ev, 1, 1, 1.5, grad=gr)
+    energy = StencilEnergy(Grid(((-1, 1),), (17,), SmoothnessVector((2,))), F, np.zeros((1, 1)))
+    x = np.zeros(energy.n_free)
+    x[6] = 0.3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for prob in (energy, _PenalizedMoment(energy, 1.5, 2.0, 10.0)):
+            value, grad = prob.value_and_grad(x)
+            assert value == np.inf and np.all(grad == 0.0)
 
 
 @pytest.mark.parametrize("a", [(2,), (3,)])
@@ -636,7 +658,7 @@ def test_free_value_stencils_are_bit_equal_to_the_csr_products(a, n, k):
     F = builtin("pnorm", p=2.0, n=n, m=len(alphas))
     energy = StencilEnergy(g, F, np.zeros((n, F.m)))
     D, Dt = sparse_stack(g, alphas)
-    free = energy.free.reshape(-1)
+    free = ~g.collar_mask().reshape(-1)
     Df, Dft = D[:, free], Dt[free]
     rng = np.random.default_rng(11)
     nodes = energy.n_free // n

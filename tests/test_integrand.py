@@ -91,6 +91,18 @@ def test_a_parameter_the_integrand_does_not_read_is_an_error():
     assert builtin("double_well", w=2.0, n=1, m=1).params["w"] == 2.0
 
 
+@pytest.mark.parametrize("name, params, key", [
+    ("double_well", {"w": True}, "'w'"),
+    ("double_well", {"n": 1.0}, "'n'"),
+    ("pnorm", {"p": "3"}, "'p'"),
+    ("constant", {"c": float("nan")}, "'c'"),
+])
+def test_a_parameter_of_the_wrong_type_is_an_error(name, params, key):
+    # a bool, a string or a float is not coerced to the number or integer it reads as
+    with pytest.raises(ValueError, match=key):
+        builtin(name, **params)
+
+
 def test_shifted_identity_at_zero():
     F = builtin("double_well", col=0, w=1.0, n=1, m=2)
     G = shifted(F, np.zeros((1, 2)))

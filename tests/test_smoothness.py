@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from mixvar import smoothness
 from mixvar.smoothness import (
     AnisoBox,
     SmoothnessVector,
@@ -148,11 +149,12 @@ def test_box_cover_boxes_disjoint_by_sampling():
     assert counts.max() <= 1
 
 
-def test_box_cover_errors():
+def test_box_cover_errors(monkeypatch):
     with pytest.raises(ValueError):
         box_cover(((-1, -1), (0, 1)), 0.5, (1, 2))  # zero volume
+    monkeypatch.setattr(smoothness, "_MAX_BOXES", 50)
     with pytest.raises(RuntimeError):
-        box_cover(((-1, 1), (-1, 1)), 1e-4, (1, 2), max_boxes=50)
+        box_cover(((-1, 1), (-1, 1)), 1e-4, (1, 2))
 
 
 def test_smoothness_vector_validation():

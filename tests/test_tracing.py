@@ -35,25 +35,30 @@ def test_tracer_installs_on_the_package_and_uninstall_restores_it():
         assert all(now[name] is value for name, value in saved.items())
 
 
-def test_tracer_sees_the_energy_evaluations_of_batched_descents():
+def test_tracer_sees_the_energy_evaluations_of_batched_descents(monkeypatch):
     import numpy as np
 
     from mixvar.integrand import builtin
 
+    monkeypatch.setattr(envelope, "_SCREEN_MAXITER", 20)  # the node polishes too
     tracer = load_layers().Tracer()
     try:
         tracer.install()
         F = builtin("double_well", w=1.0, n=1, m=1)
         envelope.dacorogna_min(F, [[0.2]], (2,), envelope.EnvelopeOptions(
-            resolution=17, multistart=3, maxiter=60, screen_maxiter=20, seed=1))
+            resolution=17, multistart=3, maxiter=60, seed=1))
         node = tracer.round_metrics(1.0, 1.0)
         tracer.reset()
         prob = solver.DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): 0.4}, 4.0, 9)
         solver.solve_dirichlet(prob, solver.SolveOptions(maxiter=40, seed=2))
         solve = tracer.round_metrics(1.0, 1.0)
+        tracer.reset()
+        coercivity.theta_estimate(F, 2.0, [0.0, 0.5, 1.0], (2,), coercivity.ThetaOptions(
+            resolution=9, multistart=1, maxiter=20, seed=3))
+        theta = tracer.round_metrics(1.0, 1.0)
     finally:
         tracer.uninstall()
-    for metrics in (node, solve):
+    for metrics in (node, solve, theta):
         assert metrics["descent.vg.calls"] > 0
         assert metrics["integrand.eval.calls"] > 0
         assert np.isfinite(metrics["descent.vg.us_per_call"])
