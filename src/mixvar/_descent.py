@@ -32,13 +32,16 @@ turns into one dense eigenbasis per axis.  A descent in those coordinates is
 a Sobolev-gradient descent in Neuberger's sense: its quadratic part is about
 the identity, so it converges in tens of iterations where the flat metric,
 whose condition number grows like h^(-2 max a_i), spends its whole budget.
+``screen_then_polish`` is the two-phase descent of envelope nodes and
+Dirichlet solves: every start screens flat, which picks its basin, and the
+chosen starts that ran out of that budget polish in the metric.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,6 +63,9 @@ _EPS = np.finfo(float).eps
 _FTOL, _CURV, _XTOL, _STPMAX = 1e-3, 0.9, 0.1, 1e10
 # share of each axis over which boundary_window ramps up from 0 (half per face)
 _WINDOW_FRAC = 0.25
+# flat screening budget per start; the rows chosen for polishing spend the
+# rest of maxiter in the a-Sobolev metric (screen_then_polish)
+_SCREEN_MAXITER = 200
 # multiply-adds per matrix product of the Sobolev transforms: OpenBLAS runs a
 # product up to this size on one thread, while one it shares out over threads
 # can change its bits with the thread count (measured at 125 x 125 x 127)
@@ -818,6 +824,62 @@ def run_lbfgs(
     if not np.isfinite(res.value):
         raise RuntimeError(f"descent diverged (energy {res.value}) from start {label!r}")
     return res
+
+
+class _RowsOf:
+    """``energy`` on the rows ``ids`` of its X0: row r of a descent's batch is its row ids[r]."""
+
+    def __init__(self, energy, ids):
+        self.energy, self.ids = energy, np.asarray(ids)
+
+    def value_and_grad(self, x, rows):
+        return self.energy.value_and_grad(x, self.ids[rows])
+
+
+def screen_then_polish(
+    energy: StencilEnergy,
+    X0: np.ndarray,
+    labels,
+    maxiter: int,
+    gtol: float = 1e-9,
+    choose=None,
+    history: bool = False,
+) -> list[DescentResult]:
+    """Descents from every row of X0 that screen flat, then polish in the a-Sobolev metric.
+
+    Every start first runs ``_SCREEN_MAXITER`` iterations (all of
+    ``maxiter`` when that is smaller) in the flat metric of the free values,
+    which carries it into a basin.  Of the rows ``choose(screen)`` names
+    (every row when None), those that ran out of that budget with a finite
+    value continue for the rest of ``maxiter`` in ``SobolevEnergy``
+    coordinates, where ``gtol`` bounds the z-gradient.  A polished row's
+    result is the polish's, mapped back to free values, with the iterations
+    and evaluations of both phases and, with ``history``, the screen's
+    energies followed by the polish's accepted iterates (the polish's x0,
+    the screen's last iterate again, is not repeated).  A polish that
+    diverges keeps its screening result.  Every row is bit-equal to the same
+    start run alone.
+    """
+    screen_maxiter = min(_SCREEN_MAXITER, maxiter)
+    screen = run_lbfgs_batch(energy, X0, labels, maxiter=screen_maxiter, gtol=gtol,
+                             history=history)
+    chosen = range(len(screen)) if choose is None else choose(screen)
+    ids = [k for k in chosen if screen[k].budget_exhausted and np.isfinite(screen[k].value)]
+    if maxiter <= screen_maxiter or not ids:
+        return screen
+    metric = SobolevEnergy(energy)
+    starts = [screen[k] for k in ids]
+    Z0 = metric.to_z(np.stack([r.x for r in starts]))
+    polished = run_lbfgs_batch(_RowsOf(metric, ids), Z0, [r.start_label for r in starts],
+                               maxiter=maxiter - screen_maxiter, gtol=gtol, history=history)
+    X = metric.to_x(np.stack([res.x for res in polished]))
+    results = list(screen)
+    for k, start, res, x in zip(ids, starts, polished, X):
+        if np.isfinite(res.value):
+            results[k] = replace(res, x=x, iterations=start.iterations + res.iterations,
+                                 nfev=start.nfev + res.nfev,
+                                 history=start.history + res.history[1:])
+    return results
 
 
 def boundary_window(grid: Grid) -> np.ndarray:

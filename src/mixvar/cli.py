@@ -302,6 +302,8 @@ def _cmd_solve(cfg: dict, out: Path) -> None:
         "converged": result.converged,
         "start": result.start_label,
         "grad_norm": result.grad_norm,
+        "iterations": result.iterations,
+        "budget_exhausted": result.budget_exhausted,
     }
     (out / "report.json").write_text(canonical_json(report) + "\n", encoding="utf-8")
 

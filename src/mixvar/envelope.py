@@ -6,9 +6,9 @@ fixed to Q without loss.  The estimator descends from a multistart portfolio
 (zero, laminate profiles, scaled smooth noise) and always evaluates phi = 0
 exactly, so the returned value never exceeds F(V).
 
-A descent has two phases.  Every start first screens for
-``_SCREEN_MAXITER`` (200) iterations in the flat metric of the free
-values, which carries it into a basin and ranks it.  The
+A descent has two phases (``_descent.screen_then_polish``).  Every start
+first screens for ``_descent._SCREEN_MAXITER`` (200) iterations in the flat
+metric of the free values, which carries it into a basin and ranks it.  The
 leaders that screening left unconverged then polish for the rest of
 ``maxiter`` in the discrete a-Sobolev metric (``SobolevEnergy``), where
 they converge in tens of iterations; there the descent's gradient
@@ -39,10 +39,9 @@ import numpy as np
 
 from ._descent import (
     DescentResult,
-    SobolevEnergy,
     StencilEnergy,
     prolong_zero_boundary,
-    run_lbfgs_batch,
+    screen_then_polish,
     start_portfolio,
 )
 from ._descent import run_lbfgs  # noqa: F401  (bench/layers.py traces it at this site)
@@ -72,8 +71,6 @@ DEFAULT_LEVELS = (17, 33, 65)
 _CHUNK_CELLS = 2**15
 # screening leaders polished at a node where some start beats F(V)
 _POLISH_TOP = 3
-# flat screening budget per start; the leaders polish for the rest of maxiter
-_SCREEN_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -115,9 +112,10 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
     Node i draws its random starts from ``seeds[i]`` and, when ``warms[i]``
     is a field, also descends from it.  The starts of all nodes screen in one
     batched descent in the flat metric and every node's chosen starts polish
-    in a second, in the a-Sobolev metric; each row is bit-equal to a lone
-    descent, so each estimate is the one the node gets on its own.  A
-    polished start reports the iterations of both phases.
+    in a second, in the a-Sobolev metric (``screen_then_polish``; this picks
+    the starts); each row is bit-equal to a lone descent, so each estimate is
+    the one the node gets on its own.  A polished start reports the
+    iterations of both phases.
     """
     scale_mean = 1.0 / grid.n_interior
     portfolios = []
@@ -128,52 +126,40 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
             starts = [("warm", warm.values)] + starts
         portfolios.append(starts)
     owner = np.array([i for i, starts in enumerate(portfolios) for _ in starts], dtype=int)
+    references = [float(F(V)) for V in Vs]
+    ranked = []  # per node, its finite screened rows in order of screening value
 
-    # screen every start briefly in the flat metric, which carries it into a
-    # basin; then polish the leaders to convergence in the a-Sobolev metric.
-    # The warm start and the best of each start family always get polished
-    # so a screening mis-ranking cannot starve them
+    def choose(screen: list[DescentResult]) -> list[int]:
+        # polishing pays off only where some start actually beats the exact
+        # phi = 0 energy; at such nodes the leaders, the warm start and each
+        # family's best get the remaining budget (a screening mis-ranking
+        # cannot starve them)
+        chosen = []
+        for i, reference in enumerate(references):
+            rows = [k for k in np.flatnonzero(owner == i).tolist() if np.isfinite(screen[k].value)]
+            rows.sort(key=lambda k: screen[k].value)
+            ranked.append(rows)
+            screened = [screen[k] for k in rows]
+            sum_threshold = (reference - opts.tol) / scale_mean
+            promising = [r for r in screened if r.value < sum_threshold]
+            polish = {r.start_label for r in screened[:1]}
+            if promising:
+                polish.update(r.start_label for r in screened[:_POLISH_TOP])
+                for fam in ("warm", "laminate", "random", "zero"):
+                    best = next((r for r in promising if _family(r.start_label) == fam), None)
+                    if best is not None:
+                        polish.add(best.start_label)
+            chosen += [k for k, r in zip(rows, screened) if r.start_label in polish]
+        return chosen
+
     energy = StencilEnergy(grid, F, Vs[owner], per_row=True)
     X0 = energy.pack(np.stack([vals for starts in portfolios for _, vals in starts]))  # no collar
-    screen_maxiter = min(_SCREEN_MAXITER, opts.maxiter)
-    screen = run_lbfgs_batch(energy, X0, [label for starts in portfolios for label, _ in starts],
-                             maxiter=screen_maxiter)
-    references = [float(F(V)) for V in Vs]
-    results: list[list[DescentResult]] = []
-    chosen = []  # (node, index into its results) of every start to polish
-    for i, reference in enumerate(references):
-        screened = [r for r, o in zip(screen, owner) if o == i and np.isfinite(r.value)]
-        screened.sort(key=lambda r: r.value)
-        # polishing pays off only where some start actually beats the exact
-        # phi = 0 energy; at such nodes the leaders and each family's best get
-        # the remaining budget (a screening mis-ranking cannot starve them)
-        sum_threshold = (reference - opts.tol) / scale_mean
-        promising = [r for r in screened if r.value < sum_threshold]
-        polish = {r.start_label for r in screened[:1]}
-        if promising:
-            polish.update(r.start_label for r in screened[:_POLISH_TOP])
-            for fam in ("warm", "laminate", "random", "zero"):
-                best = next((r for r in promising if _family(r.start_label) == fam), None)
-                if best is not None:
-                    polish.add(best.start_label)
-        chosen += [(i, j) for j, r in enumerate(screened)
-                   if r.start_label in polish and r.budget_exhausted]
-        results.append(screened)
-    remaining = opts.maxiter - screen_maxiter
-    if remaining > 0 and chosen:
-        metric = SobolevEnergy(StencilEnergy(grid, F, Vs[[i for i, _ in chosen]], per_row=True))
-        starts = [results[i][j] for i, j in chosen]
-        Z0 = metric.to_z(np.stack([r.x for r in starts]))
-        polished = run_lbfgs_batch(metric, Z0, [r.start_label for r in starts], maxiter=remaining)
-        X = metric.to_x(np.stack([res.x for res in polished]))
-        for (i, j), start, res, x in zip(chosen, starts, polished, X):
-            if np.isfinite(res.value):  # a diverged polish keeps its screening result
-                # back to free values; the iterations and evaluations count both phases
-                results[i][j] = replace(res, x=x, iterations=start.iterations + res.iterations,
-                                        nfev=start.nfev + res.nfev)
+    labels = [label for starts in portfolios for label, _ in starts]
+    results = screen_then_polish(energy, X0, labels, opts.maxiter, choose=choose)
 
     estimates = []
-    for reference, node_results in zip(references, results):
+    for reference, rows in zip(references, ranked):
+        node_results = [results[k] for k in rows]
         best_value = reference
         best_start = "zero-exact"
         witness = None

@@ -275,9 +275,12 @@ _BUILTIN_PARAMS = {
     "shifted": {"F", "X0"},
     "minus_power": {"F", "c", "q"},
 }
-# the built-in parameters that are integers, and those that are finite numbers
+# the built-in parameters that are integers, those that are finite numbers,
+# and those that are at least 1: a count, or the exponent p of W^{a,p}, which
+# takes 1 <= p < inf
 _INT_PARAMS = {"n", "m", "col"}
 _NUMBER_PARAMS = {"c", "p", "w", "q"}
+_AT_LEAST_ONE = {"n", "m", "p"}
 
 
 def builtin(name: str, **params) -> Integrand:
@@ -287,8 +290,9 @@ def builtin(name: str, **params) -> Integrand:
     double_well(col=0, w=1.0, n=1, m=1); constant(c, n, m, p);
     shifted(F, X0); minus_power(F, c, q).  A parameter the integrand does
     not read is a ValueError, so a misspelt one cannot fall back to its
-    default, and so is an n, m or col that is not an integer or a c, p, w
-    or q that is not a finite number (a bool is neither).
+    default, and so is an n, m or col that is not an integer, a c, p, w or
+    q that is not a finite number (a bool is neither), and an n, m or p
+    below 1.
     """
     if name not in _BUILTIN_PARAMS:
         raise ValueError(f"unknown integrand {name!r}")
@@ -301,6 +305,9 @@ def builtin(name: str, **params) -> Integrand:
                              f"got {val!r}")
         if key in _NUMBER_PARAMS and not _is_number(val):
             raise ValueError(f"integrand {name!r} parameter {key!r} must be a finite number, "
+                             f"got {val!r}")
+        if key in _AT_LEAST_ONE and val < 1:
+            raise ValueError(f"integrand {name!r} parameter {key!r} must be at least 1, "
                              f"got {val!r}")
     if name == "constant":
         return _constant(

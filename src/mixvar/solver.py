@@ -7,6 +7,12 @@ grid field), so there are no trace issues: the unknown is u = g + phi with
 phi vanishing on the collar.  Energies are quadrature sums, with the same
 normalized weight at every resolution, so energies computed at different
 refinement levels are directly comparable.
+
+A solve's starts descend in two phases (``_descent.screen_then_polish``):
+each screens in the flat metric of the free values, and each that ran out of
+that budget polishes for the rest of ``maxiter`` in the discrete a-Sobolev
+metric, whose condition number does not grow with the mesh as the flat
+one's does (like h^(-2 max a_i)).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._descent import StencilEnergy, prolong_zero_boundary, run_lbfgs_batch, smooth_noise
+from ._descent import StencilEnergy, prolong_zero_boundary, screen_then_polish, smooth_noise
 from ._descent import run_lbfgs  # noqa: F401  (bench/layers.py traces it at this site)
 from .envelope import EnvelopeTable, _check_interior
 from .grid import APolynomial, Grid, GridField, a_gradient
@@ -109,6 +115,8 @@ class SolveResult:
     grad_norm: float      # norm of the energy's gradient over the free values at u
     converged: bool
     start_label: str
+    iterations: int       # the winning descent's iterations, screen and polish
+    budget_exhausted: bool  # it stopped at maxiter, not converged
 
 
 class _DirichletEnergy(StencilEnergy):
@@ -130,11 +138,17 @@ def solve_dirichlet(
 ) -> SolveResult:
     """Quasi-Newton descent to a stationary point of the Dirichlet problem.
 
-    The returned field agrees with the datum on the collar bit-exactly (those
-    nodes are never touched).  ``energies`` are the accepted-iterate
-    energies, nonincreasing by construction of the line search.  A
-    ``warm_start`` (a zero-boundary field, e.g. a prolonged coarser minimizer)
-    runs as the last start, labelled "prolonged", so ties go to the others.
+    Every start screens flat for ``_descent._SCREEN_MAXITER`` iterations, and
+    every finite start that ran out of that budget polishes for the rest of
+    ``maxiter`` in the a-Sobolev metric; the lowest energy wins.  Its
+    ``converged`` then means the polish met ``gtol`` in the metric's
+    coordinates (or the relative-f test), and its ``iterations`` count both
+    phases.  The returned field agrees with the datum on the collar
+    bit-exactly (those nodes are never touched).  ``energies`` are the energy
+    at x0 and at each accepted iterate of both phases, nonincreasing by
+    construction of the line search.  A ``warm_start`` (a zero-boundary
+    field, e.g. a prolonged coarser minimizer) runs as the last start,
+    labelled "prolonged", so ties go to the others.
     """
     grid = prob.grid()
     F = prob.integrand
@@ -155,8 +169,8 @@ def solve_dirichlet(
         starts.append(("prolonged", warm_start.values))
 
     X0 = np.stack([energy.pack(phi0) for _, phi0 in starts])  # pack drops the collar
-    results = run_lbfgs_batch(energy, X0, [label for label, _ in starts],
-                              maxiter=opts.maxiter, gtol=opts.gtol, history=True)
+    results = screen_then_polish(energy, X0, [label for label, _ in starts], opts.maxiter,
+                                 opts.gtol, history=True)
     best = None
     for res in results:
         if np.isfinite(res.value) and (best is None or res.value < best.value):
@@ -167,7 +181,7 @@ def solve_dirichlet(
     u = GridField(grid, g.values + energy.unpack(best.x))
     _, g_final = energy.value_and_grad(best.x)
     return SolveResult(u, best.value, list(best.history), float(np.linalg.norm(g_final)),
-                       best.converged, best.start_label)
+                       best.converged, best.start_label, best.iterations, best.budget_exhausted)
 
 
 @dataclass

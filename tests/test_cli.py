@@ -554,6 +554,13 @@ COERCE_CFG = {**ENVELOPE_CFG, "lattice": None, "q": 2.0, "t_grid": [0.0, 1.0, 2.
      "'m'", "an integer"),
     ("envelope", {**ENVELOPE_CFG, "integrand": {"name": "double_well", "params": {"col": False}}},
      "'col'", "an integer"),
+    ("solve", {**SOLVE_CFG, "integrand": {"name": "pnorm", "params": {"p": 2, "n": 0, "m": 1}}},
+     "'n'", "at least 1"),
+    ("solve", {**SOLVE_CFG, "integrand": {"name": "pnorm", "params": {"p": -1, "n": 1, "m": 1}}},
+     "'p'", "at least 1"),
+    ("envelope", {**ENVELOPE_CFG, "integrand": {"name": "constant",
+                                                "params": {"c": 1.0, "m": 0, "p": 2.0}}},
+     "'m'", "at least 1"),
 ])
 def test_malformed_counts_and_lattices_are_validation_errors(tmp_path, capsys, monkeypatch,
                                                              command, cfg_data, field, message):

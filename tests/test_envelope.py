@@ -15,7 +15,7 @@ from mixvar.envelope import (
     is_aqc_at,
     tabulate_envelope,
 )
-from mixvar import envelope
+from mixvar import _descent, envelope
 from mixvar.integrand import builtin, grad_check, shifted
 
 
@@ -285,7 +285,7 @@ def test_table_bytes_do_not_depend_on_the_chunking(tmp_path, monkeypatch, a, F, 
                                                    screen, levels):
     import mixvar.envelope as envelope
 
-    monkeypatch.setattr(envelope, "_SCREEN_MAXITER", screen)
+    monkeypatch.setattr(_descent, "_SCREEN_MAXITER", screen)
     sizes = record_chunks(monkeypatch)
     tabulate_envelope(F, a, lattice, opts, levels=levels).save(tmp_path / "chunked.qft")
     assert max(sizes) > 1
@@ -304,7 +304,7 @@ def test_table_bytes_do_not_depend_on_the_chunking(tmp_path, monkeypatch, a, F, 
 ], ids=["1d", "2d-ladder"])
 def test_table_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, cpus, forks, a, F,
                                                        lattice, opts, screen, levels):
-    monkeypatch.setattr(envelope, "_SCREEN_MAXITER", screen)
+    monkeypatch.setattr(_descent, "_SCREEN_MAXITER", screen)
     monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)  # every node its own chunk
     for workers in (1, 2, 3):
         cpus(workers)
@@ -424,15 +424,15 @@ def test_one_node_estimate_equals_the_node_inside_a_chunk(monkeypatch):
     import mixvar.envelope as envelope
 
     batches = []
-    run = envelope.run_lbfgs_batch
+    run = _descent.run_lbfgs_batch
 
     def counted(energy, X0, *args, **kwargs):
         batches.append(len(X0))
         return run(energy, X0, *args, **kwargs)
 
-    monkeypatch.setattr(envelope, "run_lbfgs_batch", counted)
+    monkeypatch.setattr(_descent, "run_lbfgs_batch", counted)
     F = builtin("double_well", w=1.0, n=1, m=1)
-    monkeypatch.setattr(envelope, "_SCREEN_MAXITER", 40)
+    monkeypatch.setattr(_descent, "_SCREEN_MAXITER", 40)
     opts = EnvelopeOptions(resolution=33, multistart=5, maxiter=300, seed=0)
     Vs = np.array([0.9, 0.0, -0.4]).reshape(3, 1, 1)
     seeds = [5, 6, 7]
@@ -449,15 +449,15 @@ def test_one_node_estimate_equals_the_node_inside_a_chunk(monkeypatch):
 
 def test_a_polished_start_reports_its_screening_and_polishing_iterations(monkeypatch):
     batches = []
-    run = envelope.run_lbfgs_batch
+    run = _descent.run_lbfgs_batch
 
     def recorded(energy, X0, labels, **kwargs):
         batches.append(run(energy, X0, labels, **kwargs))
         return batches[-1]
 
-    monkeypatch.setattr(envelope, "run_lbfgs_batch", recorded)
+    monkeypatch.setattr(_descent, "run_lbfgs_batch", recorded)
     F = builtin("double_well", w=1.0, n=1, m=1)
-    monkeypatch.setattr(envelope, "_SCREEN_MAXITER", 40)
+    monkeypatch.setattr(_descent, "_SCREEN_MAXITER", 40)
     opts = EnvelopeOptions(resolution=33, multistart=5, maxiter=300, seed=0)
     est = dacorogna_min(F, np.array([[0.3]]), (2,), opts)
     screen, polish = batches
@@ -471,16 +471,16 @@ def test_a_polished_start_reports_its_screening_and_polishing_iterations(monkeyp
 
 def test_a_tabulation_without_a_polishing_budget_never_builds_the_metric(monkeypatch):
     built = []
-    metric = envelope.SobolevEnergy
+    metric = _descent.SobolevEnergy
 
     def recorded(energy):
         built.append(energy)
         return metric(energy)
 
-    monkeypatch.setattr(envelope, "SobolevEnergy", recorded)
+    monkeypatch.setattr(_descent, "SobolevEnergy", recorded)
     F = builtin("double_well", w=1.0, n=1, m=1)
     opts = EnvelopeOptions(resolution=33, multistart=4, maxiter=200, seed=3)
-    assert envelope._SCREEN_MAXITER == 200
+    assert _descent._SCREEN_MAXITER == 200
     tabulate_envelope(F, (2,), [(-1.0, 1.0, 3)], opts)
     assert built == []
     tabulate_envelope(F, (2,), [(-1.0, 1.0, 3)], replace(opts, maxiter=201))

@@ -96,6 +96,11 @@ def test_a_parameter_the_integrand_does_not_read_is_an_error():
     ("double_well", {"n": 1.0}, "'n'"),
     ("pnorm", {"p": "3"}, "'p'"),
     ("constant", {"c": float("nan")}, "'c'"),
+    # counts and the exponent of W^{a,p} are at least 1
+    ("pnorm", {"p": 2.0, "n": 0}, "'n'"),
+    ("double_well", {"n": 1, "m": 0}, "'m'"),
+    ("pnorm", {"p": 0.5}, "'p'"),
+    ("constant", {"c": 1.0, "p": -1.0}, "'p'"),
 ])
 def test_a_parameter_of_the_wrong_type_is_an_error(name, params, key):
     # a bool, a string or a float is not coerced to the number or integer it reads as

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mixvar import solver
+from mixvar import _descent, solver
 from mixvar.envelope import EnvelopeOptions, EnvelopeTable, tabulate_envelope
 from mixvar.grid import Grid, GridField, a_gradient, stencil_matrix
 from mixvar.integrand import Integrand, builtin
@@ -269,3 +269,65 @@ def test_relax_rejects_bad_levels_and_foreign_tables_before_any_descent(
     prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(0,): 0.0}, 2.0, 9)
     with pytest.raises(ValueError, match=match):
         relax_compare(prob, table, refinement_levels=levels)
+
+
+WELL_PROBLEM = DirichletProblem((1, 2), ((-1, 1), (-1, 1)),
+                                builtin("double_well", col=1, w=1.0, n=1, m=2),
+                                {(1, 0): 0.5, (0, 2): 0.3}, 4.0, 17)
+WELL_OPTS = SolveOptions(maxiter=400, seed=3)
+WELL_SCREEN = 50  # the perturbed start runs out of it
+
+
+def test_a_solve_that_uses_up_its_screen_polishes_to_convergence(monkeypatch):
+    monkeypatch.setattr(_descent, "_SCREEN_MAXITER", WELL_OPTS.maxiter)  # flat only
+    flat = solve_dirichlet(WELL_PROBLEM, WELL_OPTS)
+    batches = []
+    run = _descent.run_lbfgs_batch
+
+    def recorded(energy, X0, labels, **kwargs):
+        batches.append(run(energy, X0, labels, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(_descent, "run_lbfgs_batch", recorded)
+    monkeypatch.setattr(_descent, "_SCREEN_MAXITER", WELL_SCREEN)
+    res = solve_dirichlet(WELL_PROBLEM, WELL_OPTS)
+    assert flat.budget_exhausted and not flat.converged
+    assert res.converged and not res.budget_exhausted
+    assert res.energy <= flat.energy
+    screen, polish = batches
+    screened = next(r for r in screen if r.start_label == res.start_label)
+    polished = next(r for r in polish if r.start_label == res.start_label)
+    assert screened.iterations == WELL_SCREEN and screened.budget_exhausted
+    assert res.iterations == WELL_SCREEN + polished.iterations
+    # one energy per accepted iterate after x0's, nonincreasing across the junction
+    e = res.energies
+    assert len(e) == res.iterations + 1
+    assert e[:WELL_SCREEN + 1] == screened.history
+    assert all(b <= a for a, b in zip(e, e[1:]))
+    assert e[-1] == res.energy
+    grid = WELL_PROBLEM.grid()
+    collar = grid.collar_mask()
+    assert np.array_equal(res.u.values[collar], WELL_PROBLEM.datum_field(grid).values[collar])
+
+
+def test_a_polished_start_is_bit_equal_beside_other_starts_and_alone(monkeypatch):
+    monkeypatch.setattr(_descent, "_SCREEN_MAXITER", WELL_SCREEN)
+    grid = WELL_PROBLEM.grid()
+    F = WELL_PROBLEM.integrand
+    energy = solver._DirichletEnergy(grid, F, WELL_PROBLEM.datum_field(grid))
+    rng = np.random.default_rng(4)
+    starts = [np.zeros(grid.shape + (F.n,))]
+    starts += [_descent.smooth_noise(grid, F.n, rng) * s for s in (0.01, 0.1)]
+    X0 = energy.pack(np.stack(starts))
+    labels = ["datum", "small", "large"]
+    together = _descent.screen_then_polish(energy, X0, labels, WELL_OPTS.maxiter, WELL_OPTS.gtol,
+                                           history=True)
+    assert sum(r.iterations > WELL_SCREEN for r in together) == 2  # the datum start is stationary
+    for k, res in enumerate(together):
+        alone = _descent.screen_then_polish(energy, X0[[k]], [labels[k]], WELL_OPTS.maxiter,
+                                            WELL_OPTS.gtol, history=True)[0]
+        assert alone.value == res.value
+        assert np.array_equal(alone.x, res.x)
+        assert (alone.iterations, alone.nfev, alone.converged) == (
+            res.iterations, res.nfev, res.converged)
+        assert alone.history == res.history

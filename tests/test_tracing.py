@@ -40,7 +40,7 @@ def test_tracer_sees_the_energy_evaluations_of_batched_descents(monkeypatch):
 
     from mixvar.integrand import builtin
 
-    monkeypatch.setattr(envelope, "_SCREEN_MAXITER", 20)  # the node polishes too
+    monkeypatch.setattr(_descent, "_SCREEN_MAXITER", 20)  # the node polishes too
     tracer = load_layers().Tracer()
     try:
         tracer.install()
