@@ -32,9 +32,10 @@ turns into one dense eigenbasis per axis.  A descent in those coordinates is
 a Sobolev-gradient descent in Neuberger's sense: its quadratic part is about
 the identity, so it converges in tens of iterations where the flat metric,
 whose condition number grows like h^(-2 max a_i), spends its whole budget.
-``screen_then_polish`` is the two-phase descent of envelope nodes and
-Dirichlet solves: every start screens flat, which picks its basin, and the
-chosen starts that ran out of that budget polish in the metric.
+``screen_then_polish`` is the two-phase descent of envelope nodes,
+Dirichlet solves and theta points: every start screens flat, which picks its
+basin, and the chosen starts that ran out of that budget polish in the
+metric.
 """
 
 from __future__ import annotations
@@ -214,46 +215,61 @@ class StencilEnergy:
         return _unbatch(vals.sum(axis=1), self.adjoint(dF), ok, x.shape[:-1])
 
 
-class _PenalizedMoment:
-    """mean F(grad phi) + rho * max(0, t - mean |grad phi|^q)^2 with exact gradient.
+class _MomentRetraction(StencilEnergy):
+    """G_t(x) = mean F(grad_a(c x)), c = max(1, (t / m(x))^(1/q)), m(x) = mean |grad_a x|^q.
 
-    ``inner`` gives the fields' stencils and F; its base is not added.
+    The fields c x are the radial retraction of x onto the set {m >= t}, so
+    every iterate of a descent is feasible.  Where m >= t, G_t is the plain
+    mean energy; where m < t it is 0-homogeneous, and with W = grad_a x and
+    N interior nodes its gradient is
+    (c/N) A^T [F'(cW) - (sum <F'(cW), W> / (m N)) |W|^(q-2) W],
+    orthogonal to x.  A field of zero moment has no retraction when t > 0
+    (c is inf): it gets the energy +inf and a zero gradient, after numpy's
+    warning of the 0 * inf.  The base is zero.
     """
 
-    def __init__(self, inner: StencilEnergy, q: float, t: float, rho: float):
-        self.inner = inner
-        self.q = q
-        self.t = t
-        self.rho = rho
-        self.n_int = inner.grid.n_interior
+    def __init__(self, grid: Grid, F: Integrand, q: float, t: float):
+        super().__init__(grid, F, np.zeros((F.n, F.m)))
+        self.q, self.t = q, t
+        self._nodes = grid.n_interior
+
+    def _scales(self, W: np.ndarray):
+        """|W| per node, m and c per row of a stacked batch W; c is inf where m = 0 < t."""
+        fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
+        m = (fro**self.q).reshape(len(W), -1).sum(axis=1) / self._nodes
+        c = np.ones(len(W))
+        short = m < self.t
+        with np.errstate(divide="ignore", over="ignore"):
+            c[short] = (self.t / m[short]) ** (1.0 / self.q)
+        return fro, m, c
+
+    def scales(self, X: np.ndarray) -> np.ndarray:
+        """c of each row of X (K, n_free): inf for a field no scale lifts to t."""
+        return self._scales(self.stack(X))[2]
 
     def value_and_grad(self, x: np.ndarray, rows=None):
-        """Value and gradient of one field (float, (n_free,)) or a batch ((K,), (K, n_free)).
+        """G_t and its gradient at one field (float, (n_free,)) or a batch ((K,), (K, n_free)).
 
-        No base is added to the fields, so ``rows`` is unused.
+        The base is zero, so ``rows`` is unused.
         """
-        inner = self.inner
-        W = inner.stack(x.reshape(-1, inner.n_free))
-        vals, dF, ok = _finite_terms(inner.F, W)
-        W = _rows(W, ok)
-
-        fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
-        moments = (fro**self.q).reshape(len(W), self.n_int).sum(axis=1) / self.n_int
-        deficits = self.t - moments
-        short = deficits > 0
-        totals = vals.sum(axis=1) / self.n_int
-        weights = dF / self.n_int
-        if short.any():
-            # only the rows short of the moment are penalised; the square is
-            # Python's float power (C pow), which rounds differently from
-            # numpy's square in about one case in a thousand
-            totals[short] += [self.rho * d**2 for d in deficits[short].tolist()]
-            Ws = _rows(W, short)
-            safe = np.maximum(_rows(fro, short), 1e-300)[..., None, None]
-            dmom = self.q * safe ** (self.q - 2.0) * Ws / self.n_int
-            coef = 2.0 * self.rho * deficits[short]
-            weights[short] -= coef.reshape((-1,) + (1,) * (Ws.ndim - 1)) * dmom
-        return _unbatch(totals, inner.adjoint(weights), ok, x.shape[:-1])
+        W = self.stack(x.reshape(-1, self.n_free))
+        n = self._nodes
+        fro, m, c = self._scales(W)
+        short = m < self.t
+        # 1.0 * W is W: the rows that are not short keep their bits; a row of
+        # zero moment becomes 0 * inf = nan, which the finite-row rule drops
+        lift = (-1,) + (1,) * (W.ndim - 1)
+        vals, dF, ok = _finite_terms(self.F, W * c.reshape(lift) if short.any() else W)
+        totals = vals.sum(axis=1) / n
+        weights = dF / n
+        lifted = short[ok]
+        if lifted.any():
+            keep = ok & short
+            Ws, dFs = _rows(W, keep), dF[lifted]
+            slope = (dFs * Ws).reshape(len(Ws), -1).sum(axis=1) / (m[keep] * n)
+            radial = np.maximum(_rows(fro, keep), 1e-300)[..., None, None] ** (self.q - 2.0) * Ws
+            weights[lifted] = (c[keep] / n).reshape(lift) * (dFs - slope.reshape(lift) * radial)
+        return _unbatch(totals, self.adjoint(weights), ok, x.shape[:-1])
 
 
 @functools.lru_cache(maxsize=16)

@@ -2,11 +2,12 @@
 and the pointwise quasiconvexity criterion.
 
 theta(t) is the infimum of the mean energy over zero-boundary fields whose
-mean q-th gradient moment is at least t.  The constraint is handled by an
-exterior quadratic penalty with continuation; every reported value is the
-energy of a verified-feasible field (the incumbent is rescaled onto the
-constraint when the penalty leaves a deficit), so the curve is a family of
-upper estimates of a convex function.
+mean q-th gradient moment is at least t.  The constraint is kept by a radial
+retraction: each t descends the energy of c x, where c >= 1 is the least
+scale that lifts the moment of x to t, so every iterate is feasible.  Every
+reported value is the energy of a verified-feasible field (the incumbent is
+rescaled onto the constraint), so the curve is a family of upper estimates
+of a convex function.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._descent import (
-    StencilEnergy,
-    _PenalizedMoment,
-    laminate_profile,
-    run_lbfgs_batch,
-    start_portfolio,
-)
+from ._descent import _MomentRetraction, laminate_profile, screen_then_polish, start_portfolio
 from ._descent import run_lbfgs  # noqa: F401  (bench/layers.py traces it at this site)
 from .envelope import AQCVerdict, EnvelopeOptions, is_aqc_at
 from .grid import Grid, GridField, a_gradient
@@ -37,11 +32,8 @@ __all__ = [
     "strong_qc_test",
 ]
 
-# penalty continuation: the weight rho of the first stage, its growth per
-# stage, and the number of stages
-_PENALTY_INIT = 10.0
-_PENALTY_GROWTH = 10.0
-_PENALTY_STAGES = 4
+# bench/layers.py traces the moment energy under its former name at this site
+_PenalizedMoment = _MomentRetraction
 
 
 @dataclass(frozen=True)
@@ -100,23 +92,25 @@ def theta_estimate(
 ) -> ThetaCurve:
     """Upper estimates of theta(t) on the unit box, with verified feasibility.
 
-    Each point runs penalty continuation from a warm start (the previous
-    point's incumbent rescaled onto the constraint) plus a deterministic
-    scaled laminate candidate; a final downward sweep reuses feasible
-    incumbents from larger t, so the curve is nondecreasing by construction.
+    Each point descends the radially retracted energy (``_MomentRetraction``)
+    in one ``screen_then_polish`` batch: from a deterministic scaled laminate
+    candidate, a warm start (the previous point's incumbent rescaled onto the
+    constraint) and the start portfolio, less any start of zero moment when
+    t > 0.  The best result, rescaled onto the constraint, is the point's
+    incumbent; a final downward sweep reuses feasible incumbents from larger
+    t, so the curve is nondecreasing by construction.
     """
     if F.C_upper is None:
         raise ValueError("theta estimation requires finite p-growth (C_upper)")
     _check_moment_order(F, q)
     t_values = _sorted_t_values(t_values)
     grid = opts.grid(_as_sv(a))
-    inner = StencilEnergy(grid, F, np.zeros((F.n, F.m)))
     rng = np.random.default_rng(opts.seed)
 
     def stats(phi: np.ndarray) -> tuple[float, float]:
         W = a_gradient(GridField(grid, phi)).values
         fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
-        return float(np.mean(inner.F(W))), float(np.mean(fro**q))
+        return float(np.mean(F(W))), float(np.mean(fro**q))
 
     # deterministic reference profile with unit moment
     base = laminate_profile(grid, 0, 1, 0.5)[..., None] * np.ones(F.n)
@@ -147,32 +141,21 @@ def theta_estimate(
         starts = [("candidate", feasible_candidate(t))]
         if warm is not None:
             starts.append(("warm", rescale_to(warm, t)))
-        for label, vals in start_portfolio(grid, F.n, opts.multistart, max(1.0, t) ** (1.0 / q), rng):
-            starts.append((label, rescale_to(vals, t)))
+        starts += start_portfolio(grid, F.n, opts.multistart, max(1.0, t) ** (1.0 / q), rng)
 
-        # every penalty stage runs all starts still descending in one batch
-        xs = [inner.pack(phi0) for _, phi0 in starts]  # pack drops the collar
-        live = list(range(len(starts)))
-        iters = 0
-        rho = _PENALTY_INIT
-        for _ in range(_PENALTY_STAGES):
-            if not live:
-                break
-            prob = _PenalizedMoment(inner, q, t, rho)
-            results = run_lbfgs_batch(prob, np.stack([xs[j] for j in live]),
-                                      [starts[j][0] for j in live], maxiter=opts.maxiter)
-            # a diverged start keeps its last stage's field and stops descending
-            finite = [(j, res) for j, res in zip(live, results) if np.isfinite(res.value)]
-            for j, res in finite:
-                xs[j] = res.x
-                iters += res.iterations
-            live = [j for j, _ in finite]
-            rho *= _PENALTY_GROWTH
+        # one batch per t; a start of zero moment has no retraction when t > 0
+        energy = _MomentRetraction(grid, F, q, t)
+        X0 = np.stack([energy.pack(phi0) for _, phi0 in starts])  # pack drops the collar
+        keep = np.isfinite(energy.scales(X0))
+        labels = [label for (label, _), k in zip(starts, keep) if k]
+        results = screen_then_polish(energy, X0[keep], labels, maxiter=opts.maxiter)
+        # a diverged start is dropped
+        finite = [res for res in results if np.isfinite(res.value)]
 
         best_phi = None
         best_val = np.inf
-        for x in xs:
-            phi_final = rescale_to(inner.unpack(x), t)
+        for res in finite:
+            phi_final = rescale_to(energy.unpack(res.x), t)
             val, mom = stats(phi_final)
             if mom >= t - 1e-9 and val < best_val:
                 best_val = val
@@ -183,9 +166,8 @@ def theta_estimate(
         theta[i] = best_val
         incumbents.append(best_phi)
         _, mom = stats(best_phi)
-        diagnostics.append(
-            {"t": float(t), "feasibility_gap": float(max(0.0, t - mom)), "iterations": iters}
-        )
+        diagnostics.append({"t": float(t), "feasibility_gap": float(max(0.0, t - mom)),
+                            "iterations": sum(res.iterations for res in finite)})
         warm = best_phi
 
     # downward sweep: a feasible incumbent for larger t is feasible for smaller t

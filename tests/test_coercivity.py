@@ -56,6 +56,50 @@ def test_theta_zero_point_bounded_by_envelope():
     assert curve.theta_hat[0] <= est.value + 1e-9
 
 
+def record_theta_batches(monkeypatch):
+    """(t, labels, iterations per start) of every batch theta_estimate descends."""
+    from mixvar import coercivity
+
+    batches = []
+    descend = coercivity.screen_then_polish
+
+    def recorded(energy, X0, labels, *args, **kwargs):
+        results = descend(energy, X0, labels, *args, **kwargs)
+        batches.append((energy.t, list(labels), [res.iterations for res in results]))
+        return results
+
+    monkeypatch.setattr(coercivity, "screen_then_polish", recorded)
+    return batches
+
+
+def test_theta_drops_a_start_of_zero_moment_when_t_is_positive(monkeypatch):
+    # multistart 1 is the zero start alone; it has no retraction above t = 0
+    import warnings
+
+    batches = record_theta_batches(monkeypatch)
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = theta_estimate(F, 2.0, [0.0, 0.5, 1.0], (2,),
+                               ThetaOptions(resolution=17, multistart=1, seed=12))
+    assert np.all(np.isfinite(curve.theta_hat))
+    assert [labels for _, labels, _ in batches] == [
+        ["candidate", "zero"], ["candidate", "warm"], ["candidate", "warm"]]
+
+
+def test_theta_pnorm_points_above_zero_end_in_two_iterations(monkeypatch):
+    # criterion 5's curve: G_t is the constant t below the moment t, so every
+    # start is done once it is retracted
+    batches = record_theta_batches(monkeypatch)
+    F = builtin("pnorm", p=2, n=1, m=2)
+    curve = theta_estimate(F, 2.0, T_GRID, (1, 2), ThetaOptions(seed=51, multistart=2))
+    for t, th in zip(curve.t_values, curve.theta_hat):
+        assert abs(th - t) <= 1e-14 * (1 + t)
+    assert [t for t, _, _ in batches] == T_GRID
+    for _, _, iterations in batches[1:]:
+        assert max(iterations) <= 2
+
+
 def test_theta_rejects_bad_q():
     F = builtin("pnorm", p=2, n=1, m=1)
     with pytest.raises(ValueError):

@@ -405,9 +405,14 @@ def central_difference(fun, x, eps=1e-6):
     return out
 
 
+def moment(energy, x, q):
+    """mean |grad_a phi|^q of the zero-boundary field with free values x, on the full nodes."""
+    W = a_gradient(GridField(energy.grid, energy.unpack(x))).values
+    return float(np.mean(np.sqrt(np.sum(W**2, axis=(-2, -1))) ** q))
+
+
 def test_energy_gradients_match_central_differences():
-    from mixvar._descent import StencilEnergy
-    from mixvar.coercivity import _PenalizedMoment
+    from mixvar._descent import StencilEnergy, _MomentRetraction
     from mixvar.integrand import builtin
 
     g = Grid(((-1, 1), (-1, 1)), (9, 9), SV12)
@@ -415,8 +420,9 @@ def test_energy_gradients_match_central_differences():
     rng = np.random.default_rng(5)
     energy = StencilEnergy(g, F, rng.normal(size=g.interior_shape + (2, 2)) * 0.1)
     x = rng.normal(size=energy.n_free) * 0.01
-    # t far above the moment of x keeps the penalty branch active
-    for prob in (energy, _PenalizedMoment(energy, 2.0, 5.0, 10.0)):
+    m = moment(energy, x, 2.0)
+    # t = 2m retracts every field near x; t = m / 2 retracts none
+    for prob in (energy, *(_MomentRetraction(g, F, 2.0, t) for t in (2.0 * m, 0.5 * m))):
         _, grad = prob.value_and_grad(x)
         fd = central_difference(lambda y: prob.value_and_grad(y)[0], x)
         assert np.allclose(grad, fd, rtol=1e-5, atol=1e-6 * np.max(np.abs(fd)))
@@ -451,44 +457,49 @@ def test_free_dof_energy_is_bit_equal_to_the_full_node_path(a, n):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("a", OPERATOR_CASES)
 def test_free_dof_penalized_moment_is_bit_equal_to_the_full_node_path(a, n):
-    from mixvar.coercivity import _PenalizedMoment
+    # the moment energy, still named coercivity._PenalizedMoment where bench/layers.py traces it
+    from mixvar._descent import _MomentRetraction
     from mixvar.grid import gradient_adjoint
 
     energy, x = free_dof_energy(a, n)
-    g, F, q, rho = energy.grid, energy.F, 3.0, 10.0
+    g, F, q, N = energy.grid, energy.F, 3.0, energy.grid.n_interior
     W = a_gradient(GridField(g, energy.unpack(x))).values
     fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
-    moment = float(np.mean(fro**q))
-    for t in (2.0 * moment, 0.5 * moment):  # deficit > 0, then <= 0
-        deficit = t - moment
-        weights = F.gradient(W) / g.n_interior
-        ref_value = float(np.mean(F(W)))
-        if deficit > 0:
-            ref_value += rho * deficit**2
-            dmom = q * np.maximum(fro, 1e-300)[..., None, None] ** (q - 2.0) * W / g.n_interior
-            weights = weights - 2.0 * rho * deficit * dmom
+    m = float(np.mean(fro**q))
+    for t in (2.0 * m, 0.5 * m):  # retracted, then not
+        if t > m:
+            c = float(np.power(t / m, 1.0 / q))
+            dF = F.gradient(W * c)
+            slope = np.sum(np.ascontiguousarray(dF * W)) / (m * N)  # in C order, as per row
+            radial = np.maximum(fro, 1e-300)[..., None, None] ** (q - 2.0) * W
+            ref_value = float(np.mean(F(W * c)))
+            weights = c / N * (dF - slope * radial)
+        else:
+            ref_value = float(np.mean(F(W)))
+            weights = F.gradient(W) / N
         ref_grad = gradient_adjoint(g, energy.alphas, weights)[~g.collar_mask()].reshape(-1)
-        value, grad = _PenalizedMoment(energy, q, t, rho).value_and_grad(x)
+        value, grad = _MomentRetraction(g, F, q, t).value_and_grad(x)
         assert np.array_equal(value, ref_value)
         assert np.array_equal(grad, ref_grad)
 
 
 def test_free_dof_energy_rejects_non_finite_values():
-    from mixvar.coercivity import _PenalizedMoment
+    from mixvar._descent import _MomentRetraction
 
     energy, x = free_dof_energy((1, 2), 2)
+    m = moment(energy, x, 2.0)
     for bad in (np.nan, np.inf):
         y = x.copy()
         y[3] = bad
-        for prob in (energy, _PenalizedMoment(energy, 2.0, 1.0, 10.0)):
+        for prob in (energy, *(_MomentRetraction(energy.grid, energy.F, 2.0, t)
+                               for t in (2.0 * m, 0.5 * m))):
             with pytest.raises(ValueError, match="finite"):
                 prob.value_and_grad(y)
 
 
 def test_a_row_with_a_broken_gradient_gets_inf_and_a_zero_gradient():
     # |V|^1.5 with the naive gradient 1.5 |V|^(-1/2) V: finite values, NaN gradient at V = 0
-    from mixvar.coercivity import _PenalizedMoment
-    from mixvar._descent import StencilEnergy
+    from mixvar._descent import StencilEnergy, _MomentRetraction
     from mixvar.integrand import Integrand
 
     def ev(V):
@@ -501,10 +512,63 @@ def test_a_row_with_a_broken_gradient_gets_inf_and_a_zero_gradient():
     energy = StencilEnergy(Grid(((-1, 1),), (17,), SmoothnessVector((2,))), F, np.zeros((1, 1)))
     x = np.zeros(energy.n_free)
     x[6] = 0.3
+    m = moment(energy, x, 1.5)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for prob in (energy, _PenalizedMoment(energy, 1.5, 2.0, 10.0)):
+        for prob in (energy, *(_MomentRetraction(energy.grid, F, 1.5, t)
+                               for t in (2.0 * m, 0.5 * m))):
             value, grad = prob.value_and_grad(x)
             assert value == np.inf and np.all(grad == 0.0)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("a", OPERATOR_CASES)
+def test_a_retracted_gradient_is_orthogonal_to_its_field(a, q):
+    # below the moment t the energy is 0-homogeneous, so it has no radial slope
+    from mixvar._descent import _MomentRetraction
+
+    energy, x = free_dof_energy(a, 2)
+    prob = _MomentRetraction(energy.grid, energy.F, q, 2.0 * moment(energy, x, q))
+    _, grad = prob.value_and_grad(x)
+    assert abs(grad @ x) <= 1e-12 * np.linalg.norm(grad) * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("a", OPERATOR_CASES)
+def test_the_retraction_lifts_a_field_to_the_moment_t(a, q):
+    from mixvar._descent import _MomentRetraction
+
+    energy, x = free_dof_energy(a, 2)
+    g, F = energy.grid, energy.F
+    m = moment(energy, x, q)
+    for t in (0.3 * m, 2.0 * m, 50.0 * m):
+        prob = _MomentRetraction(g, F, q, t)
+        c = prob.scales(x[None])[0]
+        if t < m:
+            assert c == 1.0
+        else:
+            assert abs(moment(energy, c * x, q) - t) <= 1e-14 * t
+        value, _ = prob.value_and_grad(x)
+        W = a_gradient(GridField(g, energy.unpack(c * x))).values
+        assert value == pytest.approx(float(np.mean(F(W))), rel=1e-12)
+
+
+def test_a_field_of_zero_moment_has_no_retraction_when_t_is_positive():
+    # no scale lifts the zero field to t > 0: +inf and a zero gradient, in a batch too
+    from mixvar._descent import _MomentRetraction
+
+    energy, x = free_dof_energy((1, 2), 1)
+    X = np.stack([np.zeros_like(x), x])
+    prob = _MomentRetraction(energy.grid, energy.F, 2.0, 1.0)
+    assert prob.scales(X)[0] == np.inf
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        values, grads = prob.value_and_grad(X)
+    assert values[0] == np.inf and np.all(grads[0] == 0.0)
+    one_value, one_grad = prob.value_and_grad(x)
+    assert np.array_equal(values[1], one_value) and np.array_equal(grads[1], one_grad)
+    # at t = 0 every field is its own retraction, the zero field too
+    flat = _MomentRetraction(energy.grid, energy.F, 2.0, 0.0)
+    assert np.array_equal(flat.scales(X), [1.0, 1.0])
+    assert np.all(np.isfinite(flat.value_and_grad(X)[0]))
 
 
 @pytest.mark.parametrize("a", [(2,), (3,)])
@@ -555,24 +619,20 @@ def batch_of_fields(energy, rng):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("a", OPERATOR_CASES)
 def test_batched_energies_are_bit_equal_to_one_call_per_row(a, n):
-    from mixvar._descent import StencilEnergy
-    from mixvar.coercivity import _PenalizedMoment
+    from mixvar._descent import StencilEnergy, _MomentRetraction
     from mixvar.solver import _DirichletEnergy
 
     energy, _ = free_dof_energy(a, n)
     g, F = energy.grid, energy.F
     rng = np.random.default_rng(9)
     X = batch_of_fields(energy, rng)
-    moments = []
-    for x in X[:3]:
-        W = a_gradient(GridField(g, energy.unpack(x))).values
-        moments.append(float(np.mean(np.sqrt(np.sum(W**2, axis=(-2, -1)))**3.0)))
-    t = 0.5 * (moments[0] + moments[1])  # deficit > 0 on row 0, <= 0 on rows 1 and 2
+    moments = [moment(energy, x, 3.0) for x in X[:3]]
+    t = 0.5 * (moments[0] + moments[1])  # row 0 is retracted, rows 1 and 2 are not
     probs = [
         energy,
         StencilEnergy(g, F, np.full((n, F.m), 0.2)),  # one gradient for every node
         _DirichletEnergy(g, F, GridField(g, rng.normal(size=g.shape + (n,)) * 0.1)),
-        _PenalizedMoment(energy, 3.0, t, 10.0),
+        _MomentRetraction(g, F, 3.0, t),
     ]
     with np.errstate(over="ignore", invalid="ignore"):
         for prob in probs:
