@@ -35,7 +35,11 @@ whose condition number grows like h^(-2 max a_i), spends its whole budget.
 ``screen_then_polish`` is the two-phase descent of envelope nodes,
 Dirichlet solves and theta points: every start screens flat, which picks its
 basin, and the chosen starts that ran out of that budget polish in the
-metric.
+metric.  Every descent records each row's value after _SCREEN_CUT_ROUND
+energy evaluations, and a screen may be given a ``cut`` that retires rows
+there; envelope nodes cut theirs to their leaders (successive halving's
+first rung, Jamieson & Talwalkar 2016), so losing starts stop early.  A cut
+changes no kept row's arithmetic.
 """
 
 from __future__ import annotations
@@ -67,6 +71,9 @@ _WINDOW_FRAC = 0.25
 # flat screening budget per start; the rows chosen for polishing spend the
 # rest of maxiter in the a-Sobolev metric (screen_then_polish)
 _SCREEN_MAXITER = 200
+# the energy evaluation after which a screen's ``cut`` may retire rows; every
+# descent records its rows' values there (DescentResult.cut_value)
+_SCREEN_CUT_ROUND = 25
 # multiply-adds per matrix product of the Sobolev transforms: OpenBLAS runs a
 # product up to this size on one thread, while one it shares out over threads
 # can change its bits with the thread count (measured at 125 x 125 x 127)
@@ -376,6 +383,8 @@ class DescentResult:
     converged: bool
     budget_exhausted: bool = False
     history: list = field(default_factory=list)
+    cut_value: float = math.nan   # value after _SCREEN_CUT_ROUND evaluations; nan if it ended sooner
+    retired: bool = False         # stopped there by the descent's ``cut``
 
 
 def _div(a: float, b: float) -> float:
@@ -472,15 +481,16 @@ class _Row:
     stpmax _STPMAX), names and all; ``start`` is its START call.
     """
 
-    __slots__ = ("id", "f", "nit", "pairs", "begun", "converged", "stopped", "stp", "finit",
-                 "ginit", "gtest", "stx", "fx", "gx", "sty", "fy", "gy", "stmin", "stmax", "width",
-                 "width1", "brackt", "stage1")
+    __slots__ = ("id", "f", "nit", "pairs", "begun", "converged", "stopped", "retired",
+                 "cut_value", "stp", "finit", "ginit", "gtest", "stx", "fx", "gx", "sty", "fy", "gy",
+                 "stmin", "stmax", "width", "width1", "brackt", "stage1")
 
     def __init__(self, id: int, f: float):
         self.id, self.f = id, f
         self.nit = 0
         self.pairs = 0  # stored since the memory was last emptied; the next goes to pairs % _MAXCOR
-        self.converged = self.stopped = False
+        self.converged = self.stopped = self.retired = False
+        self.cut_value = math.nan
 
     def start(self, stp: float, g0: float, round: int) -> None:
         """Begin a search from the iterate (value self.f, slope g0 < 0) at step stp."""
@@ -554,13 +564,14 @@ class _Lbfgs:
     fixed number of batched array operations per round, whatever the batch
     size.  A row that stops leaves its result behind and the last live rows
     move into its place, so every batched operation runs on a leading block
-    and none copies the memory.
+    and none copies the memory.  After _SCREEN_CUT_ROUND evaluations every
+    live row records its value, and the rows ``cut`` names retire there.
     """
 
-    def __init__(self, x0, f0, g0, maxiter: int, gtol: float, history: bool):
+    def __init__(self, x0, f0, g0, maxiter: int, gtol: float, history: bool, cut=None):
         k, n = x0.shape
         m = _MAXCOR
-        self.maxiter, self.gtol, self.record = maxiter, gtol, history
+        self.maxiter, self.gtol, self.record, self.cut = maxiter, gtol, history, cut
         self.live = k
         self.round = 1  # energy evaluations of every live row so far
         self.rows = [_Row(i, f) for i, f in enumerate(np.asarray(f0, dtype=float).tolist())]
@@ -652,8 +663,27 @@ class _Lbfgs:
             if store:
                 self._store(store, P)
             self._begin(new, self._inverse_times_g(P[:, 1]))
+        if self.round == _SCREEN_CUT_ROUND:
+            self._checkpoint()
         self._trials()
         self._retire()
+
+    def _checkpoint(self) -> None:
+        """Record every live row's value; retire the still-descending rows ``cut`` names.
+
+        ``cut(ids, values)`` gets the X0 rows (in no set order) and current
+        values of the rows that have not stopped and returns the X0 rows to
+        retire.
+        """
+        for row in self.rows:
+            row.cut_value = row.f
+        going = [row for row in self.rows if not row.stopped]
+        if self.cut is None or not going:
+            return
+        retire = set(self.cut([row.id for row in going], [row.f for row in going]))
+        for row in going:
+            if row.id in retire:
+                row.stopped = row.retired = True
 
     def _store(self, store: list, P: np.ndarray) -> None:
         """Put the pair (s, y) of each ``store`` row in its ring slot; P = [y'W; g'W].
@@ -780,17 +810,17 @@ class _Lbfgs:
             budget = row.nit >= self.maxiter or self.round > _MAXFUN
             self.results[row.id] = DescentResult(
                 row.f, self.x[i].copy(), "", row.nit, self.round, row.converged,
-                budget and not row.converged, self.history[row.id])
+                budget and not row.converged, self.history[row.id], row.cut_value, row.retired)
         kept = [i for i, row in enumerate(rows) if not row.stopped]
         self.live = live = len(kept)
         holes, movers = [i for i in gone if i < live], [i for i in kept if i >= live]
-        if holes:
-            h, mv = np.array(holes), np.array(movers)
+        # row by row: a fancy-indexed move would copy all the movers' rings
+        # (a cut moves dozens at once) into a temporary first
+        for i, j in zip(holes, movers):
             for a in (self.ids, self.x, self.V, self.d, self.z, self.xt, self.W, self.Rinv,
                       self.YY, self.D, self.theta):
-                a[h] = a[mv]
-            for i, j in zip(holes, movers):
-                rows[i] = rows[j]
+                a[i] = a[j]
+            rows[i] = rows[j]
         del rows[live:]
 
 
@@ -801,6 +831,7 @@ def run_lbfgs_batch(
     maxiter: int = 400,
     gtol: float = 1e-9,
     history: bool = False,
+    cut=None,
 ) -> list[DescentResult]:
     """L-BFGS descents of ``energy.value_and_grad`` from every row of X0, in lockstep.
 
@@ -817,10 +848,18 @@ def run_lbfgs_batch(
 
     With ``history``, each result's ``history`` holds the energy at x0 and
     at every accepted iterate.
+
+    Each result's ``cut_value`` is its value after ``_SCREEN_CUT_ROUND``
+    energy evaluations (nan when it ended sooner).  ``cut(ids, values)``,
+    when given, is called there once, with the X0 rows of the starts still
+    descending and their current values; the rows it returns stop where
+    they are, ``retired`` and neither converged nor out of budget.  A cut
+    that reads only rows of one group (an envelope node) leaves the other
+    groups' results as they are without it.
     """
     X0 = np.array(X0, dtype=float, order="C")
     f0, g0 = energy.value_and_grad(X0, np.arange(len(X0)))
-    run = _Lbfgs(X0, f0, g0, maxiter, gtol, history)
+    run = _Lbfgs(X0, f0, g0, maxiter, gtol, history, cut)
     while run.live:
         run.step(*energy.value_and_grad(run.xt[:run.live], run.ids[:run.live]))
     for res, label in zip(run.results, labels):
@@ -860,25 +899,29 @@ def screen_then_polish(
     gtol: float = 1e-9,
     choose=None,
     history: bool = False,
+    cut=None,
 ) -> list[DescentResult]:
     """Descents from every row of X0 that screen flat, then polish in the a-Sobolev metric.
 
     Every start first runs ``_SCREEN_MAXITER`` iterations (all of
     ``maxiter`` when that is smaller) in the flat metric of the free values,
-    which carries it into a basin.  Of the rows ``choose(screen)`` names
-    (every row when None), those that ran out of that budget with a finite
-    value continue for the rest of ``maxiter`` in ``SobolevEnergy``
-    coordinates, where ``gtol`` bounds the z-gradient.  A polished row's
-    result is the polish's, mapped back to free values, with the iterations
-    and evaluations of both phases and, with ``history``, the screen's
-    energies followed by the polish's accepted iterates (the polish's x0,
-    the screen's last iterate again, is not repeated).  A polish that
-    diverges keeps its screening result.  Every row is bit-equal to the same
-    start run alone.
+    which carries it into a basin.  ``cut``, when given, goes to the screen
+    (``run_lbfgs_batch``): the rows it retires after ``_SCREEN_CUT_ROUND``
+    evaluations end there, neither converged nor out of budget, so they
+    never polish.  Of the rows ``choose(screen)`` names (every row when
+    None), those that ran out of the screening budget with a finite value
+    continue for the rest of ``maxiter`` in ``SobolevEnergy`` coordinates,
+    where ``gtol`` bounds the z-gradient.  A polished row's result is the
+    polish's, mapped back to free values, with the iterations and
+    evaluations of both phases, the screen's ``cut_value`` and, with
+    ``history``, the screen's energies followed by the polish's accepted
+    iterates (the polish's x0, the screen's last iterate again, is not
+    repeated).  A polish that diverges keeps its screening result.  Every
+    row is bit-equal to the same start run alone, under the same cut.
     """
     screen_maxiter = min(_SCREEN_MAXITER, maxiter)
     screen = run_lbfgs_batch(energy, X0, labels, maxiter=screen_maxiter, gtol=gtol,
-                             history=history)
+                             history=history, cut=cut)
     chosen = range(len(screen)) if choose is None else choose(screen)
     ids = [k for k in chosen if screen[k].budget_exhausted and np.isfinite(screen[k].value)]
     if maxiter <= screen_maxiter or not ids:
@@ -894,7 +937,8 @@ def screen_then_polish(
         if np.isfinite(res.value):
             results[k] = replace(res, x=x, iterations=start.iterations + res.iterations,
                                  nfev=start.nfev + res.nfev,
-                                 history=start.history + res.history[1:])
+                                 history=start.history + res.history[1:],
+                                 cut_value=start.cut_value)
     return results
 
 

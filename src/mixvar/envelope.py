@@ -71,6 +71,9 @@ DEFAULT_LEVELS = (17, 33, 65)
 _CHUNK_CELLS = 2**15
 # screening leaders polished at a node where some start beats F(V)
 _POLISH_TOP = 3
+# screening leaders a node keeps, beside each family's best, when its screen
+# is cut after _descent._SCREEN_CUT_ROUND evaluations
+_SCREEN_KEEP = 8
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class EnvelopeEstimate:
     witness: GridField | None   # argmin test field (None when phi = 0 wins)
     best_start: str
     budget_exhausted: bool
-    per_start: list
+    per_start: list             # (label, value, iterations, cut value, retired) per finite start
 
 
 def _require_growth(F: Integrand):
@@ -105,6 +108,17 @@ def _family(label: str) -> str:
     return label.split("(")[0].rstrip("0123456789")
 
 
+def _family_bests(labels) -> set[str]:
+    """The first of each start family's labels in ``labels``, ranked best first.
+
+    The warm start is a family of its own.
+    """
+    best = {}
+    for label in labels:
+        best.setdefault(_family(label), label)
+    return set(best.values())
+
+
 def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
                seeds, warms) -> list[EnvelopeEstimate]:
     """``dacorogna_min`` at every V of Vs (K, n, m) on one grid, in two batches.
@@ -113,9 +127,15 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
     is a field, also descends from it.  The starts of all nodes screen in one
     batched descent in the flat metric and every node's chosen starts polish
     in a second, in the a-Sobolev metric (``screen_then_polish``; this picks
-    the starts); each row is bit-equal to a lone descent, so each estimate is
-    the one the node gets on its own.  A polished start reports the
-    iterations of both phases.
+    the starts).  After ``_descent._SCREEN_CUT_ROUND`` evaluations a node
+    with more than ``_SCREEN_KEEP`` starts still screening keeps only its
+    ``_SCREEN_KEEP`` lowest, the lowest of each start family (the warm start
+    is a family of its own); the others retire there and never polish.
+    Each cut reads only its node's rows and each row is bit-equal to a lone
+    descent, so each estimate is the one the node gets on its own.  Per
+    start, ``per_start`` holds the label, mean value, iterations (of both
+    phases for a polished start), mean value at the cut (nan for a start
+    that ended sooner) and whether the cut retired it.
     """
     scale_mean = 1.0 / grid.n_interior
     portfolios = []
@@ -126,8 +146,22 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
             starts = [("warm", warm.values)] + starts
         portfolios.append(starts)
     owner = np.array([i for i, starts in enumerate(portfolios) for _ in starts], dtype=int)
+    labels = [label for starts in portfolios for label, _ in starts]
     references = [float(F(V)) for V in Vs]
     ranked = []  # per node, its finite screened rows in order of screening value
+
+    def cut(ids: list[int], values: list[float]) -> list[int]:
+        # per node, its rows still screening past its _SCREEN_KEEP leaders
+        # that are no family's best (a tie ranks the earlier start first)
+        nodes: dict[int, list] = {}
+        for k, value in zip(ids, values):
+            nodes.setdefault(owner[k], []).append((value, k))
+        retire = []
+        for rows in nodes.values():
+            rows.sort()
+            bests = _family_bests(labels[k] for _, k in rows)
+            retire += [k for _, k in rows[_SCREEN_KEEP:] if labels[k] not in bests]
+        return retire
 
     def choose(screen: list[DescentResult]) -> list[int]:
         # polishing pays off only where some start actually beats the exact
@@ -145,17 +179,13 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
             polish = {r.start_label for r in screened[:1]}
             if promising:
                 polish.update(r.start_label for r in screened[:_POLISH_TOP])
-                for fam in ("warm", "laminate", "random", "zero"):
-                    best = next((r for r in promising if _family(r.start_label) == fam), None)
-                    if best is not None:
-                        polish.add(best.start_label)
+                polish.update(_family_bests(r.start_label for r in promising))
             chosen += [k for k, r in zip(rows, screened) if r.start_label in polish]
         return chosen
 
     energy = StencilEnergy(grid, F, Vs[owner], per_row=True)
     X0 = energy.pack(np.stack([vals for starts in portfolios for _, vals in starts]))  # no collar
-    labels = [label for starts in portfolios for label, _ in starts]
-    results = screen_then_polish(energy, X0, labels, opts.maxiter, choose=choose)
+    results = screen_then_polish(energy, X0, labels, opts.maxiter, choose=choose, cut=cut)
 
     estimates = []
     for reference, rows in zip(references, ranked):
@@ -171,7 +201,8 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
                 best_start = res.start_label
                 witness = GridField(grid, energy.unpack(res.x))
                 exhausted = res.budget_exhausted
-        per_start = [(r.start_label, r.value * scale_mean, r.iterations) for r in node_results]
+        per_start = [(r.start_label, r.value * scale_mean, r.iterations, r.cut_value * scale_mean,
+                      r.retired) for r in node_results]
         estimates.append(EnvelopeEstimate(best_value, reference, witness, best_start, exhausted,
                                           per_start))
     return estimates

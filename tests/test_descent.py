@@ -104,6 +104,43 @@ def test_lockstep_batch_is_bit_equal_to_lone_descents(a, history):
         run_lbfgs(energy, X0[3], maxiter=maxiter, label="inf")
 
 
+def test_a_cut_retires_its_rows_and_leaves_the_kept_rows_bit_equal_to_lone_descents():
+    energy = tilted_double_well((2,))
+    maxiter, gtol = 60, 1e-6
+    rng = np.random.default_rng(11)
+    X0 = np.concatenate([mixed_starts(energy, rng), rng.normal(size=(5, energy.n_free)) * 0.5])
+    labels = [str(k) for k in range(len(X0))]
+    calls = []
+
+    def cut(ids, values):
+        calls.append(dict(zip(ids, values)))
+        return sorted(ids)[::2]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = run_lbfgs_batch(energy, X0, labels, maxiter, gtol, cut=cut)
+        lone = [run_lbfgs_batch(energy, x0[None], ["lone"], maxiter, gtol)[0] for x0 in X0]
+    round = _descent._SCREEN_CUT_ROUND
+    assert len(calls) == 1
+    # the cut sees the rows still descending after the cut round's evaluation
+    ids = sorted(calls[0])
+    assert ids == [k for k, res in enumerate(lone) if res.nfev > round]
+    assert [calls[0][k] for k in ids] == [lone[k].cut_value for k in ids]
+    assert len(ids) >= 5
+    for k, (got, alone) in enumerate(zip(batch, lone)):
+        assert np.array_equal(got.cut_value, alone.cut_value, equal_nan=True)
+        assert np.isnan(got.cut_value) == (alone.nfev < round)
+        if k in ids[::2]:
+            assert got.retired and not got.converged and not got.budget_exhausted
+            assert got.nfev == round and got.value == got.cut_value
+            assert energy.value_and_grad(got.x)[0] == got.value
+            continue
+        assert not got.retired
+        assert np.array_equal(got.value, alone.value)
+        assert np.array_equal(got.x, alone.x)
+        assert (got.iterations, got.nfev) == (alone.iterations, alone.nfev)
+        assert (got.converged, got.budget_exhausted) == (alone.converged, alone.budget_exhausted)
+
+
 def test_descent_tracks_scipy_lbfgsb():
     # the same rules as scipy's L-BFGS-B: only the order of round-off differs
     # (the compact inverse form instead of L-BFGS-B's subspace step), so

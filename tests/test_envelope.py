@@ -37,6 +37,9 @@ def lower_convex_hull_1d(f, lo=-3.0, hi=3.0, k=10**4):
 
 
 FAST = EnvelopeOptions(resolution=17, multistart=4, maxiter=300, seed=0)
+# 16 starts a node: the screen is cut after _descent._SCREEN_CUT_ROUND evaluations
+CUT_LATTICE = [(-2.0, 2.0, 5)]
+CUT_OPTS = EnvelopeOptions(resolution=33, multistart=16, maxiter=300, seed=3)
 
 
 def test_convex_integrand_envelope_is_exact():
@@ -280,7 +283,8 @@ def test_tabulate_masks_only_the_node_whose_descent_fails(monkeypatch):
      EnvelopeOptions(resolution=33, multistart=4, maxiter=300, seed=3), 40, None),
     ((1, 2), builtin("double_well", w=1.0, n=1, m=2, col=1), [(-0.5, 0.5, 2), (-1.5, 1.5, 2)],
      EnvelopeOptions(resolution=33, multistart=3, maxiter=120, seed=11), 30, (9, 17, 33)),
-], ids=["1d", "2d-ladder"])
+    ((2,), builtin("double_well", w=1.0, n=1, m=1), CUT_LATTICE, CUT_OPTS, 40, None),
+], ids=["1d", "2d-ladder", "1d-cut"])
 def test_table_bytes_do_not_depend_on_the_chunking(tmp_path, monkeypatch, a, F, lattice, opts,
                                                    screen, levels):
     import mixvar.envelope as envelope
@@ -301,7 +305,8 @@ def test_table_bytes_do_not_depend_on_the_chunking(tmp_path, monkeypatch, a, F, 
      EnvelopeOptions(resolution=33, multistart=4, maxiter=300, seed=3), 40, None),
     ((1, 2), builtin("double_well", w=1.0, n=1, m=2, col=1), [(-0.5, 0.5, 2), (-1.5, 1.5, 2)],
      EnvelopeOptions(resolution=33, multistart=3, maxiter=120, seed=11), 30, (9, 17, 33)),
-], ids=["1d", "2d-ladder"])
+    ((2,), builtin("double_well", w=1.0, n=1, m=1), CUT_LATTICE, CUT_OPTS, 40, None),
+], ids=["1d", "2d-ladder", "1d-cut"])
 def test_table_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, cpus, forks, a, F,
                                                        lattice, opts, screen, levels):
     monkeypatch.setattr(_descent, "_SCREEN_MAXITER", screen)
@@ -444,7 +449,7 @@ def test_one_node_estimate_equals_the_node_inside_a_chunk(monkeypatch):
         alone = dacorogna_min(F, V, (2,), replace(opts, seed=seed))
         assert alone.value == est.value
         assert alone.best_start == est.best_start
-        assert alone.per_start == est.per_start
+        assert repr(alone.per_start) == repr(est.per_start)  # a nan cut value is not == itself
 
 
 def test_a_polished_start_reports_its_screening_and_polishing_iterations(monkeypatch):
@@ -461,12 +466,78 @@ def test_a_polished_start_reports_its_screening_and_polishing_iterations(monkeyp
     opts = EnvelopeOptions(resolution=33, multistart=5, maxiter=300, seed=0)
     est = dacorogna_min(F, np.array([[0.3]]), (2,), opts)
     screen, polish = batches
-    iterations = {label: its for label, _, its in est.per_start}
+    iterations = {label: its for label, _, its, *_ in est.per_start}
     assert polish
     for res in polish:
         screened = next(r for r in screen if r.start_label == res.start_label)
         assert screened.iterations == 40
         assert iterations[res.start_label] == 40 + res.iterations
+
+
+def test_a_retired_start_ends_at_the_cut_and_is_never_polished(monkeypatch):
+    batches = []
+    run = _descent.run_lbfgs_batch
+
+    def recorded(energy, X0, labels, **kwargs):
+        batches.append((energy, list(labels), run(energy, X0, labels, **kwargs)))
+        return batches[-1][2]
+
+    monkeypatch.setattr(_descent, "run_lbfgs_batch", recorded)
+    monkeypatch.setattr(_descent, "_SCREEN_MAXITER", 40)
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    Vs = np.linspace(*CUT_LATTICE[0]).reshape(-1, 1, 1)
+    grid = CUT_OPTS.grid(envelope.SmoothnessVector((2,)))
+    seeds = [3, 4, 5, 6, 7]
+    ests = envelope._min_nodes(F, Vs, grid, CUT_OPTS, seeds, [None] * len(Vs))
+    (_, labels, screen), (polish, _, _) = batches
+    owner = np.repeat(np.arange(len(Vs)), CUT_OPTS.multistart)
+    retired = {k for k, res in enumerate(screen) if res.retired}
+    polished = set(polish.ids.tolist())  # the X0 rows of the polishing batch
+    assert retired and polished and not retired & polished
+    round = _descent._SCREEN_CUT_ROUND
+    for k in retired:
+        res = screen[k]
+        assert res.nfev == round and res.value == res.cut_value
+        assert not res.converged and not res.budget_exhausted
+        kept = [j for j in np.flatnonzero(owner == owner[k])
+                if screen[j].nfev > round and j not in retired]
+        # _SCREEN_KEEP starts of its node beat it at the cut, one of its own family too
+        assert sum(screen[j].cut_value <= res.cut_value for j in kept) >= envelope._SCREEN_KEEP
+        family = envelope._family(labels[k])
+        assert any(envelope._family(labels[j]) == family and screen[j].cut_value <= res.cut_value
+                   for j in kept)
+    for node, est in enumerate(ests):
+        records = {label: rest for label, *rest in est.per_start}
+        for k in np.flatnonzero(owner == node):
+            _, iterations, cut_value, was_retired = records[labels[k]]
+            assert was_retired == screen[k].retired
+            assert np.array_equal(cut_value, screen[k].cut_value * (1.0 / grid.n_interior),
+                                  equal_nan=True)
+            if was_retired:
+                assert iterations == screen[k].iterations and labels[k] != est.best_start
+    # each node cuts its own rows only: alone, it retires the same starts
+    for V, seed, est in zip(Vs, seeds, ests):
+        alone = dacorogna_min(F, V, (2,), replace(CUT_OPTS, seed=seed))
+        assert repr(alone.per_start) == repr(est.per_start)
+
+
+def test_a_node_with_at_most_keep_starts_screening_is_never_cut(monkeypatch):
+    # 9 starts a node: the zero start is stationary at every V, so 8 still
+    # screen at the cut, and the cut leaves them as one that keeps 100 would
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    monkeypatch.setattr(_descent, "_SCREEN_MAXITER", 40)
+    opts = replace(CUT_OPTS, multistart=9)
+    runs = []
+    for keep in (envelope._SCREEN_KEEP, 100):
+        monkeypatch.setattr(envelope, "_SCREEN_KEEP", keep)
+        ests = envelope._min_nodes(F, np.array([0.9, 0.0, -0.4]).reshape(3, 1, 1),
+                                   opts.grid(envelope.SmoothnessVector((2,))), opts, [5, 6, 7],
+                                   [None] * 3)
+        for est in ests:
+            assert not any(retired for *_, retired in est.per_start)
+            assert sum(np.isfinite(cut_value) for *_, cut_value, _ in est.per_start) == 8
+        runs.append(repr([(est.value, est.best_start, est.per_start) for est in ests]))
+    assert runs[0] == runs[1]
 
 
 def test_a_tabulation_without_a_polishing_budget_never_builds_the_metric(monkeypatch):
