@@ -25,19 +25,15 @@ from .grid import (
     Grid,
     GridField,
     a_gradient,
-    cutoff,
-    cutoff_constants,
     full_gradient,
     lower_gradient,
     mixed_derivative,
-    piecewise_gradient_approx,
-    polynomial_approx,
     project_to_gradients,
     sobolev_norm,
     stencil_matrix,
     truncate,
 )
-from .integrand import Integrand, builtin, builtin_from_config, grad_check, standard_test_class
+from .integrand import Integrand, builtin, builtin_from_config, grad_check
 from .envelope import (
     EnvelopeOptions,
     EnvelopeTable,

@@ -942,10 +942,17 @@ def screen_then_polish(
     return results
 
 
+def _smooth_ramp(t: np.ndarray) -> np.ndarray:
+    """C-infinity monotone ramp: 0 for t<=0, 1 for t>=1."""
+    t = np.clip(t, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+        hi = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+    return lo / (lo + hi)
+
+
 def boundary_window(grid: Grid) -> np.ndarray:
     """Tensor-product smooth window: 0 on the faces, 1 on the inner (1 - _WINDOW_FRAC) part."""
-    from .grid import _smooth_ramp
-
     vals = np.ones(grid.shape)
     for i, ax in enumerate(grid.axes()):
         lo, hi = grid.domain[i]

@@ -74,8 +74,10 @@ def _check_moment_order(F: Integrand, q: float) -> None:
 
 
 def _sorted_t_values(t_values) -> np.ndarray:
-    """The constraint levels in increasing order; they must be distinct and nonnegative."""
+    """The constraint levels in increasing order; they must be finite, distinct and nonnegative."""
     t = np.asarray(sorted(float(t) for t in t_values))
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t values must be finite")
     if np.any(np.diff(t) <= 0):
         raise ValueError("t values must be distinct")
     if np.any(t < 0):

@@ -23,12 +23,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .smoothness import (
-    AnisoBox,
     MultiIndex,
     SmoothnessVector,
     _as_sv,
     homogeneity_set,
-    kernel_monomials,
     lower_set,
     pairing,
 )
@@ -50,13 +48,7 @@ __all__ = [
     "sobolev_norm",
     "truncate",
     "project_to_gradients",
-    "cutoff",
-    "polynomial_approx",
-    "piecewise_gradient_approx",
 ]
-
-# halvings of the box radius piecewise_gradient_approx tries before it gives up
-_MAX_REFINEMENTS = 6
 
 
 @dataclass(frozen=True)
@@ -140,10 +132,6 @@ class Grid:
 
     def meshgrid(self) -> list[np.ndarray]:
         return np.meshgrid(*self.axes(), indexing="ij")
-
-    def interior_meshgrid(self) -> list[np.ndarray]:
-        axes = [ax[:ni] for ax, ni in zip(self.axes(), self.interior_shape)]
-        return np.meshgrid(*axes, indexing="ij")
 
     def collar_mask(self) -> np.ndarray:
         """Boolean mask of the zero-boundary collar (width a_i per axis)."""
@@ -475,50 +463,6 @@ def project_to_gradients(
     return u, residual
 
 
-def _smooth_ramp(t: np.ndarray) -> np.ndarray:
-    """C-infinity monotone ramp: 0 for t<=0, 1 for t>=1."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lo = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        hi = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return lo / (lo + hi)
-
-
-def cutoff(box: AnisoBox, sigma: float, grid: Grid) -> GridField:
-    """Tensor-product smooth cutoff: 1 on the (1-sigma)-shrunk box, 0 outside the box."""
-    if not (0.0 < sigma < 0.5):
-        raise ValueError(f"sigma must lie in (0, 1/2), got {sigma}")
-    for (blo, bhi), (dlo, dhi) in zip(box.bounds(), grid.domain):
-        if blo < dlo - 1e-12 or bhi > dhi + 1e-12:
-            raise ValueError("box is not contained in the grid domain")
-    outer = box.half_widths
-    inner = np.array([((1.0 - sigma) * box.radius) ** (1.0 / ai) for ai in grid.a.a])
-    vals = np.ones(grid.shape)
-    for i, ax in enumerate(grid.axes()):
-        t = (outer[i] - np.abs(ax - box.center[i])) / (outer[i] - inner[i])
-        ramp = _smooth_ramp(t)
-        shape = [1] * grid.ndim
-        shape[i] = len(ax)
-        vals = vals * ramp.reshape(shape)
-    return GridField(grid, vals)
-
-
-def cutoff_constants(box: AnisoBox, sigma: float, grid: Grid) -> dict:
-    """Measured normalization constants of the cutoff's derivative bounds.
-
-    For each beta in the lower set returns the discrete sup-norm of d^beta eta
-    multiplied by r^{<beta,1/a>} sigma^{|beta|}; the family is bounded
-    uniformly in sigma for a well-resolved ramp.
-    """
-    eta = cutoff(box, sigma, grid)
-    out = {}
-    r = box.radius
-    for beta in lower_set(grid.a, strict=False):
-        sup = float(np.max(np.abs(mixed_derivative(eta, beta))))
-        out[beta] = sup * r ** float(pairing(beta, grid.a)) * sigma ** sum(beta)
-    return out
-
-
 @dataclass(frozen=True)
 class APolynomial:
     """Polynomial sum_gamma c_gamma (x - center)^gamma / gamma!.
@@ -570,177 +514,3 @@ class APolynomial:
         cmap = dict(self.coeffs)
         cols = [np.asarray(cmap.get(al, (0.0,) * self.n_components)) for al in hyper]
         return np.stack(cols, axis=-1)
-
-
-def polynomial_approx(f: GridField, box: AnisoBox, p: float = 2.0):
-    """Local polynomial with gradient equal to the box average of a_gradient(f).
-
-    Hyperplane coefficients are the box averages of the derivative columns;
-    kernel coefficients come from a least-squares fit of the remainder on the
-    box nodes.  Returns (APolynomial, ratios) where ratios[beta] is the
-    measured Poincare quotient r^{<beta,1/a>-1} ||d^beta(f-P)||_p /
-    ||grad_a(f-P)||_p (NaN when the denominator vanishes).
-    """
-    grid = f.grid
-    sv = grid.a
-    hyper = homogeneity_set(sv)
-    kern = kernel_monomials(sv)
-    n = f.n_components
-
-    grads = a_gradient(f)
-    pts = np.stack(grid.interior_meshgrid(), axis=-1)
-    inside = box.contains(pts)
-    if not np.any(inside):
-        raise ValueError("box contains no interior grid nodes")
-    averages = {al: grads.values[inside][:, :, j].mean(axis=0) for j, al in enumerate(hyper)}
-
-    coeffs = {al: averages[al] for al in hyper}
-    P_hyper = APolynomial.build(coeffs, center=box.center)
-
-    # kernel part: least squares of the remainder over box nodes (full grid)
-    mesh = grid.meshgrid()
-    node_pts = np.stack(mesh, axis=-1)
-    in_box = box.contains(node_pts)
-    remainder = f.values - P_hyper(*mesh)
-    cols = []
-    for gamma in kern:
-        mono = np.ones(grid.shape)
-        fact = 1.0
-        for xi, g, x0 in zip(mesh, gamma, box.center):
-            mono = mono * (xi - x0) ** g
-            fact *= math.factorial(g)
-        cols.append((mono / fact)[in_box])
-    B = np.stack(cols, axis=-1)
-    rk = np.linalg.matrix_rank(B)
-    if rk < len(kern):
-        raise ValueError("rank-deficient kernel fit: box too small for the grid")
-    kern_coeffs, *_ = np.linalg.lstsq(B, remainder[in_box].reshape(-1, n), rcond=None)
-
-    all_coeffs = dict(coeffs)
-    for gamma, c in zip(kern, kern_coeffs):
-        all_coeffs[gamma] = all_coeffs.get(gamma, np.zeros(n)) + c
-    P = APolynomial.build(all_coeffs, center=box.center)
-
-    diff = GridField(grid, f.values - P(*mesh))
-    w = grid.quad_weight
-
-    def lp_on_box(arr: np.ndarray, region: np.ndarray) -> float:
-        return float((np.sum(np.abs(arr[region]) ** p) * w) ** (1.0 / p))
-
-    grad_diff = a_gradient(diff)
-    denom = lp_on_box(
-        np.sqrt(np.sum(grad_diff.values**2, axis=(-2, -1))), inside
-    )
-    ratios = {}
-    r = box.radius
-    for beta in lower_set(sv, strict=False):
-        num = lp_on_box(
-            np.sqrt(np.sum(mixed_derivative(diff, beta) ** 2, axis=-1)), inside
-        )
-        expo = float(pairing(beta, sv)) - 1.0
-        ratios[beta] = (num * r**expo / denom) if denom > 1e-14 else float("nan")
-    return P, ratios
-
-
-def piecewise_gradient_approx(
-    f: GridField,
-    eps: float,
-    p: float = 2.0,
-    sigma: float | None = None,
-) -> tuple[GridField, list[AnisoBox]]:
-    """Blend local polynomials so the mixed-order gradient is constant on box cores.
-
-    Returns (u, cores) with u agreeing with f on the boundary collar, the
-    gradient constant on each returned (sigma-shrunk) core box, the cores
-    covering all but <= eps of the domain volume, and the relative error
-    ||f - u||_{W^{a,p}} <= eps * (1 + ||f||_{W^{a,p}}).  Radii are halved
-    until the error bound holds; raises if the grid cannot resolve the
-    required radius.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    grid = f.grid
-    sv = grid.a
-    inv_sum = float(sv.inv_sum)
-    domain_vol = float(np.prod([hi - lo for lo, hi in grid.domain]))
-
-    # carve off the collar so blending never touches pinned nodes
-    h = grid.h
-    inner_domain = [
-        (lo + ai * hi_, hi - ai * hi_)
-        for (lo, hi), ai, hi_ in zip(grid.domain, sv.a, h)
-    ]
-    collar_missing = 1.0 - _safe_vol(inner_domain) / domain_vol
-
-    # split the volume budget between cover slack, core shrinkage, and collar
-    vol_budget = max(eps - collar_missing, eps * 0.25)
-    if sigma is None:
-        sigma = min(0.49, max(1e-3, 0.5 * vol_budget / max(inv_sum, 1e-12)))
-    cover_tol = min(0.5 * vol_budget, 0.49)
-
-    norm_f = sobolev_norm(f, p, "full")
-    target = eps * (1.0 + norm_f)
-
-    radius = _initial_radius(inner_domain, sv)
-    mesh = grid.meshgrid()
-    for _ in range(_MAX_REFINEMENTS):
-        min_half = np.array([radius ** (1.0 / ai) for ai in sv.a])
-        if np.any(min_half < 3.0 * h * np.array(sv.a)):
-            raise RuntimeError(
-                f"eps={eps} unattainable: boxes of radius {radius} are unresolved by the grid"
-            )
-        try:
-            cover = _cover_or_none(inner_domain, radius, sv, cover_tol)
-        except RuntimeError:
-            cover = None
-        if cover is None:
-            radius /= 2.0
-            continue
-        u_vals = f.values.copy()
-        cores = []
-        ok = True
-        for b in cover.boxes:
-            try:
-                P, _ = polynomial_approx(f, b, p)
-            except ValueError:
-                ok = False
-                break
-            eta = cutoff(b, sigma, grid)
-            u_vals = u_vals + eta.values * (P(*mesh) - f.values)
-            cores.append(AnisoBox(b.center, (1.0 - sigma) * b.radius, sv))
-        if ok:
-            u = GridField(grid, u_vals)
-            err = sobolev_norm(GridField(grid, f.values - u_vals), p, "full")
-            if err <= target:
-                return u, cores
-        radius /= 2.0
-    raise RuntimeError(f"eps={eps} unattainable within {_MAX_REFINEMENTS} radius refinements")
-
-
-def _safe_vol(rect) -> float:
-    v = 1.0
-    for lo, hi in rect:
-        if hi <= lo:
-            return 0.0
-        v *= hi - lo
-    return v
-
-
-def _initial_radius(domain, sv: SmoothnessVector) -> float:
-    # largest radius whose box fits inside the rectangle
-    r = math.inf
-    for (lo, hi), ai in zip(domain, sv.a):
-        half = (hi - lo) / 2.0
-        r = min(r, half**ai)
-    return r
-
-
-def _cover_or_none(domain, radius, sv, tol):
-    from .smoothness import box_cover
-
-    if _safe_vol(domain) <= 0:
-        return None
-    try:
-        return box_cover(domain, radius, sv, coverage_tol=tol)
-    except ValueError:
-        return None

@@ -330,23 +330,6 @@ def builtin(name: str, **params) -> Integrand:
     return minus_power(params["F"], float(params["c"]), float(params["q"]))
 
 
-def standard_test_class(n: int = 1, m: int = 1) -> dict:
-    """Finite dictionary of test integrands, each with a finite growth bound.
-
-    These play the role of a spanning set of p-growth continuous energies for
-    the duality diagnostics; every member carries C_upper by construction.
-    """
-    members = {
-        "pnorm2": _pnorm(2.0, n, m),
-        "pnorm4": _pnorm(4.0, n, m),
-        "quadratic": _quadratic(1.5 * np.eye(n * m), n, m),
-        "double_well": _double_well(0, 1.0, n, m),
-        "constant": _constant(1.0, n, m, 2.0),
-    }
-    assert all(F.C_upper is not None for F in members.values())
-    return members
-
-
 def builtin_from_config(cfg: dict) -> Integrand:
     """Build from the config schema {"integrand": {"name": ..., "params": {...}}}."""
     spec = cfg["integrand"] if "integrand" in cfg else cfg

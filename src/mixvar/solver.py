@@ -85,10 +85,15 @@ class DirichletProblem:
 
     def datum_field(self, grid: Grid) -> GridField:
         if isinstance(self.datum, GridField):
-            if self.datum.grid.shape == grid.shape:
-                return self.datum
-            raise ValueError("grid-field datum does not match the requested resolution")
-        return apolynomial_datum(self.datum, grid)
+            if self.datum.grid.shape != grid.shape:
+                raise ValueError("grid-field datum does not match the requested resolution")
+            g = self.datum
+        else:
+            g = apolynomial_datum(self.datum, grid)
+        if g.n_components != self.integrand.n:
+            raise ValueError(f"datum has {g.n_components} components, "
+                             f"the integrand has n = {self.integrand.n}")
+        return g
 
     def at_resolution(self, resolution) -> "DirichletProblem":
         if isinstance(self.datum, GridField):

@@ -265,6 +265,7 @@ def test_too_coarse_resolution_is_a_validation_error(tmp_path, capsys):
     ("solve", {**SOLVE_CFG, "domain": [[1, -1]]}, "'domain'"),
     ("solve", {**SOLVE_CFG, "datum": {"coeffs": {"3": [1.0]}}}, "'datum'"),
     ("ym", {**YM_CFG, "source": {**YM_CFG["source"], "resolution": 3}}, "'source'"),
+    ("solve", {**SOLVE_CFG, "datum": {"coeffs": {"0": [0.0, 0.0]}}}, "'datum'"),  # n = 2 vs 1
 ])
 def test_bad_grid_or_datum_is_a_validation_error(tmp_path, capsys, command, cfg_data, field):
     cfg = write_config(tmp_path / "cfg.json", cfg_data)
@@ -279,6 +280,8 @@ def test_bad_grid_or_datum_is_a_validation_error(tmp_path, capsys, command, cfg_
     (["--q", "2.0", "--t=-1:2:4"], "'--t'"),       # negative t
     (["--q", "2.0", "--t", "1:1:4"], "'--t'"),      # repeated t
     (["--q", "2.0", "--t", "0:2"], "'--t'"),        # not lo:hi:count
+    (["--q", "2.0", "--t", "0:inf:5"], "'--t'"),    # infinite t
+    (["--q", "2.0", "--t", "nan:1:3"], "'--t'"),    # nan t
 ])
 def test_bad_theta_arguments_are_validation_errors(tmp_path, capsys, monkeypatch, flags, field):
     def no_descent(*args, **kwargs):

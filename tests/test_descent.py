@@ -322,6 +322,23 @@ def test_smooth_noise_is_bit_equal_to_the_ndimage_filter(a, res):
         assert np.array_equal(got, ref * boundary_window(g)[..., None])
 
 
+@pytest.mark.parametrize("a, res", [((2,), (33,)), ((1, 2), (17, 41))])
+def test_boundary_window_is_zero_on_the_faces_and_one_on_the_inner_part(a, res):
+    g = Grid(((0.0, 2.0), (-1.0, 3.0))[:len(a)], res, SmoothnessVector(a))
+    w = boundary_window(g)
+    assert np.all((w >= 0.0) & (w <= 1.0))
+    inner = np.ones(g.shape, dtype=bool)
+    for i, ((lo, hi), ax) in enumerate(zip(g.domain, g.axes())):
+        for face in (0, -1):
+            assert np.all(np.take(w, face, axis=i) == 0.0)
+        width = (hi - lo) * _descent._WINDOW_FRAC / 2.0
+        shape = [1] * g.ndim
+        shape[i] = len(ax)
+        inner &= (np.minimum(ax - lo, hi - ax) >= width).reshape(shape)
+    assert inner.any() and np.all(w[inner] == 1.0)
+    assert np.all(w[tuple(slice(1, -1) for _ in a)] > 0.0)
+
+
 # the a-Sobolev metric of the polish: exact where every column is pure, an
 # approximation with mixed columns (a = (2, 2))
 METRIC_CASES = [(2,), (1, 2), (2, 2), (1, 2, 3)]

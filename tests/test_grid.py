@@ -7,17 +7,14 @@ from mixvar.grid import (
     Grid,
     GridField,
     a_gradient,
-    cutoff,
     full_gradient,
     lower_gradient,
     mixed_derivative,
-    piecewise_gradient_approx,
-    polynomial_approx,
     project_to_gradients,
     sobolev_norm,
     truncate,
 )
-from mixvar.smoothness import AnisoBox, SmoothnessVector, homogeneity_set, lower_set
+from mixvar.smoothness import SmoothnessVector, homogeneity_set, lower_set
 
 
 SV12 = SmoothnessVector((1, 2))
@@ -213,122 +210,6 @@ def test_project_to_gradients_idempotent():
     assert np.max(np.abs(r2)) <= 1e-9
 
 
-def test_cutoff_basic_geometry():
-    g = Grid(((-1.2, 1.2), (-1.2, 1.2)), (129, 129), SV12)
-    box = AnisoBox((0.0, 0.0), 1.0, SV12)
-    eta = cutoff(box, 0.25, g)
-    mesh = np.stack(g.meshgrid(), axis=-1)
-    center_idx = tuple(c // 2 for c in g.shape)
-    assert eta.values[center_idx][0] == pytest.approx(1.0)
-    outside = ~box.contains(mesh)
-    assert np.max(np.abs(eta.values[..., 0][outside])) == 0.0
-    assert np.all((eta.values >= 0) & (eta.values <= 1))
-    with pytest.raises(ValueError):
-        cutoff(box, 0.6, g)
-    with pytest.raises(ValueError):
-        cutoff(AnisoBox((0.0, 0.0), 2.0, SV12), 0.25, g)  # box escapes the domain
-
-
-def test_cutoff_derivative_scaling_uniform_in_sigma():
-    # measured sup of the second y-derivative times sigma^2 stays within factor 2
-    g = Grid(((-1.1, 1.1), (-1.1, 1.1)), (65, 1025), SV12)
-    box = AnisoBox((0.0, 0.0), 1.0, SV12)
-    consts = []
-    for sigma in (0.25, 0.125, 0.0625):
-        eta = cutoff(box, sigma, g)
-        d = mixed_derivative(eta, (0, 2))
-        consts.append(np.max(np.abs(d)) * sigma**2)
-    assert max(consts) / min(consts) <= 2.0
-    print(f"\ncutoff curvature constants (sigma-normalized): {np.round(consts, 3)}")
-
-
-def test_polynomial_approx_reproduces_a_polynomial():
-    g = grid12((33, 33))
-    f = GridField.from_function(g, lambda x, y: 1.5 + 0.5 * y + x + y**2)
-    box = AnisoBox((0.0, 0.0), 0.5, SV12)
-    P, ratios = polynomial_approx(f, box)
-    mesh = g.meshgrid()
-    assert np.max(np.abs(P(*mesh) - f.values)) <= 1e-9
-    grads = P.gradient_matrix(SV12)
-    assert np.allclose(grads, [[1.0, 2.0]], atol=1e-9)
-
-
-def test_polynomial_approx_gradient_average():
-    # f = x + y^2 has constant gradient (1, 2); the box average matches
-    g = grid12((33, 33))
-    f = GridField.from_function(g, lambda x, y: x + y**2)
-    box = AnisoBox((0.1, 0.0), 0.4, SV12)
-    P, _ = polynomial_approx(f, box)
-    assert np.allclose(P.gradient_matrix(SV12), [[1.0, 2.0]], atol=1e-9)
-
-
-def test_polynomial_approx_poincare_ratios_stable_under_scaling():
-    g = Grid(((-1.2, 1.2), (-1.2, 1.2)), (129, 129), SV12)
-    f = GridField.from_function(g, lambda x, y: np.sin(1.3 * x + 0.4) * np.cos(0.9 * y))
-    worst = {}
-    for r in (1.0, 0.5, 0.25):
-        box = AnisoBox((0.0, 0.0), r, SV12)
-        _, ratios = polynomial_approx(f, box)
-        for beta, val in ratios.items():
-            if np.isfinite(val):
-                worst.setdefault(beta, []).append(val)
-    for beta, vals in worst.items():
-        if max(vals) > 1e-8:
-            assert max(vals) / max(min(vals), 1e-12) <= 2.0 or max(vals) < 2.0
-
-
-def test_piecewise_gradient_approx_exact_on_a_polynomial():
-    g = grid12((33, 33))
-    f = GridField.from_function(g, lambda x, y: 0.5 + x + 0.3 * y + y**2)
-    u, cores = piecewise_gradient_approx(f, eps=0.5)
-    assert np.max(np.abs(u.values - f.values)) <= 1e-9
-    assert len(cores) >= 1
-
-
-def test_piecewise_gradient_approx_error_decreases():
-    # the construction is stiff: the cutoff cost sigma^{-|beta|} fights the
-    # coverage requirement, so only moderate eps is resolvable on a 129 grid;
-    # halving eps must still tighten the measured error
-    g = Grid(((-1, 1), (-1, 1)), (129, 129), SV12)
-    f = GridField.from_function(g, lambda x, y: np.sin(x))
-    norm = sobolev_norm(f, 2.0, "full")
-    errs = []
-    for eps in (2.0, 1.0):
-        u, cores = piecewise_gradient_approx(f, eps=eps, sigma=0.3)
-        err = sobolev_norm(GridField(g, f.values - u.values), 2.0, "full")
-        errs.append(err)
-        assert err <= eps * (1 + norm)
-    assert errs[1] <= errs[0] + 1e-12
-
-
-def test_piecewise_gradient_approx_unattainable_eps_raises():
-    g = grid12((33, 33))
-    f = GridField.from_function(g, lambda x, y: np.sin(3 * x) * np.cos(2 * y))
-    with pytest.raises(RuntimeError):
-        piecewise_gradient_approx(f, eps=1e-4)
-
-
-def test_piecewise_gradient_approx_gradient_constant_on_cores():
-    g = Grid(((-1, 1), (-1, 1)), (129, 129), SV12)
-    f = GridField.from_function(g, lambda x, y: np.sin(x) + 0.2 * y**2)
-    u, cores = piecewise_gradient_approx(f, eps=1.0)
-    ag = a_gradient(u)
-    pts = np.stack(g.interior_meshgrid(), axis=-1)
-    h = g.h
-    checked = 0
-    for b in cores[:4]:
-        # stencil-safe core: nodes whose full stencil stays inside the core
-        inner = AnisoBox(b.center, b.radius * 0.5, SV12)
-        mask = inner.contains(pts)
-        if np.count_nonzero(mask) < 4:
-            continue
-        vals = ag.values[mask]
-        spread = np.max(np.abs(vals - vals.mean(axis=0)))
-        assert spread <= 1e-6 * (1 + np.max(np.abs(vals)))
-        checked += 1
-    assert checked >= 1
-
-
 def test_field_container_roundtrip(tmp_path):
     g = grid12((17, 17))
     rng = np.random.default_rng(2)
@@ -350,18 +231,6 @@ def test_apolynomial_evaluation():
     y = np.array([0.3])
     assert P(x, y)[0, 0] == pytest.approx(0.5 + 0.09)
     assert np.allclose(P.gradient_matrix(SV12), [[1.0, 2.0]])
-
-
-def test_cutoff_constants_reported_per_beta():
-    from mixvar.grid import cutoff_constants
-
-    g = Grid(((-1.1, 1.1), (-1.1, 1.1)), (65, 257), SV12)
-    box = AnisoBox((0.0, 0.0), 1.0, SV12)
-    consts = cutoff_constants(box, 0.25, g)
-    from mixvar.smoothness import lower_set
-
-    assert set(consts) == set(lower_set(SV12))
-    assert all(np.isfinite(v) and v >= 0 for v in consts.values())
 
 
 OPERATOR_CASES = [(2,), (1, 2), (2, 2), (1, 1, 3)]

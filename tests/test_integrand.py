@@ -162,14 +162,3 @@ def test_fd_gradient_fallback():
     V = np.array([[0.5, -0.7]])
     fd = F.gradient(V)
     assert np.allclose(fd, 4 * V**3, atol=1e-6)
-
-
-def test_standard_test_class_members_carry_growth_bounds():
-    from mixvar.integrand import standard_test_class
-
-    members = standard_test_class(1, 2)
-    assert len(members) >= 4
-    for name, F in members.items():
-        assert F.C_upper is not None, name
-        V = np.zeros((1, 2))
-        assert np.isfinite(F(V))
