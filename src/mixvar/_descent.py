@@ -250,9 +250,9 @@ class _MomentRetraction(StencilEnergy):
             c[short] = (self.t / m[short]) ** (1.0 / self.q)
         return fro, m, c
 
-    def scales(self, X: np.ndarray) -> np.ndarray:
-        """c of each row of X (K, n_free): inf for a field no scale lifts to t."""
-        return self._scales(self.stack(X))[2]
+    def scales(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """m and c of each row of X (K, n_free); c is inf for a field no scale lifts to t."""
+        return self._scales(self.stack(X))[1:]
 
     def value_and_grad(self, x: np.ndarray, rows=None):
         """G_t and its gradient at one field (float, (n_free,)) or a batch ((K,), (K, n_free)).

@@ -21,6 +21,7 @@ import numpy as np
 from .containers import canonical_json, config_hash, save_field
 from .coercivity import (
     ThetaOptions,
+    _check_c_min,
     _check_moment_order,
     _sorted_t_values,
     mean_coercivity_fit,
@@ -228,7 +229,10 @@ def _cmd_coerce(cfg: dict, out: Path, args) -> None:
     with _config_fields("t_grid" if args.t is None else "--t"):
         if args.t is not None:
             lo, hi, count = args.t.split(":")
-            t_grid = np.linspace(float(lo), float(hi), int(count)).tolist()
+            lo, hi = float(lo), float(hi)
+            if not np.isfinite(hi - lo):  # an inf or nan end, or a span that overflows
+                raise ValueError(f"t range {args.t!r} must have finite ends and span")
+            t_grid = np.linspace(lo, hi, int(count)).tolist()
         else:
             t_grid = _require(cfg, "t_grid", list)
             if not all(map(_is_number, t_grid)):
@@ -244,6 +248,8 @@ def _cmd_coerce(cfg: dict, out: Path, args) -> None:
     with _config_fields("resolution"):
         opts.grid(a)
     c_min = _number(cfg, "c_min", 1e-3)
+    with _config_fields("c_min"):
+        _check_c_min(c_min)
     curve = theta_estimate(F, q, t_grid, a, opts)
     fit = mean_coercivity_fit(curve, c_min=c_min)
     chash = config_hash(cfg)

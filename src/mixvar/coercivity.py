@@ -3,11 +3,11 @@ and the pointwise quasiconvexity criterion.
 
 theta(t) is the infimum of the mean energy over zero-boundary fields whose
 mean q-th gradient moment is at least t.  The constraint is kept by a radial
-retraction: each t descends the energy of c x, where c >= 1 is the least
-scale that lifts the moment of x to t, so every iterate is feasible.  Every
-reported value is the energy of a verified-feasible field (the incumbent is
-rescaled onto the constraint), so the curve is a family of upper estimates
-of a convex function.
+retraction, the one place that computes the moment: each t descends the
+energy of c x, where c >= 1 is the least scale that lifts the moment of x to
+t, so every iterate is feasible.  Every reported value is the energy of its
+retracted incumbent c x, feasible up to rounding, so the curve is a family
+of upper estimates of a convex function.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from ._descent import _MomentRetraction, laminate_profile, screen_then_polish, start_portfolio
 from ._descent import run_lbfgs  # noqa: F401  (bench/layers.py traces it at this site)
 from .envelope import AQCVerdict, EnvelopeOptions, is_aqc_at
-from .grid import Grid, GridField, a_gradient
+from .grid import Grid
 from .grid import gradient_adjoint  # noqa: F401  (bench/layers.py traces it at this site)
 from .integrand import Integrand, minus_power
 from .smoothness import SmoothnessVector, _as_sv
@@ -73,6 +73,12 @@ def _check_moment_order(F: Integrand, q: float) -> None:
         raise ValueError(f"q={q} outside [1, p={F.p}]")
 
 
+def _check_c_min(c_min: float) -> None:
+    """The coercivity threshold must be positive: every slope is clamped at zero."""
+    if not c_min > 0:
+        raise ValueError(f"c_min must be positive, got {c_min!r}")
+
+
 def _sorted_t_values(t_values) -> np.ndarray:
     """The constraint levels in increasing order; they must be finite, distinct and nonnegative."""
     t = np.asarray(sorted(float(t) for t in t_values))
@@ -92,15 +98,18 @@ def theta_estimate(
     a,
     opts: ThetaOptions = ThetaOptions(),
 ) -> ThetaCurve:
-    """Upper estimates of theta(t) on the unit box, with verified feasibility.
+    """Upper estimates of theta(t) on the unit box, each the energy of a feasible field.
 
-    Each point descends the radially retracted energy (``_MomentRetraction``)
-    in one ``screen_then_polish`` batch: from a deterministic scaled laminate
-    candidate, a warm start (the previous point's incumbent rescaled onto the
-    constraint) and the start portfolio, less any start of zero moment when
-    t > 0.  The best result, rescaled onto the constraint, is the point's
-    incumbent; a final downward sweep reuses feasible incumbents from larger
-    t, so the curve is nondecreasing by construction.
+    Each point descends the radially retracted energy G_t
+    (``_MomentRetraction``) in one ``screen_then_polish`` batch: from a
+    deterministic laminate candidate of moment t, a warm start (the previous
+    point's incumbent, which the retraction lifts from the moment t_prev) and
+    the start portfolio, less any start of zero moment when t > 0.  The best
+    finite value G_t(x) is the point's estimate and the retracted field c x
+    its incumbent, feasible up to rounding (``feasibility_gap`` reports it).
+    A point where no start stays finite raises ``RuntimeError``.  A final
+    downward sweep reuses the values of larger t, so the curve is
+    nondecreasing by construction.
     """
     if F.C_upper is None:
         raise ValueError("theta estimation requires finite p-growth (C_upper)")
@@ -109,74 +118,44 @@ def theta_estimate(
     grid = opts.grid(_as_sv(a))
     rng = np.random.default_rng(opts.seed)
 
-    def stats(phi: np.ndarray) -> tuple[float, float]:
-        W = a_gradient(GridField(grid, phi)).values
-        fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
-        return float(np.mean(F(W))), float(np.mean(fro**q))
-
-    # deterministic reference profile with unit moment
-    base = laminate_profile(grid, 0, 1, 0.5)[..., None] * np.ones(F.n)
-    base[grid.collar_mask()] = 0.0
-    _, mom_base = stats(base)
+    # deterministic reference profile with unit moment (at t = 0 the retraction is the identity)
+    flat = _MomentRetraction(grid, F, q, 0.0)
+    base = flat.pack(laminate_profile(grid, 0, 1, 0.5)[..., None] * np.ones(F.n))
+    mom_base = flat.scales(base[None])[0][0]
     if mom_base <= 0:
         raise RuntimeError("reference profile has zero gradient moment")
     base = base / mom_base ** (1.0 / q)
 
-    def feasible_candidate(t: float) -> np.ndarray:
-        return base * t ** (1.0 / q) if t > 0 else np.zeros_like(base)
-
-    def rescale_to(phi: np.ndarray, t: float) -> np.ndarray:
-        _, mom = stats(phi)
-        if t <= 0:
-            return phi
-        if mom <= 0:
-            return feasible_candidate(t)
-        if mom >= t:
-            return phi
-        return phi * (t / mom) ** (1.0 / q) * (1.0 + 1e-12)
-
     theta = np.empty_like(t_values)
-    incumbents: list[np.ndarray] = []
     diagnostics = []
-    warm = None
+    warm = []
     for i, t in enumerate(t_values):
-        starts = [("candidate", feasible_candidate(t))]
-        if warm is not None:
-            starts.append(("warm", rescale_to(warm, t)))
-        starts += start_portfolio(grid, F.n, opts.multistart, max(1.0, t) ** (1.0 / q), rng)
+        energy = _MomentRetraction(grid, F, q, t)
+        starts = [("candidate", base * t ** (1.0 / q) if t > 0 else np.zeros_like(base))] + warm
+        starts += [(label, energy.pack(phi0)) for label, phi0 in
+                   start_portfolio(grid, F.n, opts.multistart, max(1.0, t) ** (1.0 / q), rng)]
 
         # one batch per t; a start of zero moment has no retraction when t > 0
-        energy = _MomentRetraction(grid, F, q, t)
-        X0 = np.stack([energy.pack(phi0) for _, phi0 in starts])  # pack drops the collar
-        keep = np.isfinite(energy.scales(X0))
+        X0 = np.stack([x0 for _, x0 in starts])
+        keep = np.isfinite(energy.scales(X0)[1])
         labels = [label for (label, _), k in zip(starts, keep) if k]
         results = screen_then_polish(energy, X0[keep], labels, maxiter=opts.maxiter)
         # a diverged start is dropped
         finite = [res for res in results if np.isfinite(res.value)]
-
-        best_phi = None
-        best_val = np.inf
-        for res in finite:
-            phi_final = rescale_to(energy.unpack(res.x), t)
-            val, mom = stats(phi_final)
-            if mom >= t - 1e-9 and val < best_val:
-                best_val = val
-                best_phi = phi_final
-        if best_phi is None:
-            best_phi = feasible_candidate(t)
-            best_val, _ = stats(best_phi)
-        theta[i] = best_val
-        incumbents.append(best_phi)
-        _, mom = stats(best_phi)
+        if not finite:
+            raise RuntimeError(f"every theta descent diverged at t={float(t)!r}")
+        best = min(finite, key=lambda res: res.value)
+        incumbent = energy.scales(best.x[None])[1][0] * best.x
+        mom = energy.scales(incumbent[None])[0][0]
+        theta[i] = best.value
         diagnostics.append({"t": float(t), "feasibility_gap": float(max(0.0, t - mom)),
                             "iterations": sum(res.iterations for res in finite)})
-        warm = best_phi
+        warm = [("warm", incumbent)]
 
     # downward sweep: a feasible incumbent for larger t is feasible for smaller t
     for i in range(len(t_values) - 2, -1, -1):
         if theta[i + 1] < theta[i]:
             theta[i] = theta[i + 1]
-            incumbents[i] = incumbents[i + 1]
             diagnostics[i]["reused_incumbent_from"] = float(t_values[i + 1])
     return ThetaCurve(q, t_values, theta, diagnostics)
 
@@ -194,8 +173,10 @@ def mean_coercivity_fit(curve: ThetaCurve, c_min: float = 1e-3) -> CoercivityFit
 
     For a convex curve the last lower-hull edge supports the function on all
     of [0, inf), so its slope is the largest c1 with c1*t + c2 <= theta(t)
-    everywhere; slopes are clamped at zero.  Verdict: coercive iff c1 >= c_min.
+    everywhere; slopes are clamped at zero.  Verdict: coercive iff c1 >= c_min,
+    so c_min must be positive.
     """
+    _check_c_min(c_min)
     t = curve.t_values
     y = curve.theta_hat
     if len(t) < 3:

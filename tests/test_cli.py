@@ -185,8 +185,8 @@ def test_keys_of_another_subcommand_are_a_validation_error(tmp_path, capsys, com
 SCIPY_MODULES = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
 
 
-def fresh_python(code: str, *args: str) -> str:
-    """Standard output of ``code`` run by a new interpreter that imports mixvar from here."""
+def fresh_run(code: str, *args: str, **kwargs):
+    """``code`` run by a new interpreter that imports mixvar from here."""
     import subprocess
     import sys
     from pathlib import Path
@@ -194,9 +194,13 @@ def fresh_python(code: str, *args: str) -> str:
     import mixvar
 
     src = str(Path(mixvar.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
-                          + code, src, *args], capture_output=True, text=True, check=True)
-    return out.stdout.strip()
+    return subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                           + code, src, *args], **kwargs)
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports mixvar from here."""
+    return fresh_run(code, *args, capture_output=True, text=True, check=True).stdout.strip()
 
 
 def test_cli_import_loads_no_scipy():
@@ -295,6 +299,35 @@ def test_bad_theta_arguments_are_validation_errors(tmp_path, capsys, monkeypatch
     rc = main(["coerce", "--config", cfg, "--out", str(tmp_path / "theta.csv"), *flags])
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+def test_an_infinite_t_range_is_a_config_error_without_numpy_warnings(tmp_path, capfd):
+    # a new interpreter prints the warnings that pytest would capture; the
+    # range is checked before np.linspace, which warns of its inf * 0
+    cfg = write_config(tmp_path / "cfg.json", {
+        "a": [2], "integrand": {"name": "pnorm", "params": {"p": 2, "n": 1, "m": 1}},
+        "resolution": 17, "seed": 4,
+    })
+    run = fresh_run("from mixvar.cli import main; sys.exit(main(sys.argv[2:]))",
+                    "coerce", "--config", cfg, "--out", str(tmp_path / "theta.csv"),
+                    "--q", "2.0", "--t", "0:inf:5")
+    assert run.returncode == 2
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: field '--t'")
+
+
+def test_a_t_range_no_start_survives_is_a_numerical_failure(tmp_path):
+    # at t = 1e308 every start overflows: exit 3 and no curve, not inf rows and a NaN fit
+    cfg = write_config(tmp_path / "cfg.json", {
+        "a": [2], "integrand": {"name": "pnorm", "params": {"p": 2, "n": 1, "m": 1}},
+        "resolution": 17, "multistart": 2, "seed": 4,
+    })
+    out = tmp_path / "theta.csv"
+    with np.errstate(all="ignore"):  # the diverging descents overflow
+        rc = main(["coerce", "--config", cfg, "--out", str(out), "--q", "2", "--t", "0:1e308:5"])
+    assert rc == 3
+    assert json.loads((tmp_path / "failure.json").read_text())["error"] == "RuntimeError"
+    assert not out.exists() and not out.with_suffix(".csv.fit.json").exists()
 
 
 def test_missing_seed_is_a_validation_error(tmp_path, capsys):
@@ -564,6 +597,8 @@ COERCE_CFG = {**ENVELOPE_CFG, "lattice": None, "q": 2.0, "t_grid": [0.0, 1.0, 2.
     ("envelope", {**ENVELOPE_CFG, "integrand": {"name": "constant",
                                                 "params": {"c": 1.0, "m": 0, "p": 2.0}}},
      "'m'", "at least 1"),
+    # every slope is clamped at 0, so c_min = 0 would call every curve coercive
+    ("coerce", {**COERCE_CFG, "c_min": 0}, "'c_min'", "positive"),
 ])
 def test_malformed_counts_and_lattices_are_validation_errors(tmp_path, capsys, monkeypatch,
                                                              command, cfg_data, field, message):

@@ -57,7 +57,7 @@ def test_theta_zero_point_bounded_by_envelope():
 
 
 def record_theta_batches(monkeypatch):
-    """(t, labels, iterations per start) of every batch theta_estimate descends."""
+    """(t, labels, results) of every batch theta_estimate descends."""
     from mixvar import coercivity
 
     batches = []
@@ -65,7 +65,7 @@ def record_theta_batches(monkeypatch):
 
     def recorded(energy, X0, labels, *args, **kwargs):
         results = descend(energy, X0, labels, *args, **kwargs)
-        batches.append((energy.t, list(labels), [res.iterations for res in results]))
+        batches.append((energy.t, list(labels), results))
         return results
 
     monkeypatch.setattr(coercivity, "screen_then_polish", recorded)
@@ -73,7 +73,8 @@ def record_theta_batches(monkeypatch):
 
 
 def test_theta_drops_a_start_of_zero_moment_when_t_is_positive(monkeypatch):
-    # multistart 1 is the zero start alone; it has no retraction above t = 0
+    # multistart 1 is the zero start alone; it has no retraction above t = 0,
+    # nor has the zero field that wins at t = 0 as the warm start of t = 0.5
     import warnings
 
     batches = record_theta_batches(monkeypatch)
@@ -84,7 +85,7 @@ def test_theta_drops_a_start_of_zero_moment_when_t_is_positive(monkeypatch):
                                ThetaOptions(resolution=17, multistart=1, seed=12))
     assert np.all(np.isfinite(curve.theta_hat))
     assert [labels for _, labels, _ in batches] == [
-        ["candidate", "zero"], ["candidate", "warm"], ["candidate", "warm"]]
+        ["candidate", "zero"], ["candidate"], ["candidate", "warm"]]
 
 
 def test_theta_pnorm_points_above_zero_end_in_two_iterations(monkeypatch):
@@ -96,8 +97,20 @@ def test_theta_pnorm_points_above_zero_end_in_two_iterations(monkeypatch):
     for t, th in zip(curve.t_values, curve.theta_hat):
         assert abs(th - t) <= 1e-14 * (1 + t)
     assert [t for t, _, _ in batches] == T_GRID
-    for _, _, iterations in batches[1:]:
-        assert max(iterations) <= 2
+    for _, _, results in batches[1:]:
+        assert max(res.iterations for res in results) <= 2
+
+
+def test_theta_warm_start_is_done_after_one_evaluation(monkeypatch):
+    # criterion 5's curve: the previous incumbent lies strictly inside the
+    # region the retraction lifts, where G_t is flat, so its first gradient
+    # is zero; an incumbent put on the kink m = t fails a line search there
+    batches = record_theta_batches(monkeypatch)
+    F = builtin("pnorm", p=2, n=1, m=2)
+    theta_estimate(F, 2.0, T_GRID, (1, 2), ThetaOptions(seed=51, multistart=2))
+    warm = [(t, res.nfev) for t, _, results in batches for res in results
+            if res.start_label == "warm" and t >= 2]
+    assert warm == [(2.0, 1), (3.0, 1), (4.0, 1)]
 
 
 def test_theta_rejects_bad_q():
@@ -142,6 +155,14 @@ def test_fit_zero_integrand_not_coercive():
     fit = mean_coercivity_fit(curve)
     assert fit.c1 == 0.0
     assert not fit.coercive
+
+
+@pytest.mark.parametrize("c_min", [0.0, -1.0])
+def test_fit_rejects_a_threshold_that_is_not_positive(c_min):
+    # slopes are clamped at zero, so c_min <= 0 would call every curve coercive
+    curve = ThetaCurve(2.0, np.array([0.0, 1.0, 2.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="c_min"):
+        mean_coercivity_fit(curve, c_min=c_min)
 
 
 def test_fit_needs_three_points():
