@@ -104,17 +104,20 @@ def _finite_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _finite_terms(F: Integrand, W: np.ndarray):
-    """Node values (K, nodes), dF and ``ok`` of F at a batch W (K, ..., n, m): the finite-row rule.
+    """Row sums of F (K,), dF and ``ok`` of F at a batch W (K, ..., n, m): the finite-row rule.
 
     Only the rows where F and dF are finite at every node are kept (``ok``);
-    ``_unbatch`` gives the others the energy +inf and a zero gradient.
+    ``_unbatch`` gives the others the energy +inf and a zero gradient.  An
+    overflow is silent here: a node term that overflows drops its row, and
+    a kept row whose sum overflows has the energy +inf.
     """
-    vals = F(W).reshape(len(W), -1)
-    ok = _finite_rows(vals)
-    dF = _scatter(F.gradient(_rows(W, ok)), ok, 0.0)
-    # finite value but broken derivative (e.g. FD probe hit a barrier)
-    ok &= _finite_rows(dF)
-    return _rows(vals, ok), _rows(dF, ok), ok
+    with np.errstate(over="ignore"):
+        vals = F(W).reshape(len(W), -1)
+        ok = _finite_rows(vals)
+        dF = _scatter(F.gradient(_rows(W, ok)), ok, 0.0)
+        # finite value but broken derivative (e.g. FD probe hit a barrier)
+        ok &= _finite_rows(dF)
+        return _rows(vals, ok).sum(axis=1), _rows(dF, ok), ok
 
 
 def _unbatch(values: np.ndarray, grads: np.ndarray, ok: np.ndarray, lead: tuple):
@@ -218,8 +221,8 @@ class StencilEnergy:
         # the field axis of the stack is outermost, so numpy lays out every
         # row of W as it lays out a lone field's W: F's reductions add up alike
         W = base + self.stack(x.reshape(-1, self.n_free))
-        vals, dF, ok = _finite_terms(self.F, W)
-        return _unbatch(vals.sum(axis=1), self.adjoint(dF), ok, x.shape[:-1])
+        sums, dF, ok = _finite_terms(self.F, W)
+        return _unbatch(sums, self.adjoint(dF), ok, x.shape[:-1])
 
 
 class _MomentRetraction(StencilEnergy):
@@ -242,11 +245,13 @@ class _MomentRetraction(StencilEnergy):
 
     def _scales(self, W: np.ndarray):
         """|W| per node, m and c per row of a stacked batch W; c is inf where m = 0 < t."""
-        fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
-        m = (fro**self.q).reshape(len(W), -1).sum(axis=1) / self._nodes
-        c = np.ones(len(W))
-        short = m < self.t
+        # a moment that overflows is inf >= t, so c = 1 and the row's energy
+        # overflows into the finite-row rule
         with np.errstate(divide="ignore", over="ignore"):
+            fro = np.sqrt(np.sum(W**2, axis=(-2, -1)))
+            m = (fro**self.q).reshape(len(W), -1).sum(axis=1) / self._nodes
+            c = np.ones(len(W))
+            short = m < self.t
             c[short] = (self.t / m[short]) ** (1.0 / self.q)
         return fro, m, c
 
@@ -266,8 +271,8 @@ class _MomentRetraction(StencilEnergy):
         # 1.0 * W is W: the rows that are not short keep their bits; a row of
         # zero moment becomes 0 * inf = nan, which the finite-row rule drops
         lift = (-1,) + (1,) * (W.ndim - 1)
-        vals, dF, ok = _finite_terms(self.F, W * c.reshape(lift) if short.any() else W)
-        totals = vals.sum(axis=1) / n
+        sums, dF, ok = _finite_terms(self.F, W * c.reshape(lift) if short.any() else W)
+        totals = sums / n
         weights = dF / n
         lifted = short[ok]
         if lifted.any():
@@ -604,7 +609,8 @@ class _Lbfgs:
         # an energy may hand back a strided batch; row dots must see each
         # gradient laid out as a lone one is
         gt = np.ascontiguousarray(gt)
-        fs, slopes = ft.tolist(), np.vecdot(gt, self.d[:live]).tolist()
+        with np.errstate(over="ignore"):  # a slope that overflows is infinite, silently
+            fs, slopes = ft.tolist(), np.vecdot(gt, self.d[:live]).tolist()
         ended = [row.search(f, slope) for row, f, slope in zip(rows, fs, slopes)]
         acc = [i for i, end in enumerate(ended) if end]
         failed = []
@@ -761,7 +767,10 @@ class _Lbfgs:
             d = z - x
             n = np.array(new)
             self.z[n], self.d[n] = z[n], d[n]
-        slopes = np.vecdot(g, d).tolist()
+        # slopes and lengths that overflow are infinite, silently: a first
+        # step of length 1 / inf = 0 ends the row's search where it is
+        with np.errstate(over="ignore"):
+            slopes = np.vecdot(g, d).tolist()
         retry = [i for i in new if slopes[i] >= 0.0 and rows[i].pairs]
         if retry:
             # not a descent direction: drop the memory and go along -g
@@ -783,7 +792,9 @@ class _Lbfgs:
                 rows[i].start(1.0, slopes[i], self.round)
         if first:
             f = np.array(first)
-            for i, length in zip(first, np.sqrt(np.vecdot(self.d[f], self.d[f])).tolist()):
+            with np.errstate(over="ignore"):
+                lengths = np.sqrt(np.vecdot(self.d[f], self.d[f])).tolist()
+            for i, length in zip(first, lengths):
                 rows[i].start(min(_div(1.0, length), _STPMAX), slopes[i], self.round)
 
     def _trials(self) -> None:

@@ -107,6 +107,11 @@ def theta_estimate(
     the start portfolio, less any start of zero moment when t > 0.  The best
     finite value G_t(x) is the point's estimate and the retracted field c x
     its incumbent, feasible up to rounding (``feasibility_gap`` reports it).
+    At t = 0, when ``F.hull_exact`` certifies the zero gradient, the zero
+    candidate is the incumbent without a descent: its energy F(0) is
+    theta(0), since mean F(grad_a phi) >= CF(0) = F(0) for every
+    zero-boundary phi (Jensen).  The portfolio is still drawn there, so
+    the later points draw the same starts.
     A point where no start stays finite raises ``RuntimeError``.  A final
     downward sweep reuses the values of larger t, so the curve is
     nondecreasing by construction.
@@ -126,6 +131,8 @@ def theta_estimate(
         raise RuntimeError("reference profile has zero gradient moment")
     base = base / mom_base ** (1.0 / q)
 
+    # where F = CF at 0, Jensen's inequality makes the zero field a minimiser at t = 0
+    exact_at_zero = F.hull_exact is not None and bool(F.hull_exact(np.zeros((F.n, F.m))))
     theta = np.empty_like(t_values)
     diagnostics = []
     warm = []
@@ -135,21 +142,27 @@ def theta_estimate(
         starts += [(label, energy.pack(phi0)) for label, phi0 in
                    start_portfolio(grid, F.n, opts.multistart, max(1.0, t) ** (1.0 / q), rng)]
 
-        # one batch per t; a start of zero moment has no retraction when t > 0
-        X0 = np.stack([x0 for _, x0 in starts])
-        keep = np.isfinite(energy.scales(X0)[1])
-        labels = [label for (label, _), k in zip(starts, keep) if k]
-        results = screen_then_polish(energy, X0[keep], labels, maxiter=opts.maxiter)
-        # a diverged start is dropped
-        finite = [res for res in results if np.isfinite(res.value)]
-        if not finite:
-            raise RuntimeError(f"every theta descent diverged at t={float(t)!r}")
-        best = min(finite, key=lambda res: res.value)
-        incumbent = energy.scales(best.x[None])[1][0] * best.x
+        if t == 0 and exact_at_zero:
+            # the zero candidate is the incumbent, and no start descends
+            x = starts[0][1]
+            value, iterations = energy.value_and_grad(x)[0], 0
+        else:
+            # one batch per t; a start of zero moment has no retraction when t > 0
+            X0 = np.stack([x0 for _, x0 in starts])
+            keep = np.isfinite(energy.scales(X0)[1])
+            labels = [label for (label, _), k in zip(starts, keep) if k]
+            results = screen_then_polish(energy, X0[keep], labels, maxiter=opts.maxiter)
+            # a diverged start is dropped
+            finite = [res for res in results if np.isfinite(res.value)]
+            if not finite:
+                raise RuntimeError(f"every theta descent diverged at t={float(t)!r}")
+            best = min(finite, key=lambda res: res.value)
+            value, x, iterations = best.value, best.x, sum(res.iterations for res in finite)
+        incumbent = energy.scales(x[None])[1][0] * x
         mom = energy.scales(incumbent[None])[0][0]
-        theta[i] = best.value
+        theta[i] = value
         diagnostics.append({"t": float(t), "feasibility_gap": float(max(0.0, t - mom)),
-                            "iterations": sum(res.iterations for res in finite)})
+                            "iterations": iterations})
         warm = [("warm", incumbent)]
 
     # downward sweep: a feasible incumbent for larger t is feasible for smaller t

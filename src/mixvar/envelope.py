@@ -18,8 +18,14 @@ the basins: descending in the metric from the starts themselves sends each
 start into its nearest basin, and the estimates come out higher.
 
 Because the forward-difference stencils have exactly zero mean on
-zero-boundary fields, convex integrands satisfy the discrete Jensen
-inequality exactly and the estimator returns F(V) to round-off for them.
+zero-boundary fields, the discrete Jensen inequality holds exactly: for
+every a and n, mean F(V + grad_a phi) >= mean CF(V + grad_a phi) >= CF(V),
+CF the convex envelope.  So wherever F(V) = CF(V) the envelope is F(V) and
+phi = 0 is a minimiser.  A node that the integrand's ``hull_exact``
+certificate marks so takes F(V) without a descent (``_ladder``, the one
+place every estimator goes through); any other node descends, and for a
+convex integrand without a certificate the descent returns F(V) to
+round-off.
 """
 
 from __future__ import annotations
@@ -324,7 +330,9 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
             seeds, mask_failures: bool = False):
     """``dacorogna_refine`` at every V of Vs, level by level in chunks of nodes.
 
-    Returns each node's per-level values and final estimate.
+    Returns each node's per-level values and final estimate.  A node that
+    ``F.hull_exact`` certifies takes F(V) at every level, with no witness
+    and no starts, and never descends: only the other nodes are chunked.
     Each node's level descends from its own previous witness only, so no
     value depends on the chunking.  A level's chunks run on one process per
     usable CPU (``_usable_workers``, ``_map_forked``), which changes no value
@@ -336,8 +344,17 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
     workers = _usable_workers()
     values: list[list[float]] = [[] for _ in Vs]
     estimates: list[EnvelopeEstimate | None] = [None] * len(Vs)
-    live = list(range(len(Vs)))
+    # where F = CF at V, phi = 0 is a minimiser at every level (see the module docstring)
+    exact = (np.zeros(len(Vs), dtype=bool) if F.hull_exact is None
+             else np.asarray(F.hull_exact(Vs), dtype=bool))
+    for i in np.flatnonzero(exact):
+        reference = float(F(Vs[i]))
+        estimates[i] = EnvelopeEstimate(reference, reference, None, "zero-exact", False, [])
+        values[i] = [reference] * len(levels)
+    live = [i for i in range(len(Vs)) if not exact[i]]
     for level, res in enumerate(levels):
+        if not live:
+            break
         level_opts = replace(opts, resolution=res)
         grid = level_opts.grid(a)
         warms = {}
@@ -382,11 +399,12 @@ def dacorogna_min(
     """Upper estimate of the envelope at V on the fixed test box Q = [-1,1]^N.
 
     Returns min over the multistart run of the mean of F(V + grad_a(phi));
-    phi = 0 is always evaluated exactly, hence value <= F(V) exactly.
+    phi = 0 is always evaluated exactly, hence value <= F(V) exactly.  A V
+    that ``F.hull_exact`` certifies takes F(V) without a descent.
     """
     _require_growth(F)
     V = np.asarray(V, dtype=float).reshape(1, F.n, F.m)
-    return _min_nodes(F, V, opts.grid(_as_sv(a)), opts, [opts.seed], [None])[0]
+    return _ladder(F, V, _as_sv(a), [opts.resolution], opts, [opts.seed])[1][0]
 
 
 def _check_levels(levels) -> None:
@@ -674,7 +692,8 @@ def tabulate_envelope(
 ) -> EnvelopeTable:
     """Per-node envelope estimates over a lattice; failures masked, not fatal.
 
-    The nodes of each refinement level run in chunks of consecutive node
+    Nodes that ``F.hull_exact`` certifies take F(V) and never descend.  The
+    other nodes of each refinement level run in chunks of consecutive node
     ranks, one screening and one polishing batch per chunk.  A level with
     several chunks runs them on one process per usable CPU (``_usable_workers``:
     the CPU affinity, and 1 in a process with other threads): this one and

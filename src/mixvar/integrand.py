@@ -2,8 +2,9 @@
 
 Evaluation is vectorized: ``eval`` maps arrays of shape (..., n, m) to (...),
 ``grad`` maps (..., n, m) to (..., n, m).  Registration runs a finite
-difference check on the analytic gradient and a sampled check on the upper
-growth constant, so broken metadata fails fast.
+difference check on the analytic gradient, a sampled check on the upper
+growth constant and a sampled tangent-plane check of the ``hull_exact``
+certificate, so broken metadata fails fast.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ __all__ = ["Integrand", "builtin", "builtin_from_config", "grad_check"]
 # the registration gradient check: its random points and their seed
 _CHECK_SAMPLES = 20
 _CHECK_SEED = 20260501
+# the registration tangent-plane check of hull_exact: its random points (half
+# of them at scale 1, half at scale 3) and the relative violation it forgives
+# (central-difference gradients are good to about 1e-9)
+_TANGENT_SAMPLES = 128
+_TANGENT_TOL = 1e-6
 
 
 @dataclass
@@ -32,6 +38,18 @@ class Integrand:
     point V of shape (n, m) and a central-difference step h whose stencil
     stays where F is smooth.  Without it the check draws V ~ N(0, I) with
     the step 1e-5 (1 + |V|).
+
+    hull_exact(V) -> bool[...], when set, certifies the points V (..., n, m)
+    where F equals its convex envelope CF; it returns False wherever that
+    is not known.  For a differentiable F these are exactly the points where
+    F lies above its tangent plane at V.  There the quasiconvex envelope is
+    F itself, on every grid: the stencils have zero mean on zero-boundary
+    fields phi, so by Jensen's inequality
+    mean F(V + grad_a phi) >= mean CF(V + grad_a phi) >= CF(V) = F(V),
+    and phi = 0 is a minimiser (CF <= QF <= F; Dacorogna, Direct Methods in
+    the Calculus of Variations, 2008).  Registration samples the
+    tangent-plane inequality F(W) >= F(V) + <F'(V), W - V> at the certified
+    points among its samples, so a wrong certificate fails fast.
     """
 
     eval: callable
@@ -43,6 +61,7 @@ class Integrand:
     name: str = "custom"
     params: dict = field(default_factory=dict)
     check_points: callable | None = None
+    hull_exact: callable | None = None
 
     def __post_init__(self):
         if self.grad is not None:
@@ -61,6 +80,13 @@ class Integrand:
             if worst > 1e-9 * self.C_upper:
                 raise ValueError(
                     f"sampled |F| exceeds declared C_upper for {self.name!r} by {worst:.3e}"
+                )
+        if self.hull_exact is not None:
+            worst = _tangent_violation(self)
+            if worst > _TANGENT_TOL:
+                raise ValueError(
+                    f"hull_exact of {self.name!r} certifies a point where F falls below its "
+                    f"tangent plane: relative violation {worst:.3e}"
                 )
 
     def __call__(self, V: np.ndarray) -> np.ndarray:
@@ -133,6 +159,35 @@ def grad_check(F: Integrand) -> float:
     return worst
 
 
+def _tangent_violation(F: Integrand) -> float:
+    """Worst relative violation of F(W) >= F(V) + <F'(V), W - V> over sampled pairs.
+
+    V ranges over the samples that ``F.hull_exact`` certifies and W over all
+    samples; pairs with a non-finite term are skipped.  Returns -inf when no
+    sample is certified.
+    """
+    rng = np.random.default_rng(_CHECK_SEED + 2)
+    half = _TANGENT_SAMPLES // 2
+    W = rng.normal(size=(2 * half, F.n, F.m)) * np.repeat([1.0, 3.0], half)[:, None, None]
+    V = W[np.asarray(F.hull_exact(W), dtype=bool)]
+    if not len(V):
+        return -np.inf
+    fW, fV = F(W), F(V)
+    g = F.gradient(V).reshape(len(V), -1)
+    X, Y = W.reshape(len(W), -1), V.reshape(len(V), -1)
+    tangent = fV[:, None] + g @ X.T - np.sum(g * Y, axis=1)[:, None]
+    scale = (1.0 + np.abs(fW)[None, :] + np.abs(fV)[:, None]
+             + np.linalg.norm(g, axis=1)[:, None] * (_fro(W)[None, :] + _fro(V)[:, None]))
+    with np.errstate(invalid="ignore"):
+        gap = (tangent - fW[None, :]) / scale
+    return float(np.max(gap, initial=-np.inf, where=np.isfinite(gap)))
+
+
+def _everywhere(V: np.ndarray) -> np.ndarray:
+    """The certificate of a convex F: F = CF at every V."""
+    return np.ones(np.shape(V)[:-2], dtype=bool)
+
+
 def _pnorm(p: float, n: int, m: int) -> Integrand:
     def ev(V):
         return _fro(V) ** p
@@ -146,6 +201,7 @@ def _pnorm(p: float, n: int, m: int) -> Integrand:
 
     return Integrand(
         ev, n, m, p, grad=gr, C_upper=1.0, name="pnorm", params={"p": p, "n": n, "m": m},
+        hull_exact=_everywhere,  # convex for p >= 1
     )
 
 
@@ -170,7 +226,7 @@ def _quadratic(A, n: int, m: int) -> Integrand:
 
     return Integrand(
         ev, n, m, 2.0, grad=gr, C_upper=float(eigs[-1]), name="quadratic",
-        params={"A": A.tolist(), "n": n, "m": m},
+        params={"A": A.tolist(), "n": n, "m": m}, hull_exact=_everywhere,
     )
 
 
@@ -182,7 +238,8 @@ def _pantographic() -> Integrand:
     def gr(V):
         return 2.0 * V
 
-    return Integrand(ev, 1, 2, 2.0, grad=gr, C_upper=1.0, name="pantographic", params={})
+    return Integrand(ev, 1, 2, 2.0, grad=gr, C_upper=1.0, name="pantographic", params={},
+                     hull_exact=_everywhere)
 
 
 def _double_well(col: int, w: float, n: int, m: int) -> Integrand:
@@ -200,9 +257,14 @@ def _double_well(col: int, w: float, n: int, m: int) -> Integrand:
         out[..., 0, col] = 4.0 * v * (v**2 - w**2)
         return out
 
+    def hull_exact(V):
+        # F is separable, so CF is the convex hull of the well, which equals
+        # it off (-|w|, |w|), plus the other squares
+        return np.abs(V[..., 0, col]) >= abs(w)
+
     return Integrand(
         ev, n, m, 4.0, grad=gr, C_upper=max(3.0, 1.0 + 2.0 * w**4),
-        name="double_well", params={"col": col, "w": w, "n": n, "m": m},
+        name="double_well", params={"col": col, "w": w, "n": n, "m": m}, hull_exact=hull_exact,
     )
 
 
@@ -217,6 +279,11 @@ def shifted(F: Integrand, X0) -> Integrand:
         def gr(V):
             return F.grad(X0 + V)
 
+    hull_exact = None
+    if F.hull_exact is not None:
+        def hull_exact(V):
+            return F.hull_exact(X0 + V)
+
     C_upper = None
     if F.C_upper is not None:
         shift_norm = float(np.linalg.norm(X0))
@@ -224,6 +291,7 @@ def shifted(F: Integrand, X0) -> Integrand:
     return Integrand(
         ev, F.n, F.m, F.p, grad=gr, C_upper=C_upper,
         name="shifted", params={"base": F.name, "base_params": F.params, "X0": X0.tolist()},
+        hull_exact=hull_exact,
     )
 
 
@@ -261,7 +329,7 @@ def _constant(c: float, n: int, m: int, p: float) -> Integrand:
 
     return Integrand(
         ev, n, m, p, grad=gr, C_upper=abs(c) + 1e-300,
-        name="constant", params={"c": c, "n": n, "m": m, "p": p},
+        name="constant", params={"c": c, "n": n, "m": m, "p": p}, hull_exact=_everywhere,
     )
 
 

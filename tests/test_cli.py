@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -87,8 +88,9 @@ def test_solve_and_coerce_determinism_byte_identical(tmp_path):
 def test_envelope_bytes_do_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, cpus, forks):
     # every node its own chunk: 1 usable CPU forks nothing, 2 fork one child,
     # 4 fork three
+    # every node inside the well, where no node is certified and all descend
     monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)
-    cfg = write_config(tmp_path / "cfg.json", ENVELOPE_CFG)
+    cfg = write_config(tmp_path / "cfg.json", {**ENVELOPE_CFG, "lattice": [[-0.9, 0.9, 5]]})
     outputs = set()
     for count in (1, 2, 4):
         cpus(count)
@@ -97,6 +99,21 @@ def test_envelope_bytes_do_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, 
         outputs.add((out.read_bytes(), (tmp_path / f"{count}.qft.summary.json").read_bytes()))
     assert len(forks) == 0 + 1 + 3
     assert len(outputs) == 1
+
+
+def test_a_theta_point_that_overflows_prints_only_its_failure(tmp_path, capfd):
+    # every start of t = 2.5e307 overflows; the finite-row rule makes its
+    # rows +inf without a numpy warning, so the failure line is all of stderr
+    cfg = write_config(tmp_path / "cfg.json", {
+        "a": [2], "integrand": {"name": "pnorm", "params": {"p": 2.0, "n": 1, "m": 1}},
+        "resolution": 17, "multistart": 2, "seed": 4})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["coerce", "--config", cfg, "--q", "2", "--t", "0:1e308:5",
+                     "--out", str(tmp_path / "theta.csv")])
+    assert code == 3
+    assert capfd.readouterr().err.splitlines() == [
+        "numerical failure: every theta descent diverged at t=2.5e+307"]
 
 
 def faulty_integrand(c):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,15 +92,32 @@ def test_theta_drops_a_start_of_zero_moment_when_t_is_positive(monkeypatch):
 
 def test_theta_pnorm_points_above_zero_end_in_two_iterations(monkeypatch):
     # criterion 5's curve: G_t is the constant t below the moment t, so every
-    # start is done once it is retracted
+    # start is done once it is retracted; without the certificate t = 0
+    # descends too
     batches = record_theta_batches(monkeypatch)
-    F = builtin("pnorm", p=2, n=1, m=2)
+    F = replace(builtin("pnorm", p=2, n=1, m=2), hull_exact=None)
     curve = theta_estimate(F, 2.0, T_GRID, (1, 2), ThetaOptions(seed=51, multistart=2))
     for t, th in zip(curve.t_values, curve.theta_hat):
         assert abs(th - t) <= 1e-14 * (1 + t)
     assert [t for t, _, _ in batches] == T_GRID
     for _, _, results in batches[1:]:
         assert max(res.iterations for res in results) <= 2
+
+
+def test_a_certified_theta_zero_point_takes_the_zero_field_without_a_descent(monkeypatch):
+    # pnorm is convex, so theta(0) = F(0): the zero candidate wins without a
+    # batch at t = 0, and every point equals the uncertified curve's, whose
+    # portfolio draws are the same, but for the t = 0 iterations
+    batches = record_theta_batches(monkeypatch)
+    F = builtin("pnorm", p=2, n=1, m=2)
+    opts = ThetaOptions(seed=51, multistart=2)
+    curve = theta_estimate(F, 2.0, T_GRID, (1, 2), opts)
+    assert [t for t, _, _ in batches] == T_GRID[1:]
+    plain = theta_estimate(replace(F, hull_exact=None), 2.0, T_GRID, (1, 2), opts)
+    assert curve.theta_hat.tolist() == plain.theta_hat.tolist()
+    assert curve.diagnostics[0]["iterations"] == 0 < plain.diagnostics[0]["iterations"]
+    curve.diagnostics[0]["iterations"] = plain.diagnostics[0]["iterations"]
+    assert curve.diagnostics == plain.diagnostics
 
 
 def test_theta_warm_start_is_done_after_one_evaluation(monkeypatch):

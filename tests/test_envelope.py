@@ -37,6 +37,10 @@ def lower_convex_hull_1d(f, lo=-3.0, hi=3.0, k=10**4):
 
 
 FAST = EnvelopeOptions(resolution=17, multistart=4, maxiter=300, seed=0)
+# the double well without its hull_exact certificate: every node descends,
+# as the tests of the descent, the cut, the chunking and the forking need
+WELL = replace(builtin("double_well", w=1.0, n=1, m=1), hull_exact=None)
+WELL_2D = replace(builtin("double_well", w=1.0, n=1, m=2, col=1), hull_exact=None)
 # 16 starts a node: the screen is cut after _descent._SCREEN_CUT_ROUND evaluations
 CUT_LATTICE = [(-2.0, 2.0, 5)]
 CUT_OPTS = EnvelopeOptions(resolution=33, multistart=16, maxiter=300, seed=3)
@@ -259,7 +263,7 @@ def test_tabulate_masks_only_the_node_whose_descent_fails(monkeypatch):
     # the chunk runs again node by node and only that node is masked.  The
     # exact F(V) references are point evaluations and still work, so only
     # the descents at the lattice node V = 0 hit the fault
-    F = builtin("double_well", w=1.0, n=1, m=1)
+    F = WELL
 
     def ev(V):
         if V.ndim > 2 and np.any(V == 0.0):
@@ -279,11 +283,11 @@ def test_tabulate_masks_only_the_node_whose_descent_fails(monkeypatch):
 
 # a screening budget below maxiter: every chunk runs a polishing batch too
 @pytest.mark.parametrize("a, F, lattice, opts, screen, levels", [
-    ((2,), builtin("double_well", w=1.0, n=1, m=1), [(-2.0, 2.0, 5)],
+    ((2,), WELL, [(-2.0, 2.0, 5)],
      EnvelopeOptions(resolution=33, multistart=4, maxiter=300, seed=3), 40, None),
-    ((1, 2), builtin("double_well", w=1.0, n=1, m=2, col=1), [(-0.5, 0.5, 2), (-1.5, 1.5, 2)],
+    ((1, 2), WELL_2D, [(-0.5, 0.5, 2), (-1.5, 1.5, 2)],
      EnvelopeOptions(resolution=33, multistart=3, maxiter=120, seed=11), 30, (9, 17, 33)),
-    ((2,), builtin("double_well", w=1.0, n=1, m=1), CUT_LATTICE, CUT_OPTS, 40, None),
+    ((2,), WELL, CUT_LATTICE, CUT_OPTS, 40, None),
 ], ids=["1d", "2d-ladder", "1d-cut"])
 def test_table_bytes_do_not_depend_on_the_chunking(tmp_path, monkeypatch, a, F, lattice, opts,
                                                    screen, levels):
@@ -301,11 +305,11 @@ def test_table_bytes_do_not_depend_on_the_chunking(tmp_path, monkeypatch, a, F, 
 
 
 @pytest.mark.parametrize("a, F, lattice, opts, screen, levels", [
-    ((2,), builtin("double_well", w=1.0, n=1, m=1), [(-2.0, 2.0, 5)],
+    ((2,), WELL, [(-2.0, 2.0, 5)],
      EnvelopeOptions(resolution=33, multistart=4, maxiter=300, seed=3), 40, None),
-    ((1, 2), builtin("double_well", w=1.0, n=1, m=2, col=1), [(-0.5, 0.5, 2), (-1.5, 1.5, 2)],
+    ((1, 2), WELL_2D, [(-0.5, 0.5, 2), (-1.5, 1.5, 2)],
      EnvelopeOptions(resolution=33, multistart=3, maxiter=120, seed=11), 30, (9, 17, 33)),
-    ((2,), builtin("double_well", w=1.0, n=1, m=1), CUT_LATTICE, CUT_OPTS, 40, None),
+    ((2,), WELL, CUT_LATTICE, CUT_OPTS, 40, None),
 ], ids=["1d", "2d-ladder", "1d-cut"])
 def test_table_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, cpus, forks, a, F,
                                                        lattice, opts, screen, levels):
@@ -323,13 +327,16 @@ def test_table_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, cp
 
 
 def fails_at_zero(F, exc):
-    """F whose batched evaluations (descents, not F(V) references) raise exc where V = 0."""
+    """F whose batched evaluations (descents, not F(V) references) raise exc where V = 0.
+
+    It has no certificate, so every node descends.
+    """
     def ev(V):
         if V.ndim > 2 and np.any(V == 0.0):
             raise exc
         return F.eval(V)
 
-    return replace(F, eval=ev)
+    return replace(F, eval=ev, hull_exact=None)
 
 
 def test_a_failure_in_a_child_is_masked_as_in_process(monkeypatch, cpus, forks):
@@ -394,7 +401,7 @@ def test_workers_are_the_usable_cpus_and_one_without_fork(monkeypatch, cpus):
 def test_a_process_with_another_thread_tabulates_without_forking(monkeypatch, forks):
     # a child forked while another thread holds a lock could wait on it for ever
     monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)  # five chunks on 4 usable CPUs
-    F = builtin("double_well", w=1.0, n=1, m=1)
+    F = WELL
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
     thread.start()
@@ -484,7 +491,7 @@ def test_a_retired_start_ends_at_the_cut_and_is_never_polished(monkeypatch):
 
     monkeypatch.setattr(_descent, "run_lbfgs_batch", recorded)
     monkeypatch.setattr(_descent, "_SCREEN_MAXITER", 40)
-    F = builtin("double_well", w=1.0, n=1, m=1)
+    F = WELL
     Vs = np.linspace(*CUT_LATTICE[0]).reshape(-1, 1, 1)
     grid = CUT_OPTS.grid(envelope.SmoothnessVector((2,)))
     seeds = [3, 4, 5, 6, 7]
@@ -701,3 +708,68 @@ def test_malformed_lattices_are_rejected(lattice, match):
     F = builtin("double_well", w=1.0, n=1, m=1)
     with pytest.raises(ValueError, match=match):
         tabulate_envelope(F, (2,), lattice, FAST)
+
+
+def test_certified_nodes_take_f_of_v_without_a_descent(monkeypatch):
+    # the double well is certified where |v| >= 1: those nodes take F(V) bit
+    # for bit at every level, with no starts and no witness, and only the
+    # other nodes reach _min_nodes
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    descended = []
+    run = envelope._min_nodes
+
+    def recorded(F, Vs, *args):
+        descended.extend(Vs.reshape(-1).tolist())
+        return run(F, Vs, *args)
+
+    monkeypatch.setattr(envelope, "_min_nodes", recorded)
+    Vs = np.linspace(-1.5, 1.5, 7).reshape(-1, 1, 1)
+    values, ests = envelope._ladder(F, Vs, envelope.SmoothnessVector((2,)), [17, 33], FAST,
+                                    list(range(7)))
+    assert descended == [-0.5, 0.0, 0.5] * 2
+    for V, vals, est in zip(Vs, values, ests):
+        if abs(V[0, 0]) >= 1.0:
+            assert vals == [float(F(V))] * 2
+            assert (est.value, est.reference, est.witness, est.best_start, est.budget_exhausted,
+                    est.per_start) == (float(F(V)), float(F(V)), None, "zero-exact", False, [])
+    descended.clear()
+    est = dacorogna_min(F, 1.5, (2,), FAST)
+    assert est.value == float(F(np.array([[1.5]]))) and est.per_start == []
+    assert is_aqc_at(builtin("pnorm", p=2, n=1, m=2), [[0.5, -0.5]], (1, 2), FAST).holds
+    assert descended == []
+    # a table integrand has no certificate
+    table = tabulate_envelope(F, (2,), [(-2.0, 2.0, 3)], FAST)
+    assert table.as_integrand(fallback=F).hull_exact is None
+
+
+def test_uncertified_nodes_equal_the_run_without_a_certificate():
+    # a mixed 2-D ladder: the nodes inside the well descend as they do when
+    # no node is certified, per level and per start
+    F = builtin("double_well", w=1.0, n=1, m=2, col=1)
+    Vs = np.array([[[u, v]] for u in (-0.5, 0.5) for v in (-1.5, -0.4, 0.0, 1.0)])
+    opts = EnvelopeOptions(multistart=3, maxiter=120, seed=11)
+    args = (Vs, envelope.SmoothnessVector((1, 2)), [9, 17], opts, list(range(len(Vs))))
+    values, ests = envelope._ladder(F, *args)
+    plain_values, plain = envelope._ladder(WELL_2D, *args)
+    certified = np.abs(Vs[:, 0, 1]) >= 1.0
+    assert certified.tolist() == [True, False, False, True] * 2
+    for exact, vals, est, plain_vals, alone in zip(certified, values, ests, plain_values, plain):
+        if exact:
+            assert est.value == est.reference and est.value >= alone.value
+        else:
+            assert vals == plain_vals
+            assert repr((est.value, est.best_start, est.per_start)) == repr(
+                (alone.value, alone.best_start, alone.per_start))
+            assert np.array_equal(est.witness.values, alone.witness.values)
+
+
+def test_the_benchmark_ladder_table_forks_no_child(forks):
+    # the a=(1,2) double well on its 3x3 ladder lattice: 6 of the 9 nodes are
+    # certified, so the 33-node level holds 3 x 5 rows x 899 free values,
+    # one chunk, even on 4 usable CPUs
+    F = builtin("double_well", w=1.0, n=1, m=2, col=1)
+    opts = EnvelopeOptions(resolution=33, multistart=4, maxiter=200, seed=31)
+    table = tabulate_envelope(F, (1, 2), [(-0.5, 0.5, 3), (-1.5, 1.5, 3)], opts,
+                              levels=(9, 17, 33))
+    assert forks == []
+    assert not table.failures.any()

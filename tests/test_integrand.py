@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,38 @@ def test_fd_gradient_fallback():
     V = np.array([[0.5, -0.7]])
     fd = F.gradient(V)
     assert np.allclose(fd, 4 * V**3, atol=1e-6)
+
+
+def test_builtin_certificates_mark_where_f_is_its_convex_envelope():
+    V = np.array([[[-2.0, 0.5]], [[-1.0, 0.0]], [[0.3, 4.0]], [[0.99, -1.0]], [[1.0, 9.0]]])
+    well = builtin("double_well", col=0, w=1.0, n=1, m=2)
+    assert well.hull_exact(V).tolist() == [True, True, False, False, True]
+    # a negative w has the same wells
+    assert builtin("double_well", col=1, w=-1.0, n=1, m=2).hull_exact(V).tolist() == [
+        False, False, True, True, True]
+    # the shift moves the certified set with it
+    X0 = np.array([[0.5, 0.0]])
+    assert shifted(well, X0).hull_exact(V).tolist() == well.hull_exact(X0 + V).tolist()
+    for F in (builtin("pnorm", p=1.0, n=1, m=2), builtin("pantographic"),
+              builtin("quadratic", A=[[2.0, 0.3], [0.3, 1.0]], n=1, m=2),
+              builtin("constant", c=-1.0, n=1, m=2, p=2.0)):
+        assert F.hull_exact(V).tolist() == [True] * 5
+    # no certificate where none is known
+    assert minus_power(builtin("pnorm", p=2.0, n=1, m=2), 0.5, 2.0).hull_exact is None
+    assert shifted(minus_power(well, 0.5, 2.0), X0).hull_exact is None
+
+
+def test_a_false_certificate_fails_registration():
+    well = builtin("double_well", w=1.0, n=1, m=1)
+    for wrong in (lambda V: np.ones(V.shape[:-2], dtype=bool),
+                  lambda V: np.abs(V[..., 0, 0]) >= 0.9):
+        with pytest.raises(ValueError, match="hull_exact.*tangent plane"):
+            replace(well, hull_exact=wrong)
+    # the certificate of the well in column 1, asked of column 0
+    with pytest.raises(ValueError, match="hull_exact"):
+        replace(builtin("double_well", col=1, w=1.0, n=1, m=2),
+                hull_exact=lambda V: np.abs(V[..., 0, 0]) >= 1.0)
+    # a certificate that is right on its samples registers, with or without an
+    # analytic gradient
+    replace(well, hull_exact=lambda V: np.abs(V[..., 0, 0]) >= 1.0)
+    replace(well, grad=None, hull_exact=lambda V: np.abs(V[..., 0, 0]) >= 1.0)
