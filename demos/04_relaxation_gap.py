@@ -31,7 +31,7 @@ table = tabulate_envelope(
 
 # Dirichlet datum 0: the barycentre of the gradient field is pinned at the
 # well midpoint, where F = 1 but the envelope vanishes.
-prob = DirichletProblem(a, ((-1.0, 1.0),), F, {(0,): 0.0}, 4.0, 9)
+prob = DirichletProblem(a, ((-1.0, 1.0),), F, {(0,): 0.0}, 9)
 report = relax_compare(prob, table, refinement_levels=3,
                        opts=SolveOptions(seed=2, multistart=2, perturbation=0.05))
 
@@ -45,7 +45,7 @@ print(f"relaxation gap detected: {not report.no_gap_detected}")
 # For contrast, a convex problem has no gap at all: the datum itself is the
 # minimizer and envelope and integrand agree.
 G = builtin("pnorm", p=2, n=1, m=1)
-conv_prob = DirichletProblem(a, ((-1.0, 1.0),), G, {(2,): 0.4}, 2.0, 9)
+conv_prob = DirichletProblem(a, ((-1.0, 1.0),), G, {(2,): 0.4}, 9)
 conv_res = solve_dirichlet(conv_prob, SolveOptions(seed=3))
 print(f"\nconvex control: solver energy {conv_res.energy:.6f} "
       f"(= |volume| x F(datum gradient))")

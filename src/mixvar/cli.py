@@ -279,7 +279,8 @@ def _solve_problem(cfg: dict) -> tuple[DirichletProblem, SolveOptions]:
             and all(_is_int(r) for r in resolution)):
         raise ConfigError(f"field 'resolution' must be an integer or a list of integers, "
                           f"got {resolution!r}")
-    prob = DirichletProblem(a, domain, F, datum, _number(cfg, "p", F.p), resolution)
+    _number(cfg, "p", F.p)  # a checked key of the config and its hash; no solve reads it
+    prob = DirichletProblem(a, domain, F, datum, resolution)
     with _config_fields("domain", "resolution"):
         grid = prob.grid()
     with _config_fields("datum"):

@@ -194,11 +194,12 @@ def mean_coercivity_fit(curve: ThetaCurve, c_min: float = 1e-3) -> CoercivityFit
     y = curve.theta_hat
     if len(t) < 3:
         raise ValueError("need at least 3 points to fit a minorant")
+    # edge slopes, not cross products: those overflow where t and theta are large
     hull = []
     for p in zip(t, y):
         while len(hull) >= 2 and (
-            (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-1][0])
-            >= (p[1] - hull[-1][1]) * (hull[-1][0] - hull[-2][0])
+            (hull[-1][1] - hull[-2][1]) / (hull[-1][0] - hull[-2][0])
+            >= (p[1] - hull[-1][1]) / (p[0] - hull[-1][0])
         ):
             hull.pop()
         hull.append(p)

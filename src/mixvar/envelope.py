@@ -34,11 +34,6 @@ import functools
 import itertools
 import math
 import numbers
-import os
-import pickle
-import signal
-import threading
-import traceback
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -217,113 +212,13 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
 def _runs(items: list, count: int) -> list[list]:
     """``items`` cut into ``count`` runs of consecutive items, longer runs first.
 
-    Run lengths differ by at most 1; no count gives no runs.
+    Run lengths differ by at most 1; no count gives no runs.  ``_ladder``
+    cuts each level's nodes into its chunks with it.
     """
     bounds = [0]
     for k in range(count):
         bounds.append(bounds[-1] + len(items) // count + (k < len(items) % count))
     return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _usable_workers() -> int:
-    """The CPUs this process may run on, or 1 where it must not fork.
-
-    A process without ``os.fork`` or with a thread besides this one gets 1:
-    a child forked while another thread holds a lock could wait on it for
-    ever.
-    """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _WorkerTraceback(Exception):
-    """The traceback of an exception raised in a worker process, as text."""
-
-    def __str__(self):
-        return "\n" + self.args[0]
-
-
-def _fork(fn, tasks: list) -> tuple[int, int]:
-    """Fork a child that runs fn on every task; returns its pid and the read end of its pipe.
-
-    The child inherits fn and everything it reads, so nothing but the reply
-    is pickled: (True, results) or (False, (exception, traceback text)),
-    the exception a ChildProcessError naming it where it does not pickle.
-    The child leaves through ``os._exit`` and never returns into the caller.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    status = 1
-    try:
-        os.close(read)
-        try:
-            reply = pickle.dumps((True, [fn(task) for task in tasks]))
-        except BaseException as exc:  # sent to the parent, which raises it
-            text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-            try:
-                reply = pickle.dumps((False, (exc, text)))
-                pickle.loads(reply)  # some exceptions pickle but cannot be rebuilt
-            except Exception:
-                exc = ChildProcessError(f"{type(exc).__name__}: {exc}")
-                reply = pickle.dumps((False, (exc, text)))
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(reply)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _reap(pid: int, read: int) -> tuple[bytes, int]:
-    """A child's whole reply and its wait status, once it has ended."""
-    with os.fdopen(read, "rb") as pipe:
-        reply = pipe.read()
-    return reply, os.waitpid(pid, 0)[1]
-
-
-def _map_forked(fn, tasks: list, workers: int) -> list:
-    """[fn(task) for task in tasks], shared out over up to ``workers`` processes.
-
-    The tasks are cut into ``_runs``, one per process.  This
-    process runs the first run and each other run goes to a forked child
-    (see ``_fork``); the results come back in task order.  An exception
-    of a child is raised here as itself, that of the earliest run first,
-    with the child's traceback as its cause.  Every child has been reaped
-    when this returns or raises; if this process's own run raises, the
-    children are killed first.
-    """
-    runs = _runs(tasks, max(1, min(workers, len(tasks))))
-    children = []
-    try:
-        for run in runs[1:]:
-            children.append(_fork(fn, run))
-        out = [fn(task) for task in runs[0]]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        replies = [_reap(pid, read) for pid, read in children]
-    for reply, status in replies:
-        if not reply:
-            raise ChildProcessError(f"a worker process ended without a reply "
-                                    f"(wait status {status})")
-        ok, payload = pickle.loads(reply)
-        if not ok:
-            exc, text = payload
-            raise exc from _WorkerTraceback(text)
-        out += payload
-    return out
 
 
 def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: EnvelopeOptions,
@@ -333,15 +228,13 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
     Returns each node's per-level values and final estimate.  A node that
     ``F.hull_exact`` certifies takes F(V) at every level, with no witness
     and no starts, and never descends: only the other nodes are chunked.
-    Each node's level descends from its own previous witness only, so no
-    value depends on the chunking.  A level's chunks run on one process per
-    usable CPU (``_usable_workers``, ``_map_forked``), which changes no value
-    either.
+    A level's chunks run one after another in this process; each is one
+    screening and one polishing batch.  Each node's level descends from its
+    own previous witness only, so no value depends on the chunking.
     With ``mask_failures`` a chunk that raises RuntimeError runs again one
     node at a time, and a node that still raises gets no estimate (None) and
     takes no further level.
     """
-    workers = _usable_workers()
     values: list[list[float]] = [[] for _ in Vs]
     estimates: list[EnvelopeEstimate | None] = [None] * len(Vs)
     # where F = CF at V, phi = 0 is a minimiser at every level (see the module docstring)
@@ -364,11 +257,9 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
         # ceil(cells / _CHUNK_CELLS) runs of nodes, cells the screening rows x free values
         rows = sum(opts.multistart + (warms[i] is not None) for i in live)
         cells = rows * math.prod(grid.free_shape) * F.n
-        chunks = _runs(live, min(len(live), -(-cells // _CHUNK_CELLS)))
-
-        def chunk(nodes):
+        for nodes in _runs(live, min(len(live), -(-cells // _CHUNK_CELLS))):
             try:
-                return _min_nodes(F, Vs[nodes], grid, level_opts,
+                ests = _min_nodes(F, Vs[nodes], grid, level_opts,
                                   [seeds[i] for i in nodes], [warms[i] for i in nodes])
             except RuntimeError:
                 if not mask_failures:
@@ -379,9 +270,6 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
                         ests += _min_nodes(F, Vs[[i]], grid, level_opts, [seeds[i]], [warms[i]])
                     except RuntimeError:
                         ests.append(None)
-                return ests
-
-        for nodes, ests in zip(chunks, _map_forked(chunk, chunks, workers)):
             for i, est in zip(nodes, ests):
                 estimates[i] = est
                 if est is not None:
@@ -694,16 +582,13 @@ def tabulate_envelope(
 
     Nodes that ``F.hull_exact`` certifies take F(V) and never descend.  The
     other nodes of each refinement level run in chunks of consecutive node
-    ranks, one screening and one polishing batch per chunk.  A level with
-    several chunks runs them on one process per usable CPU (``_usable_workers``:
-    the CPU affinity, and 1 in a process with other threads): this one and
-    forked children, all reaped before this returns.  Node seeds derive from
-    the node rank and every batched row is bit-equal to a lone descent, so
-    the values depend neither on the execution order, nor on the chunking,
-    nor on the worker count.  Only a numerical failure
+    ranks, one screening and one polishing batch per chunk, one chunk after
+    another in this process.  Node seeds derive from the node rank and every
+    batched row is bit-equal to a lone descent, so the values depend neither
+    on the execution order nor on the chunking.  Only a numerical failure
     (RuntimeError) is masked: its chunk runs again node by node, and a node
     that still fails gets F(V) and a failure flag; any other exception
-    propagates, from a child too.
+    propagates.
     """
     _require_growth(F)
     if levels:

@@ -69,7 +69,6 @@ class DirichletProblem:
     domain: tuple[tuple[float, float], ...]
     integrand: Integrand
     datum: object  # APolynomial coefficient dict or GridField on the full grid
-    p: float
     resolution: tuple[int, ...]
 
     def __post_init__(self):

@@ -190,7 +190,7 @@ def test_criterion_7_quadratic_solver_oracle():
     rng = np.random.default_rng(71)
     coeffs = {(0, 0): rng.normal(), (1, 0): rng.normal(),
               (0, 1): rng.normal(), (0, 2): rng.normal()}
-    prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, coeffs, 2.0, 17)
+    prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, coeffs, 17)
     res = solve_dirichlet(prob, SolveOptions(seed=72))
 
     grid = prob.grid()
@@ -220,7 +220,7 @@ def test_criterion_8_relaxation_gap():
         EnvelopeOptions(resolution=129, multistart=8, maxiter=2000, seed=81),
         levels=(17, 33, 65, 129),
     )
-    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(0,): 0.0}, 4.0, 9)
+    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(0,): 0.0}, 9)
     rep = relax_compare(prob, table, refinement_levels=3,
                         opts=SolveOptions(seed=82, multistart=2, perturbation=0.05))
     assert rep.lower_bound_ok, f"E_QF exceeds some E_F: gaps {rep.gaps}"

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from mixvar import cli, envelope
+from mixvar import cli
 from mixvar.cli import main
 from mixvar.coercivity import ThetaOptions
 from mixvar.containers import TABLE_MAGIC
@@ -83,22 +83,6 @@ def test_solve_and_coerce_determinism_byte_identical(tmp_path):
         runs.append([(tmp_path / run / "u.field").read_bytes(),
                      (tmp_path / f"{run}.csv").read_bytes()])
     assert runs[0] == runs[1]
-
-
-def test_envelope_bytes_do_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, cpus, forks):
-    # every node its own chunk: 1 usable CPU forks nothing, 2 fork one child,
-    # 4 fork three
-    # every node inside the well, where no node is certified and all descend
-    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)
-    cfg = write_config(tmp_path / "cfg.json", {**ENVELOPE_CFG, "lattice": [[-0.9, 0.9, 5]]})
-    outputs = set()
-    for count in (1, 2, 4):
-        cpus(count)
-        out = tmp_path / f"{count}.qft"
-        assert main(["envelope", "--config", cfg, "--out", str(out)]) == 0
-        outputs.add((out.read_bytes(), (tmp_path / f"{count}.qft.summary.json").read_bytes()))
-    assert len(forks) == 0 + 1 + 3
-    assert len(outputs) == 1
 
 
 def test_a_theta_point_that_overflows_prints_only_its_failure(tmp_path, capfd):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -158,6 +159,18 @@ def test_fit_affine_data_is_exact():
     assert fit.c1 == pytest.approx(1.0, abs=1e-12)
     assert fit.c2 == pytest.approx(5.0, abs=1e-12)
     assert fit.coercive
+
+
+def test_fit_of_a_curve_at_large_t_reads_the_last_edge_without_overflow():
+    # a double-well curve at t up to 1e150: the cross products of the hull
+    # test overflow to inf there, and inf >= inf dropped the middle point
+    t = np.array([0.0, 5e149, 1e150])
+    theta = np.array([0.046957616680236805, 2.6231781962221536e+299, 1.0492712784888616e+300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = mean_coercivity_fit(ThetaCurve(2.0, t, theta))
+    assert fit.c1 == (theta[2] - theta[1]) / (t[2] - t[1])
+    assert fit.c1 == pytest.approx(1.574e150, rel=1e-3)
 
 
 def test_fit_pnorm_slope_near_one():

@@ -1,5 +1,4 @@
 import os
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -38,7 +37,7 @@ def lower_convex_hull_1d(f, lo=-3.0, hi=3.0, k=10**4):
 
 FAST = EnvelopeOptions(resolution=17, multistart=4, maxiter=300, seed=0)
 # the double well without its hull_exact certificate: every node descends,
-# as the tests of the descent, the cut, the chunking and the forking need
+# as the tests of the descent, the cut and the chunking need
 WELL = replace(builtin("double_well", w=1.0, n=1, m=1), hull_exact=None)
 WELL_2D = replace(builtin("double_well", w=1.0, n=1, m=2, col=1), hull_exact=None)
 # 16 starts a node: the screen is cut after _descent._SCREEN_CUT_ROUND evaluations
@@ -304,28 +303,6 @@ def test_table_bytes_do_not_depend_on_the_chunking(tmp_path, monkeypatch, a, F, 
     assert (tmp_path / "chunked.qft").read_bytes() == (tmp_path / "nodes.qft").read_bytes()
 
 
-@pytest.mark.parametrize("a, F, lattice, opts, screen, levels", [
-    ((2,), WELL, [(-2.0, 2.0, 5)],
-     EnvelopeOptions(resolution=33, multistart=4, maxiter=300, seed=3), 40, None),
-    ((1, 2), WELL_2D, [(-0.5, 0.5, 2), (-1.5, 1.5, 2)],
-     EnvelopeOptions(resolution=33, multistart=3, maxiter=120, seed=11), 30, (9, 17, 33)),
-    ((2,), WELL, CUT_LATTICE, CUT_OPTS, 40, None),
-], ids=["1d", "2d-ladder", "1d-cut"])
-def test_table_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, cpus, forks, a, F,
-                                                       lattice, opts, screen, levels):
-    monkeypatch.setattr(_descent, "_SCREEN_MAXITER", screen)
-    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)  # every node its own chunk
-    for workers in (1, 2, 3):
-        cpus(workers)
-        tabulate_envelope(F, a, lattice, opts, levels=levels).save(tmp_path / f"{workers}.qft")
-        if workers == 1:
-            assert forks == []
-    assert len(forks) == (1 + 2) * len(levels or [None])  # a child per extra worker and level
-    serial = (tmp_path / "1.qft").read_bytes()
-    assert (tmp_path / "2.qft").read_bytes() == serial
-    assert (tmp_path / "3.qft").read_bytes() == serial
-
-
 def fails_at_zero(F, exc):
     """F whose batched evaluations (descents, not F(V) references) raise exc where V = 0.
 
@@ -339,81 +316,13 @@ def fails_at_zero(F, exc):
     return replace(F, eval=ev, hull_exact=None)
 
 
-def test_a_failure_in_a_child_is_masked_as_in_process(monkeypatch, cpus, forks):
-    # nodes -3 -2 -1 | 0 1: two chunks, and the failing node V = 0 breaks the
-    # child's whole chunk, which runs again node by node inside the child
-    F = builtin("double_well", w=1.0, n=1, m=1)
-    G = fails_at_zero(F, RuntimeError("integrand overflow"))
-    n_free = int(np.count_nonzero(~FAST.grid(envelope.SmoothnessVector((2,))).collar_mask()))
-    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 3 * FAST.multistart * n_free)
-    lattice = [(-3.0, 1.0, 5)]
-    cpus(1)
-    serial = tabulate_envelope(G, (2,), lattice, FAST)
-    cpus(2)
-    forked = tabulate_envelope(G, (2,), lattice, FAST)
-    assert len(forks) == 1
-    assert forked.failures.tolist() == serial.failures.tolist() == [False] * 3 + [True, False]
-    assert np.array_equal(forked.values, serial.values)
-    assert forked.values[3] == F(np.zeros((1, 1)))
-
-
-@pytest.mark.parametrize("lattice, where", [([(-3.0, 1.0, 5)], "child"),
-                                            ([(-1.0, 3.0, 5)], "parent")])
-def test_a_programming_error_in_any_worker_reaches_the_caller(monkeypatch, cpus, forks, lattice,
-                                                              where):
-    # every node its own chunk: nodes 0-2 run in this process, 3-4 in a child
+def test_a_programming_error_in_a_chunk_reaches_the_caller(monkeypatch):
+    # every node its own chunk; only a RuntimeError is masked, so the
+    # TypeError of the node V = 0 ends the tabulation
     monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)
-    cpus(2)
     G = fails_at_zero(builtin("double_well", w=1.0, n=1, m=1), TypeError("integrand bug"))
-    with pytest.raises(TypeError, match="integrand bug") as info:
-        tabulate_envelope(G, (2,), lattice, FAST)
-    assert len(forks) == 1
-    # a child's exception carries the child's traceback as its cause
-    assert ("in ev" in str(info.value.__cause__)) == (where == "child")
-
-
-def test_what_a_child_cannot_send_back_is_a_child_process_error(forks):
-    class Local(Exception):  # a class defined in a function does not pickle
-        pass
-
-    def fn(task):
-        if task == "raise":
-            raise Local("lost")
-        if task == "exit":
-            os._exit(0)
-        return task
-
-    assert envelope._map_forked(fn, ["a", "b", "c"], 3) == ["a", "b", "c"]
-    with pytest.raises(ChildProcessError, match="Local: lost"):
-        envelope._map_forked(fn, ["a", "raise"], 2)
-    with pytest.raises(ChildProcessError, match="without a reply"):
-        envelope._map_forked(fn, ["a", "exit"], 2)
-    assert len(forks) == 4
-
-
-def test_workers_are_the_usable_cpus_and_one_without_fork(monkeypatch, cpus):
-    cpus(3)
-    assert envelope._usable_workers() == 3
-    monkeypatch.delattr(os, "fork")
-    assert envelope._usable_workers() == 1
-
-
-def test_a_process_with_another_thread_tabulates_without_forking(monkeypatch, forks):
-    # a child forked while another thread holds a lock could wait on it for ever
-    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)  # five chunks on 4 usable CPUs
-    F = WELL
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        threaded = tabulate_envelope(F, (2,), [(-2.0, 2.0, 5)], FAST)
-    finally:
-        done.set()
-        thread.join()
-    assert forks == []
-    forked = tabulate_envelope(F, (2,), [(-2.0, 2.0, 5)], FAST)
-    assert len(forks) == 3
-    assert np.array_equal(threaded.values, forked.values)
+    with pytest.raises(TypeError, match="integrand bug"):
+        tabulate_envelope(G, (2,), [(-1.0, 3.0, 5)], FAST)
 
 
 def test_chunks_are_balanced_runs_covering_every_node_once():
@@ -763,13 +672,20 @@ def test_uncertified_nodes_equal_the_run_without_a_certificate():
             assert np.array_equal(est.witness.values, alone.witness.values)
 
 
-def test_the_benchmark_ladder_table_forks_no_child(forks):
-    # the a=(1,2) double well on its 3x3 ladder lattice: 6 of the 9 nodes are
-    # certified, so the 33-node level holds 3 x 5 rows x 899 free values,
-    # one chunk, even on 4 usable CPUs
-    F = builtin("double_well", w=1.0, n=1, m=2, col=1)
-    opts = EnvelopeOptions(resolution=33, multistart=4, maxiter=200, seed=31)
-    table = tabulate_envelope(F, (1, 2), [(-0.5, 0.5, 3), (-1.5, 1.5, 3)], opts,
-                              levels=(9, 17, 33))
-    assert forks == []
-    assert not table.failures.any()
+def test_a_table_of_many_chunks_forks_no_child(monkeypatch):
+    # five in-well nodes, none certified, each its own chunk, on a host of
+    # 4 usable CPUs: every chunk runs in this process, one after another
+    def no_fork():
+        raise AssertionError("tabulation forked")
+
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    lattice = [(-0.9, 0.9, 5)]
+    whole = tabulate_envelope(F, (2,), lattice, FAST)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(envelope, "_CHUNK_CELLS", 1)
+    sizes = record_chunks(monkeypatch)
+    chunked = tabulate_envelope(F, (2,), lattice, FAST)
+    assert sizes == [1] * 5
+    assert not chunked.failures.any()
+    assert np.array_equal(chunked.values, whole.values)

@@ -60,7 +60,7 @@ def quad_oracle_energy(prob):
 def test_convex_quadratic_datum_is_minimizer():
     F = builtin("pnorm", p=2, n=1, m=2)
     prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F,
-                            {(1, 0): 1.0, (0, 2): 2.0}, 2.0, 17)
+                            {(1, 0): 1.0, (0, 2): 2.0}, 17)
     res = solve_dirichlet(prob, SolveOptions(seed=1))
     grid = prob.grid()
     X = np.array([[1.0, 2.0]])
@@ -76,7 +76,7 @@ def test_pantographic_matches_sparse_spd_oracle():
     rng = np.random.default_rng(42)
     coeffs = {(0, 0): rng.normal(), (1, 0): rng.normal(),
               (0, 1): rng.normal(), (0, 2): rng.normal()}
-    prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, coeffs, 2.0, 17)
+    prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, coeffs, 17)
     res = solve_dirichlet(prob, SolveOptions(seed=2))
     oracle = quad_oracle_energy(prob)
     assert abs(res.energy - oracle) <= 1e-8 * (1 + abs(oracle))
@@ -84,7 +84,7 @@ def test_pantographic_matches_sparse_spd_oracle():
 
 def test_constant_integrand_exits_immediately():
     F = builtin("constant", c=2.0, n=1, m=2)
-    prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, {(0, 0): 1.0}, 2.0, 9)
+    prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, {(0, 0): 1.0}, 9)
     res = solve_dirichlet(prob, SolveOptions(seed=3))
     assert res.energy == pytest.approx(2.0 * prob.grid().volume, rel=1e-12)
 
@@ -92,7 +92,7 @@ def test_constant_integrand_exits_immediately():
 def test_dirichlet_collar_consistency():
     F = builtin("double_well", col=0, w=1.0, n=1, m=2)
     prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F,
-                            {(1, 0): 0.5, (0, 1): -0.3}, 4.0, 17)
+                            {(1, 0): 0.5, (0, 1): -0.3}, 17)
     res = solve_dirichlet(prob, SolveOptions(seed=4, multistart=1))
     grid = prob.grid()
     g = prob.datum_field(grid)
@@ -109,8 +109,8 @@ def test_kernel_polynomial_frame_invariance():
     shifted = dict(base)
     shifted[(0, 0)] = 5.0
     shifted[(0, 1)] = -3.0
-    p1 = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, base, 2.0, 17)
-    p2 = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, shifted, 2.0, 17)
+    p1 = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, base, 17)
+    p2 = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, shifted, 17)
     r1 = solve_dirichlet(p1, SolveOptions(seed=5))
     r2 = solve_dirichlet(p2, SolveOptions(seed=5))
     assert abs(r1.energy - r2.energy) <= 1e-10 * (1 + abs(r1.energy))
@@ -121,7 +121,7 @@ def test_trace_energies_nonincreasing():
     # zero-mean stencils), so a perturbed start is what actually iterates
     F = builtin("double_well", col=0, w=1.0, n=1, m=2)
     prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F,
-                            {(1, 0): 0.2}, 4.0, 17)
+                            {(1, 0): 0.2}, 17)
     res = solve_dirichlet(prob, SolveOptions(seed=6, multistart=1, perturbation=0.1))
     e = res.energies
     assert len(e) >= 2
@@ -132,7 +132,7 @@ def test_grid_field_datum_resolution_mismatch():
     F = builtin("pnorm", p=2, n=1, m=2)
     g_other = Grid(((-1, 1), (-1, 1)), (9, 9), SV12)
     datum = GridField.zeros(g_other)
-    prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, datum, 2.0, 17)
+    prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, datum, 17)
     with pytest.raises(ValueError, match="resolution"):
         solve_dirichlet(prob, SolveOptions(seed=7))
 
@@ -143,7 +143,7 @@ def test_relax_convex_zero_gap():
         F, (2,), [(-2.0, 2.0, 21)], EnvelopeOptions(resolution=33, multistart=2, seed=8)
     )
     # datum slope 0.4 sits exactly on a lattice node
-    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): 0.4}, 2.0, 9)
+    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): 0.4}, 9)
     rep = relax_compare(prob, table, refinement_levels=2, opts=SolveOptions(seed=9))
     assert rep.lower_bound_ok
     assert all(abs(g) <= 1e-8 for g in rep.gaps)
@@ -157,7 +157,7 @@ def test_relax_reports_levels_stopped_at_maxiter():
         F, (2,), [(-2.0, 2.0, 5)], EnvelopeOptions(resolution=17, multistart=2, seed=14)
     )
     # slope 0.4 is not stationary for the double well: two iterations cannot converge
-    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): 0.4}, 4.0, 9)
+    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): 0.4}, 9)
     rep = relax_compare(prob, table, refinement_levels=2,
                         opts=SolveOptions(seed=15, maxiter=2))
     assert rep.converged == [False, False]
@@ -166,7 +166,7 @@ def test_relax_reports_levels_stopped_at_maxiter():
 
 def test_warm_start_runs_last_and_wins_when_lower():
     F = builtin("double_well", col=0, w=1.0, n=1, m=2)
-    prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, {(1, 0): 0.2}, 4.0, 17)
+    prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, {(1, 0): 0.2}, 17)
     grid = prob.grid()
     full = solve_dirichlet(prob, SolveOptions(seed=16))
     warm = GridField(grid, full.u.values - prob.datum_field(grid).values)
@@ -185,7 +185,7 @@ def test_relax_double_well_gap_shrinks():
         EnvelopeOptions(resolution=129, multistart=8, maxiter=2000, seed=10),
         levels=(17, 33, 65, 129),
     )
-    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(0,): 0.0}, 4.0, 9)
+    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(0,): 0.0}, 9)
     rep = relax_compare(prob, table, refinement_levels=3,
                         opts=SolveOptions(seed=11, multistart=2, perturbation=0.05))
     assert rep.lower_bound_ok
@@ -201,7 +201,7 @@ def test_relax_hull_exceeded_aborts():
     table = tabulate_envelope(
         F, (2,), [(-0.5, 0.5, 5)], EnvelopeOptions(resolution=17, multistart=2, seed=12)
     )
-    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): 1.9}, 2.0, 9)
+    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): 1.9}, 9)
     with pytest.raises(RuntimeError, match="hull"):
         relax_compare(prob, table, refinement_levels=1, opts=SolveOptions(seed=13))
 
@@ -220,7 +220,7 @@ def node_table(F, a, lattice):
 def test_relax_runs_on_tables_far_from_the_origin_and_on_fine_lattices(a, datum, lattice):
     F = builtin("pnorm", p=2, n=1, m=len(lattice))
     table = node_table(F, a, lattice)
-    prob = DirichletProblem(a, ((-1.0, 1.0),) * len(a), F, datum, 2.0, 9)
+    prob = DirichletProblem(a, ((-1.0, 1.0),) * len(a), F, datum, 9)
     rep = relax_compare(prob, table, refinement_levels=1, opts=SolveOptions(seed=5))
     # the table lies above the convex F, so E_QF >= E_F
     assert np.isfinite(rep.E_QF) and rep.E_QF >= rep.E_F[0] - 1e-12
@@ -241,7 +241,7 @@ def test_relax_e_qf_matches_the_finite_difference_descent(monkeypatch):
 
     opts = SolveOptions(seed=11, multistart=2, perturbation=0.05)
     for slope in (0.0, 0.3, 1.45):
-        prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): slope}, 4.0, 9)
+        prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): slope}, 9)
         monkeypatch.setattr(EnvelopeTable, "as_integrand", exact)
         got = relax_compare(prob, table, refinement_levels=2, opts=opts)
         monkeypatch.setattr(EnvelopeTable, "as_integrand", central_differences)
@@ -266,14 +266,14 @@ def test_relax_rejects_bad_levels_and_foreign_tables_before_any_descent(
     lattice = tuple((-2.0, 2.0, 3) for _ in range(n * m))
     table = EnvelopeTable(a, n, m, 2.0, lattice, np.zeros((3,) * (n * m)), None)
     F = builtin("pnorm", p=2, n=1, m=1)
-    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(0,): 0.0}, 2.0, 9)
+    prob = DirichletProblem((2,), ((-1.0, 1.0),), F, {(0,): 0.0}, 9)
     with pytest.raises(ValueError, match=match):
         relax_compare(prob, table, refinement_levels=levels)
 
 
 WELL_PROBLEM = DirichletProblem((1, 2), ((-1, 1), (-1, 1)),
                                 builtin("double_well", col=1, w=1.0, n=1, m=2),
-                                {(1, 0): 0.5, (0, 2): 0.3}, 4.0, 17)
+                                {(1, 0): 0.5, (0, 2): 0.3}, 17)
 WELL_OPTS = SolveOptions(maxiter=400, seed=3)
 WELL_SCREEN = 50  # the perturbed start runs out of it
 

@@ -49,7 +49,7 @@ def test_tracer_sees_the_energy_evaluations_of_batched_descents(monkeypatch):
             resolution=17, multistart=3, maxiter=60, seed=1))
         node = tracer.round_metrics(1.0, 1.0)
         tracer.reset()
-        prob = solver.DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): 0.4}, 4.0, 9)
+        prob = solver.DirichletProblem((2,), ((-1.0, 1.0),), F, {(2,): 0.4}, 9)
         solver.solve_dirichlet(prob, solver.SolveOptions(maxiter=40, seed=2))
         solve = tracer.round_metrics(1.0, 1.0)
         tracer.reset()
