@@ -1027,8 +1027,8 @@ def smooth_noise(grid: Grid, n: int, rng: np.random.Generator) -> np.ndarray:
 def start_portfolio(
     grid: Grid, n: int, count: int, scale: float, rng: np.random.Generator
 ) -> list[tuple[str, np.ndarray]]:
-    """Deterministic-order descent starts: zero, laminates, scaled smooth noise."""
-    starts: list[tuple[str, np.ndarray]] = [("zero", np.zeros(grid.shape + (n,)))]
+    """``count - 1`` descent starts, laminates then smooth noise; ``count`` counts phi = 0."""
+    starts: list[tuple[str, np.ndarray]] = []
     lam_specs = [
         (axis, k, duty)
         for k in (1, 2, 3)
@@ -1042,12 +1042,12 @@ def start_portfolio(
         s = scale / amp if amp > 0 else 1.0
         vals = np.repeat((base * s)[..., None], n, axis=-1)
         starts.append((f"laminate(ax={axis},k={k},duty={duty})", vals))
-    while len(starts) < count:
+    while len(starts) < count - 1:
         vals = smooth_noise(grid, n, rng)
         amp = _gradient_amplitude(grid, vals[..., 0])
         s = scale / amp if amp > 0 else 1.0
-        starts.append((f"random{len(starts)}", vals * s))
-    return starts[:count]
+        starts.append((f"random{len(starts) + 1}", vals * s))
+    return starts
 
 
 def _gradient_amplitude(grid: Grid, scalar_vals: np.ndarray) -> float:

@@ -32,6 +32,8 @@ from .envelope import (
     EnvelopeTable,
     _check_lattice,
     _check_levels,
+    _lattice_nodes,
+    _references,
     tabulate_envelope,
 )
 from .grid import Grid, GridField
@@ -182,6 +184,7 @@ def _cmd_envelope(cfg: dict, out: Path) -> None:
     seed = _seed(cfg)
     with _config_fields("lattice"):
         lattice = _check_lattice(_require(cfg, "lattice", list), F.n, F.m)
+        _references(F, _lattice_nodes(lattice, F.n, F.m))
     levels = cfg.get("levels")
     if levels is not None:
         with _config_fields("levels"):

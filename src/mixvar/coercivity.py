@@ -104,7 +104,8 @@ def theta_estimate(
     (``_MomentRetraction``) in one ``screen_then_polish`` batch: from a
     deterministic laminate candidate of moment t, a warm start (the previous
     point's incumbent, which the retraction lifts from the moment t_prev) and
-    the start portfolio, less any start of zero moment when t > 0.  The best
+    the start portfolio; when t > 0 any start of zero moment (the zero
+    incumbent of t = 0, or a laminate on a tiny grid) is dropped.  The best
     finite value G_t(x) is the point's estimate and the retracted field c x
     its incumbent, feasible up to rounding (``feasibility_gap`` reports it).
     At t = 0, when ``F.hull_exact`` certifies the zero gradient, the zero

@@ -2,9 +2,9 @@
 
 The envelope value at V is the infimum of the mean of F(V + grad_a(phi))
 over zero-boundary test fields phi on Q = [-1, 1]^N; the test domain can be
-fixed to Q without loss.  The estimator descends from a multistart portfolio
-(zero, laminate profiles, scaled smooth noise) and always evaluates phi = 0
-exactly, so the returned value never exceeds F(V).
+fixed to Q without loss.  The estimator evaluates phi = 0 exactly, once per
+node, and descends from a multistart portfolio (laminate profiles, scaled
+smooth noise, and phi = 0 counted), so the returned value never exceeds F(V).
 
 A descent has two phases (``_descent.screen_then_polish``).  Every start
 first screens for ``_descent._SCREEN_MAXITER`` (200) iterations in the flat
@@ -48,7 +48,7 @@ from ._descent import (
 from ._descent import run_lbfgs  # noqa: F401  (bench/layers.py traces it at this site)
 from .containers import TABLE_MAGIC, read_container, write_container
 from .grid import Grid, GridField
-from .integrand import Integrand
+from .integrand import Integrand, _is_number
 from .smoothness import SmoothnessVector, _as_sv
 
 __all__ = [
@@ -120,13 +120,24 @@ def _family_bests(labels) -> set[str]:
     return set(best.values())
 
 
-def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
+def _references(F: Integrand, Vs: np.ndarray) -> list[float]:
+    """F(V), the exact energy of phi = 0, at each V of Vs (K, n, m); ValueError if not finite."""
+    with np.errstate(all="ignore"):  # an overflow is reported by the ValueError alone
+        references = [float(F(V)) for V in Vs]
+    bad = [V.tolist() for V, ref in zip(Vs, references) if not math.isfinite(ref)]
+    if bad:
+        raise ValueError(f"F(V) is not finite at {len(bad)} node(s), the first V = {bad[0]}")
+    return references
+
+
+def _min_nodes(F: Integrand, Vs: np.ndarray, references, grid: Grid, opts: EnvelopeOptions,
                seeds, warms) -> list[EnvelopeEstimate]:
     """``dacorogna_min`` at every V of Vs (K, n, m) on one grid, in two batches.
 
-    Node i draws its random starts from ``seeds[i]`` and, when ``warms[i]``
-    is a field, also descends from it.  The starts of all nodes screen in one
-    batched descent in the flat metric and every node's chosen starts polish
+    Node i keeps its F(V), ``references[i]``, unless a start beats it; it draws
+    its portfolio starts from ``seeds[i]`` and, when ``warms[i]`` is a field,
+    also descends from it.  The starts of all nodes screen in one batched
+    descent in the flat metric and every node's chosen starts polish
     in a second, in the a-Sobolev metric (``screen_then_polish``; this picks
     the starts).  After ``_descent._SCREEN_CUT_ROUND`` evaluations a node
     with more than ``_SCREEN_KEEP`` starts still screening keeps only its
@@ -148,7 +159,6 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
         portfolios.append(starts)
     owner = np.array([i for i, starts in enumerate(portfolios) for _ in starts], dtype=int)
     labels = [label for starts in portfolios for label, _ in starts]
-    references = [float(F(V)) for V in Vs]
     ranked = []  # per node, its finite screened rows in order of screening value
 
     def cut(ids: list[int], values: list[float]) -> list[int]:
@@ -177,7 +187,7 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, grid: Grid, opts: EnvelopeOptions,
             screened = [screen[k] for k in rows]
             sum_threshold = (reference - opts.tol) / scale_mean
             promising = [r for r in screened if r.value < sum_threshold]
-            polish = {r.start_label for r in screened[:1]}
+            polish = {r.start_label for r in screened[:1] if r.value < reference / scale_mean}
             if promising:
                 polish.update(r.start_label for r in screened[:_POLISH_TOP])
                 polish.update(_family_bests(r.start_label for r in promising))
@@ -225,9 +235,10 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
             seeds, mask_failures: bool = False):
     """``dacorogna_refine`` at every V of Vs, level by level in chunks of nodes.
 
-    Returns each node's per-level values and final estimate.  A node that
-    ``F.hull_exact`` certifies takes F(V) at every level, with no witness
-    and no starts, and never descends: only the other nodes are chunked.
+    Returns each node's per-level values, final estimate and F(V), evaluated
+    once before any level.  A node that ``F.hull_exact`` certifies takes F(V)
+    at every level, with no witness and no starts, and never descends, as
+    every node does at multistart 1: only the other nodes are chunked.
     A level's chunks run one after another in this process; each is one
     screening and one polishing batch.  Each node's level descends from its
     own previous witness only, so no value depends on the chunking.
@@ -235,16 +246,19 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
     node at a time, and a node that still raises gets no estimate (None) and
     takes no further level.
     """
+    references = _references(F, Vs)
     values: list[list[float]] = [[] for _ in Vs]
     estimates: list[EnvelopeEstimate | None] = [None] * len(Vs)
-    # where F = CF at V, phi = 0 is a minimiser at every level (see the module docstring)
-    exact = (np.zeros(len(Vs), dtype=bool) if F.hull_exact is None
-             else np.asarray(F.hull_exact(Vs), dtype=bool))
-    for i in np.flatnonzero(exact):
-        reference = float(F(Vs[i]))
-        estimates[i] = EnvelopeEstimate(reference, reference, None, "zero-exact", False, [])
-        values[i] = [reference] * len(levels)
-    live = [i for i in range(len(Vs)) if not exact[i]]
+    # where F = CF at V, phi = 0 is a minimiser at every level (see the module
+    # docstring); at multistart 1 it is the only start
+    settled = np.full(len(Vs), opts.multistart <= 1)
+    if F.hull_exact is not None:
+        settled |= np.asarray(F.hull_exact(Vs), dtype=bool)
+    for i in np.flatnonzero(settled):
+        ref = references[i]
+        estimates[i] = EnvelopeEstimate(ref, ref, None, "zero-exact", False, [])
+        values[i] = [ref] * len(levels)
+    live = [i for i in range(len(Vs)) if not settled[i]]
     for level, res in enumerate(levels):
         if not live:
             break
@@ -255,19 +269,20 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
             prev = estimates[i].witness if level else None
             warms[i] = None if prev is None else prolong_zero_boundary(prev, grid)
         # ceil(cells / _CHUNK_CELLS) runs of nodes, cells the screening rows x free values
-        rows = sum(opts.multistart + (warms[i] is not None) for i in live)
+        rows = sum(opts.multistart - 1 + (warms[i] is not None) for i in live)
         cells = rows * math.prod(grid.free_shape) * F.n
         for nodes in _runs(live, min(len(live), -(-cells // _CHUNK_CELLS))):
             try:
-                ests = _min_nodes(F, Vs[nodes], grid, level_opts,
-                                  [seeds[i] for i in nodes], [warms[i] for i in nodes])
+                ests = _min_nodes(F, Vs[nodes], [references[i] for i in nodes], grid,
+                                  level_opts, [seeds[i] for i in nodes], [warms[i] for i in nodes])
             except RuntimeError:
                 if not mask_failures:
                     raise
                 ests = []
                 for i in nodes:
                     try:
-                        ests += _min_nodes(F, Vs[[i]], grid, level_opts, [seeds[i]], [warms[i]])
+                        ests += _min_nodes(F, Vs[[i]], [references[i]], grid, level_opts,
+                                           [seeds[i]], [warms[i]])
                     except RuntimeError:
                         ests.append(None)
             for i, est in zip(nodes, ests):
@@ -275,7 +290,7 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
                 if est is not None:
                     values[i].append(est.value)
         live = [i for i in live if estimates[i] is not None]
-    return values, estimates
+    return values, estimates, references
 
 
 def dacorogna_min(
@@ -325,7 +340,7 @@ def dacorogna_refine(
     _check_levels(levels)
     _require_growth(F)
     V = np.asarray(V, dtype=float).reshape(1, F.n, F.m)
-    values, estimates = _ladder(F, V, _as_sv(a), list(levels), opts, [opts.seed])
+    values, estimates, _ = _ladder(F, V, _as_sv(a), list(levels), opts, [opts.seed])
     return values[0], estimates[0]
 
 
@@ -348,8 +363,8 @@ def is_aqc_at(F: Integrand, V, a, opts: EnvelopeOptions = EnvelopeOptions()) -> 
 def _check_lattice(lattice, n: int, m: int) -> tuple[tuple[float, float, int], ...]:
     """The lattice as one (lo, hi, count) triple per coordinate of R^{n x m}.
 
-    A count is an integer of at least 1; a count of 1 is the single point
-    lo == hi, and a larger one needs lo < hi.
+    lo, hi and hi - lo are finite.  A count is an integer of at least 1; a
+    count of 1 is the single point lo == hi, and a larger one needs lo < hi.
     """
     if len(lattice) != n * m:
         raise ValueError(f"lattice needs {n * m} coordinate ranges, got {len(lattice)}")
@@ -358,8 +373,9 @@ def _check_lattice(lattice, n: int, m: int) -> tuple[tuple[float, float, int], .
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ValueError(f"lattice entry {k} must be [lo, hi, count], got {entry!r}")
         lo, hi, count = entry
-        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in (lo, hi)):
-            raise ValueError(f"lattice entry {k}: lo and hi must be numbers, got {entry!r}")
+        if not (_is_number(lo) and _is_number(hi)):
+            raise ValueError(f"lattice entry {k}: lo and hi must be numbers and finite, "
+                             f"got {entry!r}")
         if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
             raise ValueError(f"lattice entry {k}: count must be an integer >= 1, got {count!r}")
         lo, hi, count = float(lo), float(hi), int(count)
@@ -369,8 +385,16 @@ def _check_lattice(lattice, n: int, m: int) -> tuple[tuple[float, float, int], .
         if count > 1 and not lo < hi:
             raise ValueError(f"lattice entry {k}: {count} points need lo < hi, "
                              f"got lo={lo}, hi={hi}")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"lattice entry {k}: hi - lo overflows, got lo={lo}, hi={hi}")
         out.append((lo, hi, count))
     return tuple(out)
+
+
+def _lattice_nodes(lattice, n: int, m: int) -> np.ndarray:
+    """The nodes of a checked lattice as one V per row (K, n, m), in row-major rank order."""
+    axes = np.meshgrid(*(np.linspace(lo, hi, c) for lo, hi, c in lattice), indexing="ij")
+    return np.stack([x.ravel() for x in axes], axis=-1).reshape(-1, n, m)
 
 
 def _check_interior(lattice) -> None:
@@ -595,14 +619,11 @@ def tabulate_envelope(
         _check_levels(levels)
     a_sv = _as_sv(a)
     lattice = _check_lattice(lattice, F.n, F.m)
-    counts = tuple(c for _, _, c in lattice)
-    pts = [np.linspace(lo, hi, c) for lo, hi, c in lattice]
-    Vs = np.array([[pts[d][i] for d, i in enumerate(idx)] for idx in np.ndindex(*counts)])
-    Vs = Vs.reshape(-1, F.n, F.m)
+    Vs = _lattice_nodes(lattice, F.n, F.m)
     seeds = [opts.seed + rank for rank in range(len(Vs))]
-    _, estimates = _ladder(F, Vs, a_sv, list(levels) if levels else [opts.resolution], opts, seeds,
-                           mask_failures=True)
-    values = np.array([float(F(V)) if est is None else est.value for V, est in zip(Vs, estimates)])
+    _, estimates, references = _ladder(F, Vs, a_sv, list(levels) if levels else [opts.resolution],
+                                       opts, seeds, mask_failures=True)
+    values = np.array([r if est is None else est.value for r, est in zip(references, estimates)])
     failures = np.array([est is None for est in estimates])
 
     table_meta = {

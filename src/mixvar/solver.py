@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 

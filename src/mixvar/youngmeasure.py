@@ -12,14 +12,14 @@ concentration remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .envelope import EnvelopeTable, envelope_interpolate
 from .grid import AGradientField, Grid, GridField, a_gradient, full_gradient, project_to_gradients, truncate
 from .integrand import Integrand
-from .smoothness import SmoothnessVector, box_cover, lower_set
+from .smoothness import box_cover
 
 __all__ = [
     "EmpiricalMeasure",

@@ -1,6 +1,6 @@
 import json
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from mixvar.containers import TABLE_MAGIC
 from mixvar.envelope import EnvelopeOptions, EnvelopeTable
 from mixvar.integrand import builtin_from_config
 from mixvar.solver import SolveOptions
+from test_envelope import fails_at_zero
 
 
 def write_config(path, payload):
@@ -101,15 +102,9 @@ def test_a_theta_point_that_overflows_prints_only_its_failure(tmp_path, capfd):
 
 
 def faulty_integrand(c):
-    # raises inside the descent wherever a field value is exactly 0
-    F = builtin_from_config(c)
-
-    def ev(V):
-        if V.ndim > 2 and np.any(V == 0.0):
-            raise ValueError("integrand bug")
-        return F.eval(V)
-
-    return replace(F, eval=ev)
+    # raises inside the descents of a field of mean gradient 0: those of the
+    # lattice node V = 0, and those of the solve of datum 0
+    return fails_at_zero(builtin_from_config(c), ValueError("integrand bug"))
 
 
 def test_envelope_programming_error_exits_nonzero(tmp_path, monkeypatch):
@@ -600,7 +595,12 @@ COERCE_CFG = {**ENVELOPE_CFG, "lattice": None, "q": 2.0, "t_grid": [0.0, 1.0, 2.
      "'m'", "at least 1"),
     # every slope is clamped at 0, so c_min = 0 would call every curve coercive
     ("coerce", {**COERCE_CFG, "c_min": 0}, "'c_min'", "positive"),
+    # JSON's -Infinity is a number, and the double well overflows to nan at 5e307
+    ("envelope", {**ENVELOPE_CFG, "lattice": [[-np.inf, 1.0, 3]]}, "'lattice'", "and finite"),
+    ("envelope", {**ENVELOPE_CFG, "lattice": [[-1.0, 1e308, 3]]}, "'lattice'", "not finite"),
+    ("envelope", {**ENVELOPE_CFG, "lattice": [[-1e308, 1e308, 3]]}, "'lattice'", "overflows"),
 ])
+@pytest.mark.filterwarnings("error")  # a config error is reported without a numpy warning
 def test_malformed_counts_and_lattices_are_validation_errors(tmp_path, capsys, monkeypatch,
                                                              command, cfg_data, field, message):
     for name in ("tabulate_envelope", "theta_estimate", "solve_dirichlet", "scale_and_tile"):

@@ -76,8 +76,9 @@ def record_theta_batches(monkeypatch):
 
 
 def test_theta_drops_a_start_of_zero_moment_when_t_is_positive(monkeypatch):
-    # multistart 1 is the zero start alone; it has no retraction above t = 0,
-    # nor has the zero field that wins at t = 0 as the warm start of t = 0.5
+    # multistart 1 draws no portfolio start, so t = 0 descends from the zero
+    # candidate alone; the zero field that wins there has no retraction as
+    # the warm start of t = 0.5
     import warnings
 
     batches = record_theta_batches(monkeypatch)
@@ -88,7 +89,7 @@ def test_theta_drops_a_start_of_zero_moment_when_t_is_positive(monkeypatch):
                                ThetaOptions(resolution=17, multistart=1, seed=12))
     assert np.all(np.isfinite(curve.theta_hat))
     assert [labels for _, labels, _ in batches] == [
-        ["candidate", "zero"], ["candidate"], ["candidate", "warm"]]
+        ["candidate"], ["candidate"], ["candidate", "warm"]]
 
 
 def test_theta_pnorm_points_above_zero_end_in_two_iterations(monkeypatch):

@@ -1,4 +1,5 @@
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -219,19 +220,30 @@ def test_qft_byte_determinism(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def fails_at_zero(F, exc):
+    """F whose batched evaluations (descents, not F(V) references) raise exc at the node V = 0.
+
+    The stencils have zero mean, so each row of a batch W (K, *interior, n, m)
+    keeps its node's V as its mean over the interior nodes, up to rounding.
+    It has no certificate, so every node descends.
+    """
+    def ev(W):
+        if W.ndim > 2:
+            means = W.reshape(len(W), -1, F.n, F.m).mean(axis=1)
+            if np.any(np.all(np.abs(means) < 1e-9, axis=(1, 2))):
+                raise exc
+        return F.eval(W)
+
+    return replace(F, eval=ev, hull_exact=None)
+
+
 def test_tabulate_propagates_programming_errors():
     # a ValueError is a bug, not a numerical failure: it must not become a
-    # masked node; point evaluations (the exact F(V) reference) still work,
-    # so only the descent at the lattice node V = 0 hits the fault
-    F = builtin("double_well", w=1.0, n=1, m=1)
-
-    def ev(V):
-        if V.ndim > 2 and np.any(V == 0.0):
-            raise ValueError("integrand bug")
-        return F.eval(V)
-
+    # masked node; point evaluations (the exact F(V) references) still work,
+    # so only the descents of the lattice node V = 0 hit the fault
+    G = fails_at_zero(builtin("double_well", w=1.0, n=1, m=1), ValueError("integrand bug"))
     with pytest.raises(ValueError, match="integrand bug"):
-        tabulate_envelope(replace(F, eval=ev), (2,), [(-2.0, 2.0, 5)], FAST)
+        tabulate_envelope(G, (2,), [(-2.0, 2.0, 5)], FAST)
 
 
 def test_tabulate_failure_mask():
@@ -261,18 +273,13 @@ def test_tabulate_masks_only_the_node_whose_descent_fails(monkeypatch):
     # a numerical failure inside one node's descent breaks its whole chunk;
     # the chunk runs again node by node and only that node is masked.  The
     # exact F(V) references are point evaluations and still work, so only
-    # the descents at the lattice node V = 0 hit the fault
+    # the descents of the lattice node V = 0 hit the fault
     F = WELL
-
-    def ev(V):
-        if V.ndim > 2 and np.any(V == 0.0):
-            raise RuntimeError("integrand overflow")
-        return F.eval(V)
-
     lattice = [(-2.0, 2.0, 5)]
     clean = tabulate_envelope(F, (2,), lattice, FAST)
     sizes = record_chunks(monkeypatch)
-    table = tabulate_envelope(replace(F, eval=ev), (2,), lattice, FAST)
+    table = tabulate_envelope(fails_at_zero(F, RuntimeError("integrand overflow")), (2,), lattice,
+                              FAST)
     assert sizes == [5, 1, 1, 1, 1, 1]
     assert table.failures.tolist() == [False, False, True, False, False]
     assert table.values[2] == F(np.zeros((1, 1)))
@@ -301,19 +308,6 @@ def test_table_bytes_do_not_depend_on_the_chunking(tmp_path, monkeypatch, a, F, 
     tabulate_envelope(F, a, lattice, opts, levels=levels).save(tmp_path / "nodes.qft")
     assert max(sizes) == 1
     assert (tmp_path / "chunked.qft").read_bytes() == (tmp_path / "nodes.qft").read_bytes()
-
-
-def fails_at_zero(F, exc):
-    """F whose batched evaluations (descents, not F(V) references) raise exc where V = 0.
-
-    It has no certificate, so every node descends.
-    """
-    def ev(V):
-        if V.ndim > 2 and np.any(V == 0.0):
-            raise exc
-        return F.eval(V)
-
-    return replace(F, eval=ev, hull_exact=None)
 
 
 def test_a_programming_error_in_a_chunk_reaches_the_caller(monkeypatch):
@@ -357,9 +351,9 @@ def test_one_node_estimate_equals_the_node_inside_a_chunk(monkeypatch):
     opts = EnvelopeOptions(resolution=33, multistart=5, maxiter=300, seed=0)
     Vs = np.array([0.9, 0.0, -0.4]).reshape(3, 1, 1)
     seeds = [5, 6, 7]
-    chunk = envelope._min_nodes(F, Vs, opts.grid(envelope.SmoothnessVector((2,))), opts, seeds,
-                                [None] * 3)
-    assert batches[0] == 15 and len(batches) == 2  # one screening, one polishing batch
+    grid = opts.grid(envelope.SmoothnessVector((2,)))
+    chunk = envelope._min_nodes(F, Vs, envelope._references(F, Vs), grid, opts, seeds, [None] * 3)
+    assert batches[0] == 12 and len(batches) == 2  # one screening, one polishing batch
     assert any(est.best_start != "zero-exact" for est in chunk)
     for V, seed, est in zip(Vs, seeds, chunk):
         alone = dacorogna_min(F, V, (2,), replace(opts, seed=seed))
@@ -404,9 +398,10 @@ def test_a_retired_start_ends_at_the_cut_and_is_never_polished(monkeypatch):
     Vs = np.linspace(*CUT_LATTICE[0]).reshape(-1, 1, 1)
     grid = CUT_OPTS.grid(envelope.SmoothnessVector((2,)))
     seeds = [3, 4, 5, 6, 7]
-    ests = envelope._min_nodes(F, Vs, grid, CUT_OPTS, seeds, [None] * len(Vs))
+    ests = envelope._min_nodes(F, Vs, envelope._references(F, Vs), grid, CUT_OPTS, seeds,
+                               [None] * len(Vs))
     (_, labels, screen), (polish, _, _) = batches
-    owner = np.repeat(np.arange(len(Vs)), CUT_OPTS.multistart)
+    owner = np.repeat(np.arange(len(Vs)), CUT_OPTS.multistart - 1)  # phi = 0 has no row
     retired = {k for k, res in enumerate(screen) if res.retired}
     polished = set(polish.ids.tolist())  # the X0 rows of the polishing batch
     assert retired and polished and not retired & polished
@@ -438,7 +433,7 @@ def test_a_retired_start_ends_at_the_cut_and_is_never_polished(monkeypatch):
 
 
 def test_a_node_with_at_most_keep_starts_screening_is_never_cut(monkeypatch):
-    # 9 starts a node: the zero start is stationary at every V, so 8 still
+    # 9 starts a node: phi = 0 is one of them and has no row, so 8 still
     # screen at the cut, and the cut leaves them as one that keeps 100 would
     F = builtin("double_well", w=1.0, n=1, m=1)
     monkeypatch.setattr(_descent, "_SCREEN_MAXITER", 40)
@@ -446,7 +441,8 @@ def test_a_node_with_at_most_keep_starts_screening_is_never_cut(monkeypatch):
     runs = []
     for keep in (envelope._SCREEN_KEEP, 100):
         monkeypatch.setattr(envelope, "_SCREEN_KEEP", keep)
-        ests = envelope._min_nodes(F, np.array([0.9, 0.0, -0.4]).reshape(3, 1, 1),
+        Vs = np.array([0.9, 0.0, -0.4]).reshape(3, 1, 1)
+        ests = envelope._min_nodes(F, Vs, envelope._references(F, Vs),
                                    opts.grid(envelope.SmoothnessVector((2,))), opts, [5, 6, 7],
                                    [None] * 3)
         for est in ests:
@@ -610,6 +606,8 @@ def test_registration_still_catches_a_wrong_table_gradient(monkeypatch):
     ([(-1.0, 1.0, 2.5)], "count must be an integer >= 1"),
     ([(-1.0, 1.0, 1)], "single point lo == hi"),
     ([(1.0, -1.0, 3)], "need lo < hi"),
+    ([(-np.inf, 1.0, 3)], "numbers and finite"),
+    ([(-1e308, 1e308, 3)], "hi - lo overflows"),
 ])
 def test_malformed_lattices_are_rejected(lattice, match):
     with pytest.raises(ValueError, match=match):
@@ -633,8 +631,8 @@ def test_certified_nodes_take_f_of_v_without_a_descent(monkeypatch):
 
     monkeypatch.setattr(envelope, "_min_nodes", recorded)
     Vs = np.linspace(-1.5, 1.5, 7).reshape(-1, 1, 1)
-    values, ests = envelope._ladder(F, Vs, envelope.SmoothnessVector((2,)), [17, 33], FAST,
-                                    list(range(7)))
+    values, ests, _ = envelope._ladder(F, Vs, envelope.SmoothnessVector((2,)), [17, 33], FAST,
+                                       list(range(7)))
     assert descended == [-0.5, 0.0, 0.5] * 2
     for V, vals, est in zip(Vs, values, ests):
         if abs(V[0, 0]) >= 1.0:
@@ -651,6 +649,48 @@ def test_certified_nodes_take_f_of_v_without_a_descent(monkeypatch):
     assert table.as_integrand(fallback=F).hull_exact is None
 
 
+def test_a_multistart_one_node_is_f_of_v_exactly():
+    # one start is phi = 0 alone, whose energy is the exact reference: no
+    # start descends, so no zero field can win by ulps with itself as witness
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    V = np.array([[-0.6]])
+    values, est = dacorogna_refine(F, V, (2,), levels=(17, 33),
+                                   opts=EnvelopeOptions(multistart=1, seed=5))
+    assert values == [float(F(V))] * 2 == [0.4096] * 2
+    assert (est.value, est.best_start, est.witness, est.per_start) == (0.4096, "zero-exact", None,
+                                                                       [])
+
+
+def test_a_ladder_evaluates_each_node_reference_once():
+    # the references are point evaluations F(V) of shape (n, m); descents
+    # evaluate batches.  Two nodes are certified, two descend at 9, 17 and 33
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    points = None  # registration's own point checks are not counted
+
+    def ev(W):
+        if points is not None and W.ndim == 2:
+            points.append(float(W[0, 0]))
+        return F.eval(W)
+
+    G = replace(F, eval=ev)
+    points = []
+    table = tabulate_envelope(G, (2,), [(-1.5, 1.5, 4)], FAST, levels=(9, 17, 33))
+    assert points == [-1.5, -0.5, 0.5, 1.5]
+    assert table.values[1] < 0.5625 == float(F(np.array([[-0.5]])))  # node -0.5 descended
+
+
+def test_a_node_where_f_is_not_finite_is_rejected_before_any_descent(monkeypatch):
+    # the double well overflows to nan at V = 1e308, where it is certified
+    monkeypatch.setattr(envelope, "_min_nodes", lambda *args: pytest.fail("a node descended"))
+    F = builtin("double_well", w=1.0, n=1, m=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite at 1 node"):
+            dacorogna_min(F, [[1e308]], (2,), FAST)
+        with pytest.raises(ValueError, match="not finite"):
+            tabulate_envelope(F, (2,), [(-1.0, 1e308, 3)], FAST)
+
+
 def test_uncertified_nodes_equal_the_run_without_a_certificate():
     # a mixed 2-D ladder: the nodes inside the well descend as they do when
     # no node is certified, per level and per start
@@ -658,8 +698,8 @@ def test_uncertified_nodes_equal_the_run_without_a_certificate():
     Vs = np.array([[[u, v]] for u in (-0.5, 0.5) for v in (-1.5, -0.4, 0.0, 1.0)])
     opts = EnvelopeOptions(multistart=3, maxiter=120, seed=11)
     args = (Vs, envelope.SmoothnessVector((1, 2)), [9, 17], opts, list(range(len(Vs))))
-    values, ests = envelope._ladder(F, *args)
-    plain_values, plain = envelope._ladder(WELL_2D, *args)
+    values, ests, _ = envelope._ladder(F, *args)
+    plain_values, plain, _ = envelope._ladder(WELL_2D, *args)
     certified = np.abs(Vs[:, 0, 1]) >= 1.0
     assert certified.tolist() == [True, False, False, True] * 2
     for exact, vals, est, plain_vals, alone in zip(certified, values, ests, plain_values, plain):
