@@ -313,22 +313,26 @@ def _sobolev_basis(grid: Grid) -> tuple:
     return tuple(bases), roots
 
 
-def _along_axes(mats, x: np.ndarray) -> np.ndarray:
-    """(M_1 kron ... kron M_N) x for one field x (f_1, ..., f_N, n): M_i along axis i.
+def _along_axes(mats, perms, X: np.ndarray) -> np.ndarray:
+    """(M_1 kron ... kron M_N) x for every field x of a batch X (K, f_1, ..., f_N, n).
 
-    Each product is cut into column blocks of at most _SERIAL_MADDS
-    multiply-adds (single columns on an axis of more than 512 free nodes),
-    so its bits do not depend on the BLAS thread count.
+    Axis i is brought next to the field axis by the transpose ``perms[i]``
+    (its inverse undoes it) and copied contiguous once; then each column
+    block of at most _SERIAL_MADDS multiply-adds (single columns on an axis
+    of more than 512 free nodes) is one ``np.matmul`` that numpy broadcasts
+    over the K fields, issuing per field the product a lone field gets, so
+    each field's bits are its own and do not depend on the BLAS thread count.
+    Returns a (K, f_1, ..., f_N, n) view.
     """
-    for i, M in enumerate(mats):
-        y = np.moveaxis(x, i, 0)
-        cols = np.ascontiguousarray(y).reshape(len(M), -1)
+    for M, (perm, back) in zip(mats, perms):
+        y = X.transpose(perm)
+        cols = np.ascontiguousarray(y).reshape(len(X), len(M), -1)
         out = np.empty_like(cols)
         step = max(1, _SERIAL_MADDS // M.size)
-        for j in range(0, cols.shape[1], step):
-            np.matmul(M, cols[:, j:j + step], out=out[:, j:j + step])
-        x = np.moveaxis(out.reshape(y.shape), 0, i)
-    return x
+        for j in range(0, cols.shape[2], step):
+            np.matmul(M, cols[:, :, j:j + step], out=out[:, :, j:j + step])
+        X = out.reshape(y.shape).transpose(back)
+    return X
 
 
 class SobolevEnergy:
@@ -344,8 +348,9 @@ class SobolevEnergy:
 
     ``value_and_grad`` maps z to x, calls the wrapped energy's and maps its
     gradient back; ``to_z`` and ``to_x`` map free values to z and back.
-    Every transform runs row by row, so each row of a batch is bit-equal to
-    the same row alone.
+    Every transform maps a whole batch with one ``_along_axes`` call, whose
+    products numpy broadcasts over the rows, so each row of a batch is
+    bit-equal to the same row alone.
     """
 
     def __init__(self, energy: StencilEnergy):
@@ -355,27 +360,29 @@ class SobolevEnergy:
         bases, self._root = _sobolev_basis(energy.grid)
         self._Q = [Q for Q, _ in bases]
         self._Qt = [Qt for _, Qt in bases]
+        # per axis i of a batch (K, f_1, ..., f_N, n): the order (K, f_i, the
+        # other axes) and its inverse
+        d = len(self._shape)
+        perms = [(0, i) + tuple(k for k in range(1, d + 1) if k != i) for i in range(1, d)]
+        self._perms = [(p, tuple(np.argsort(p).tolist())) for p in perms]
 
-    def _per_row(self, X: np.ndarray, fn) -> np.ndarray:
-        """fn applied to each row of X (..., n_free) laid out as a field (f_1, ..., f_N, n)."""
-        rows = X.reshape((-1,) + self._shape)
-        out = np.empty(rows.shape)
-        for x, o in zip(rows, out):
-            o[...] = fn(x)
-        return out.reshape(X.shape)
+    def _fields(self, X: np.ndarray) -> np.ndarray:
+        """The rows of X (..., n_free) as a batch of fields (K, f_1, ..., f_N, n)."""
+        return X.reshape((-1,) + self._shape)
 
     def to_x(self, Z: np.ndarray) -> np.ndarray:
         """The free values x of z (n_free,), or of each row of Z (..., n_free)."""
-        return self._per_row(Z, lambda z: _along_axes(self._Q, z / self._root))
+        return _along_axes(self._Q, self._perms, self._fields(Z) / self._root).reshape(Z.shape)
 
     def to_z(self, X: np.ndarray) -> np.ndarray:
         """z of the free values x (n_free,), or of each row of X (..., n_free)."""
-        return self._per_row(X, lambda x: _along_axes(self._Qt, x) * self._root)
+        return (_along_axes(self._Qt, self._perms, self._fields(X)) * self._root).reshape(X.shape)
 
     def value_and_grad(self, z: np.ndarray, rows=None):
         """The wrapped energy at x(z), and its z-gradient Lambda^(-1/2) Q^T g(x)."""
         values, grads = self.energy.value_and_grad(self.to_x(z), rows)
-        return values, self._per_row(grads, lambda g: _along_axes(self._Qt, g) / self._root)
+        G = _along_axes(self._Qt, self._perms, self._fields(grads)) / self._root
+        return values, G.reshape(grads.shape)
 
 
 @dataclass
@@ -624,7 +631,7 @@ class _Lbfgs:
                         row.pairs = 0
                     else:
                         row.stopped = True
-        new, store = [], []
+        new, store, pairs = [], [], []
         if acc:
             gmax = np.maximum.reduce(np.abs(gt), axis=1).tolist()
             for i in acc:
@@ -648,7 +655,7 @@ class _Lbfgs:
                 else:
                     sy = (slopes[i] - slope0) * stp
                     if sy > _EPS * (-slope0 * stp):  # else the pair is skipped
-                        self.pair[i] = (row.pairs % _MAXCOR, stp, sy, stp * slopes[i])
+                        pairs.append((row.pairs % _MAXCOR, stp, sy, stp * slopes[i]))
                         store.append(i)
                         row.pairs += 1
                     new.append(i)
@@ -667,6 +674,7 @@ class _Lbfgs:
             # y'W and g'W at the new iterates in one pass over W
             P = np.matmul(self.V[:live], self.W[:live].transpose(0, 2, 1))
             if store:
+                self.pair[store] = pairs
                 self._store(store, P)
             self._begin(new, self._inverse_times_g(P[:, 1]))
         if self.round == _SCREEN_CUT_ROUND:
@@ -982,12 +990,8 @@ def _square_wave(ax: np.ndarray, k: int, duty: float) -> np.ndarray:
     return np.where(phase < duty, 1.0 - duty, -duty) * 2.0
 
 
-def laminate_profile(grid: Grid, axis: int, k: int, duty: float) -> np.ndarray:
-    """Zero-boundary field whose pure a_i-th derivative along ``axis`` oscillates.
-
-    Built by integrating a two-level wave a_i times along the axis, removing
-    the endpoint drift, and windowing; good as a descent start, not exact.
-    """
+def _laminate_wave(grid: Grid, axis: int, k: int, duty: float) -> np.ndarray:
+    """``laminate_profile`` before its window, shaped to broadcast over the grid."""
     ai = grid.a.a[axis]
     ax = grid.axes()[axis]
     h = grid.h[axis]
@@ -997,9 +1001,16 @@ def laminate_profile(grid: Grid, axis: int, k: int, duty: float) -> np.ndarray:
         prof = prof - np.linspace(prof[0], prof[-1], len(prof))
     shape = [1] * grid.ndim
     shape[axis] = len(ax)
-    vals = np.broadcast_to(prof.reshape(shape), grid.shape).copy()
-    vals = vals * boundary_window(grid)
-    return vals
+    return prof.reshape(shape)
+
+
+def laminate_profile(grid: Grid, axis: int, k: int, duty: float) -> np.ndarray:
+    """Zero-boundary field whose pure a_i-th derivative along ``axis`` oscillates.
+
+    Built by integrating a two-level wave a_i times along the axis, removing
+    the endpoint drift, and windowing; good as a descent start, not exact.
+    """
+    return _laminate_wave(grid, axis, k, duty) * boundary_window(grid)
 
 
 def _box5(x: np.ndarray, axis: int) -> np.ndarray:
@@ -1017,18 +1028,30 @@ def _box5(x: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(sums / 5.0, 0, axis)
 
 
-def smooth_noise(grid: Grid, n: int, rng: np.random.Generator) -> np.ndarray:
+def _box_noise(grid: Grid, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``smooth_noise`` before its window."""
     noise = rng.standard_normal(grid.shape + (n,))
     for ax in range(grid.ndim):
         noise = _box5(noise, ax)
-    return noise * boundary_window(grid)[..., None]
+    return noise
+
+
+def smooth_noise(grid: Grid, n: int, rng: np.random.Generator) -> np.ndarray:
+    return _box_noise(grid, n, rng) * boundary_window(grid)[..., None]
 
 
 def start_portfolio(
-    grid: Grid, n: int, count: int, scale: float, rng: np.random.Generator
-) -> list[tuple[str, np.ndarray]]:
-    """``count - 1`` descent starts, laminates then smooth noise; ``count`` counts phi = 0."""
-    starts: list[tuple[str, np.ndarray]] = []
+    grid: Grid, n: int, count: int, scales, rngs
+) -> list[list[tuple[str, np.ndarray]]]:
+    """Per node, ``count - 1`` starts, laminates then smooth noise; ``count`` counts phi = 0.
+
+    One node per entry of ``scales`` and ``rngs``, one portfolio per node
+    out, in that order.  The laminate profiles, their gradient amplitudes
+    and the boundary window are computed once for all the nodes; each node
+    scales them by its own scale and draws its noise starts from its own
+    RNG, so its portfolio is the one it gets in a call of its own.
+    """
+    window = boundary_window(grid)
     lam_specs = [
         (axis, k, duty)
         for k in (1, 2, 3)
@@ -1036,18 +1059,24 @@ def start_portfolio(
         for axis in range(grid.ndim)
     ]
     n_lam = min(len(lam_specs), max(0, (count - 1) * 2 // 3))
+    laminates = []
     for axis, k, duty in lam_specs[:n_lam]:
-        base = laminate_profile(grid, axis, k, duty)
-        amp = _gradient_amplitude(grid, base)
-        s = scale / amp if amp > 0 else 1.0
-        vals = np.repeat((base * s)[..., None], n, axis=-1)
-        starts.append((f"laminate(ax={axis},k={k},duty={duty})", vals))
-    while len(starts) < count - 1:
-        vals = smooth_noise(grid, n, rng)
-        amp = _gradient_amplitude(grid, vals[..., 0])
-        s = scale / amp if amp > 0 else 1.0
-        starts.append((f"random{len(starts) + 1}", vals * s))
-    return starts
+        base = _laminate_wave(grid, axis, k, duty) * window
+        laminates.append((f"laminate(ax={axis},k={k},duty={duty})", base,
+                          _gradient_amplitude(grid, base)))
+    portfolios = []
+    for scale, rng in zip(scales, rngs):
+        starts = []
+        for label, base, amp in laminates:
+            s = scale / amp if amp > 0 else 1.0
+            starts.append((label, np.repeat((base * s)[..., None], n, axis=-1)))
+        while len(starts) < count - 1:
+            vals = _box_noise(grid, n, rng) * window[..., None]
+            amp = _gradient_amplitude(grid, vals[..., 0])
+            s = scale / amp if amp > 0 else 1.0
+            starts.append((f"random{len(starts) + 1}", vals * s))
+        portfolios.append(starts)
+    return portfolios
 
 
 def _gradient_amplitude(grid: Grid, scalar_vals: np.ndarray) -> float:

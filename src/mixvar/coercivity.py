@@ -140,8 +140,8 @@ def theta_estimate(
     for i, t in enumerate(t_values):
         energy = _MomentRetraction(grid, F, q, t)
         starts = [("candidate", base * t ** (1.0 / q) if t > 0 else np.zeros_like(base))] + warm
-        starts += [(label, energy.pack(phi0)) for label, phi0 in
-                   start_portfolio(grid, F.n, opts.multistart, max(1.0, t) ** (1.0 / q), rng)]
+        portfolio, = start_portfolio(grid, F.n, opts.multistart, [max(1.0, t) ** (1.0 / q)], [rng])
+        starts += [(label, energy.pack(phi0)) for label, phi0 in portfolio]
 
         if t == 0 and exact_at_zero:
             # the zero candidate is the incumbent, and no start descends

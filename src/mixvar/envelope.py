@@ -135,7 +135,8 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, references, grid: Grid, opts: Envel
     """``dacorogna_min`` at every V of Vs (K, n, m) on one grid, in two batches.
 
     Node i keeps its F(V), ``references[i]``, unless a start beats it; it draws
-    its portfolio starts from ``seeds[i]`` and, when ``warms[i]`` is a field,
+    its portfolio starts from ``seeds[i]`` (one ``start_portfolio`` call
+    builds every node's) and, when ``warms[i]`` is a field,
     also descends from it.  The starts of all nodes screen in one batched
     descent in the flat metric and every node's chosen starts polish
     in a second, in the a-Sobolev metric (``screen_then_polish``; this picks
@@ -150,13 +151,11 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, references, grid: Grid, opts: Envel
     that ended sooner) and whether the cut retired it.
     """
     scale_mean = 1.0 / grid.n_interior
-    portfolios = []
-    for V, seed, warm in zip(Vs, seeds, warms):
-        rng = np.random.default_rng(seed)
-        starts = start_portfolio(grid, F.n, opts.multistart, 1.0 + float(np.linalg.norm(V)), rng)
-        if warm is not None:
-            starts = [("warm", warm.values)] + starts
-        portfolios.append(starts)
+    portfolios = start_portfolio(grid, F.n, opts.multistart,
+                                 [1.0 + float(np.linalg.norm(V)) for V in Vs],
+                                 [np.random.default_rng(seed) for seed in seeds])
+    portfolios = [starts if warm is None else [("warm", warm.values)] + starts
+                  for starts, warm in zip(portfolios, warms)]
     owner = np.array([i for i, starts in enumerate(portfolios) for _ in starts], dtype=int)
     labels = [label for starts in portfolios for label, _ in starts]
     ranked = []  # per node, its finite screened rows in order of screening value

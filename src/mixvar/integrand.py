@@ -75,6 +75,8 @@ class Integrand:
             rng = np.random.default_rng(_CHECK_SEED + 1)
             V = rng.normal(scale=3.0, size=(1000, self.n, self.m))
             vals = np.abs(self(V))
+            if np.isnan(vals).any():
+                raise ValueError(f"{self.name!r} is NaN at a point of the sampled growth check")
             bound = self.C_upper * (_fro(V) ** self.p + 1.0)
             worst = float(np.max(vals - bound))
             if worst > 1e-9 * self.C_upper:
@@ -131,32 +133,37 @@ def _fd_gradient(F: Integrand, V: np.ndarray, step=None) -> np.ndarray:
 def grad_check(F: Integrand) -> float:
     """Max over _CHECK_SAMPLES points of ||grad - central FD|| / (1 + ||grad||).
 
-    Points and steps come from ``F.check_points`` when set.  Points where F
-    is not finite are resampled, with a retry cap; a non-finite error at a
-    point where F is finite counts as +inf.
+    Points and steps come from ``F.check_points`` when set, one call per
+    draw.  Points where F is not finite are resampled, at most
+    50 * _CHECK_SAMPLES draws in all: the points are the first
+    _CHECK_SAMPLES finite draws of the stream, as a loop that checks one
+    draw at a time takes them.  F's gradient and central differences are
+    then evaluated at all the points in one batch; a non-finite error
+    counts as +inf.
     """
     if F.grad is None:
         raise ValueError("integrand has no analytic gradient to check")
     rng = np.random.default_rng(_CHECK_SEED)
-    worst = 0.0
-    got, tries = 0, 0
-    while got < _CHECK_SAMPLES:
-        tries += 1
-        if tries > 50 * _CHECK_SAMPLES:
+    points, steps, tries = [], [], 0
+    while len(points) < _CHECK_SAMPLES:
+        draws = min(_CHECK_SAMPLES - len(points), 50 * _CHECK_SAMPLES - tries)
+        if not draws:
             raise RuntimeError("could not sample enough finite points for grad_check")
-        if F.check_points is None:
-            V, h = rng.normal(size=(F.n, F.m)), None
-        else:
-            V, h = F.check_points(rng)
-        if not np.isfinite(F(V)):
-            continue
-        got += 1
-        g = np.asarray(F.grad(V), dtype=float)
-        fd = _fd_gradient(F, V, h)
-        err = float(np.linalg.norm(g - fd) / (1.0 + np.linalg.norm(g)))
-        # a NaN gradient or difference is a failure, not a sample to skip
-        worst = max(worst, err if np.isfinite(err) else np.inf)
-    return worst
+        tries += draws
+        drawn = [(rng.normal(size=(F.n, F.m)), None) if F.check_points is None
+                 else F.check_points(rng) for _ in range(draws)]
+        finite = np.isfinite(F(np.stack([V for V, _ in drawn])))
+        points += [V for (V, _), ok in zip(drawn, finite) if ok]
+        # the default step of _fd_gradient, taken at each lone point
+        steps += [1e-5 * (1.0 + _fro(V)) if h is None else h
+                  for (V, h), ok in zip(drawn, finite) if ok]
+    V = np.stack(points)
+    g = np.asarray(F.grad(V), dtype=float)
+    fd = _fd_gradient(F, V, np.array(steps, dtype=float))
+    g, diff = g.reshape(len(V), -1), (g - fd).reshape(len(V), -1)
+    errs = np.sqrt(np.vecdot(diff, diff)) / (1.0 + np.sqrt(np.vecdot(g, g)))
+    # a NaN gradient or difference is a failure, not a sample to skip
+    return float(np.max(np.where(np.isfinite(errs), errs, np.inf)))
 
 
 def _tangent_violation(F: Integrand) -> float:

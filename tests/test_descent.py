@@ -5,7 +5,8 @@ from scipy.optimize._dcsrch import DCSRCH
 
 from mixvar import _descent
 from mixvar._descent import (SobolevEnergy, StencilEnergy, _box5, _Lbfgs, _Row, boundary_window,
-                             run_lbfgs, run_lbfgs_batch, smooth_noise, start_portfolio)
+                             laminate_profile, run_lbfgs, run_lbfgs_batch, smooth_noise,
+                             start_portfolio)
 from mixvar.envelope import EnvelopeTable
 from mixvar.grid import Grid
 from mixvar.integrand import builtin
@@ -61,7 +62,7 @@ def kinked_table_problem():
     table = EnvelopeTable((2,), 1, 1, 2.0, ((-2.0, 2.0, 9),), nodes**2, None, {"C_upper": 1.0})
     g = Grid(((-1, 1),), (17,), SmoothnessVector((2,)))
     energy = StencilEnergy(g, table.as_integrand(fallback=F), np.array([[0.5]]))
-    starts = start_portfolio(g, 1, 4, 1.5, np.random.default_rng(6))
+    starts, = start_portfolio(g, 1, 4, [1.5], [np.random.default_rng(6)])
     return energy, np.stack([energy.pack(vals) for _, vals in starts])
 
 
@@ -382,6 +383,49 @@ def test_sobolev_rows_are_bit_equal_to_lone_rows(a, n, k):
         assert same_bits(back[i], metric.to_z(X[i]))
 
 
+def per_row_along_axes(mats, x):
+    """M_i along axis i of one field x (f_1, ..., f_N, n): the loop the batched transform replaced."""
+    for i, M in enumerate(mats):
+        y = np.moveaxis(x, i, 0)
+        cols = np.ascontiguousarray(y).reshape(len(M), -1)
+        out = np.empty_like(cols)
+        step = max(1, _descent._SERIAL_MADDS // M.size)
+        for j in range(0, cols.shape[1], step):
+            np.matmul(M, cols[:, j:j + step], out=out[:, j:j + step])
+        x = np.moveaxis(out.reshape(y.shape), 0, i)
+    return x
+
+
+def per_row(metric, X, fn):
+    """fn applied to each row of X (K, n_free) laid out as a field, one row at a time."""
+    return np.stack([fn(x) for x in X.reshape((-1,) + metric._shape)]).reshape(X.shape)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("a, n, counts", [
+    ((2,), 1, (33,)), ((1, 2), 1, (9, 14)), ((1, 1, 3), 1, (5, 6, 12)), ((2, 2), 2, (9, 11)),
+    ((1,), 1, (517,)),  # 515 free nodes: every column block is one column
+])
+def test_batched_sobolev_transforms_equal_the_per_row_loop(a, n, counts, k):
+    g = Grid(tuple((0.0, 1.0 + 0.5 * i) for i in range(len(a))), counts, SmoothnessVector(a))
+    m = len(homogeneity_set(g.a))
+    rng = np.random.default_rng(26)
+    energy = StencilEnergy(g, builtin("double_well", col=0, w=1.0, n=n, m=m),
+                           rng.normal(size=(n, m)) * 0.3)
+    metric = SobolevEnergy(energy)
+    if len(a) == 1 and counts[0] > 512:
+        assert _descent._SERIAL_MADDS // metric._Q[0].size == 0
+    Q, Qt, root = metric._Q, metric._Qt, metric._root
+    Z = rng.normal(size=(k, metric.n_free))
+    X = per_row(metric, Z, lambda z: per_row_along_axes(Q, z / root))
+    assert same_bits(metric.to_x(Z), X)
+    assert same_bits(metric.to_z(X), per_row(metric, X, lambda x: per_row_along_axes(Qt, x) * root))
+    values, grads = metric.value_and_grad(Z)
+    ref_values, ref_grads = energy.value_and_grad(X)
+    assert same_bits(values, ref_values)
+    assert same_bits(grads, per_row(metric, ref_grads, lambda g: per_row_along_axes(Qt, g) / root))
+
+
 @pytest.mark.parametrize("a", METRIC_CASES)
 def test_sobolev_unpack_inverts_pack(a):
     # a zero-boundary field to z and back: pack, to_z, then to_x, unpack
@@ -421,7 +465,7 @@ def test_a_quadratic_energy_converges_at_once_in_the_sobolev_metric(a, shape):
     F = builtin("pnorm", p=2.0, n=1, m=len(homogeneity_set(g.a)))
     energy = StencilEnergy(g, F, rng.normal(size=(1, F.m)))
     metric = SobolevEnergy(energy)
-    starts = np.stack([vals for _, vals in start_portfolio(g, 1, 6, 2.0, rng)])
+    starts = np.stack([vals for _, vals in start_portfolio(g, 1, 6, [2.0], [rng])[0]])
     Z0 = metric.to_z(energy.pack(starts))
     for res in run_lbfgs_batch(metric, Z0, [""] * len(Z0), maxiter=200):
         assert res.converged and res.iterations <= 3
@@ -435,10 +479,43 @@ def test_the_sobolev_metric_with_mixed_columns_is_spd_and_a_polish_converges():
                            rng.normal(size=(2, m)) * 0.3)
     metric = SobolevEnergy(energy)
     assert np.linalg.eigvalsh(metric_matrix(metric))[0] > 0.0
-    starts = np.stack([vals for _, vals in start_portfolio(g, 2, 4, 1.0, rng)])
+    starts = np.stack([vals for _, vals in start_portfolio(g, 2, 4, [1.0], [rng])[0]])
     Z0 = metric.to_z(energy.pack(starts))
     for res in run_lbfgs_batch(metric, Z0, [""] * len(Z0), maxiter=500):
         assert res.converged and not res.budget_exhausted
+
+
+def lone_portfolio(grid, n, count, scale, rng):
+    """One node's portfolio, built the way a one-node-per-call loop built it: the reference."""
+    starts = []
+    specs = [(axis, k, duty) for k in (1, 2, 3) for duty in (0.5, 0.25, 0.75, 0.1, 0.9)
+             for axis in range(grid.ndim)]
+    for axis, k, duty in specs[:min(len(specs), max(0, (count - 1) * 2 // 3))]:
+        base = laminate_profile(grid, axis, k, duty)
+        amp = _descent._gradient_amplitude(grid, base)
+        vals = np.repeat((base * (scale / amp if amp > 0 else 1.0))[..., None], n, axis=-1)
+        starts.append((f"laminate(ax={axis},k={k},duty={duty})", vals))
+    while len(starts) < count - 1:
+        vals = smooth_noise(grid, n, rng)
+        amp = _descent._gradient_amplitude(grid, vals[..., 0])
+        starts.append((f"random{len(starts) + 1}", vals * (scale / amp if amp > 0 else 1.0)))
+    return starts
+
+
+@pytest.mark.parametrize("count", [1, 4, 16])
+@pytest.mark.parametrize("a, counts", [((2,), (33,)), ((1, 2), (9, 13))])
+def test_portfolios_of_several_nodes_equal_one_node_at_a_time(a, counts, count):
+    g = Grid(tuple(((-1.0, 1.0),) * len(a)), counts, SmoothnessVector(a))
+    scales, seeds = [1.0, 2.5, 0.7, 2.5], [3, 11, 3, 12]
+    together = start_portfolio(g, 2, count, scales, [np.random.default_rng(s) for s in seeds])
+    assert len(together) == len(scales)
+    for scale, seed, starts in zip(scales, seeds, together):
+        alone, = start_portfolio(g, 2, count, [scale], [np.random.default_rng(seed)])
+        reference = lone_portfolio(g, 2, count, scale, np.random.default_rng(seed))
+        assert len(starts) == count - 1
+        for other in (alone, reference):
+            assert [label for label, _ in starts] == [label for label, _ in other]
+            assert all(same_bits(x, y) for (_, x), (_, y) in zip(starts, other))
 
 
 def test_column_blocks_leave_the_sobolev_transform_unchanged(monkeypatch):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mixvar import integrand
 from mixvar.integrand import Integrand, builtin, builtin_from_config, grad_check, minus_power, shifted
 
 
@@ -59,6 +60,100 @@ def test_a_nan_gradient_fails_registration():
 
     with pytest.raises(ValueError, match="relative error inf"):
         Integrand(ev, 1, 2, 2.0, grad=lambda V: np.full(V.shape, np.nan), name="nan-grad")
+
+
+def per_sample_grad_check(F):
+    """grad_check as a loop over one point at a time: the reference of the batched check."""
+    rng = np.random.default_rng(integrand._CHECK_SEED)
+    worst, got, tries = 0.0, 0, 0
+    while got < integrand._CHECK_SAMPLES:
+        tries += 1
+        if tries > 50 * integrand._CHECK_SAMPLES:
+            raise RuntimeError("could not sample enough finite points for grad_check")
+        if F.check_points is None:
+            V, h = rng.normal(size=(F.n, F.m)), None
+        else:
+            V, h = F.check_points(rng)
+        if not np.isfinite(F(V)):
+            continue
+        got += 1
+        g = np.asarray(F.grad(V), dtype=float)
+        err = float(np.linalg.norm(g - integrand._fd_gradient(F, V, h)) / (1.0 + np.linalg.norm(g)))
+        worst = max(worst, err if np.isfinite(err) else np.inf)
+    return worst
+
+
+def half_plane_square(V):
+    """|V|^2 where V[0, 0] > 0, +inf elsewhere: half of the draws are resampled."""
+    return np.where(V[..., 0, 0] > 0.0, np.sum(V**2, axis=(-2, -1)), np.inf)
+
+
+def sparse(period, first):
+    """F finite only on draws first, first + period, ... (from 0): check_points numbers its draws."""
+    def check_points(rng):
+        draws.append(len(draws))
+        return np.array([[draws[-1] + 0.5]]), 0.1
+
+    def ev(V):
+        return np.where(np.floor(V[..., 0, 0]) % period == first, V[..., 0, 0] ** 2, np.inf)
+
+    draws = []
+    F = Integrand(ev, 1, 1, 2.0, name="sparse")
+    F.grad, F.check_points = (lambda V: 2.0 * V), check_points
+    return F, draws
+
+
+def test_the_batched_grad_check_equals_the_per_sample_loop():
+    from mixvar.envelope import EnvelopeTable
+
+    pnorm = builtin("pnorm", p=2.0, n=1, m=1)
+    table = EnvelopeTable((2,), 1, 2, 2.0, ((-2.0, 2.0, 9), (-1.0, 1.0, 5)),
+                          np.random.default_rng(7).random(45), None, {"C_upper": 1.0})
+    wrong = Integrand(lambda V: np.sum(V**3, axis=(-2, -1)), 2, 2, 3.0, name="wrong")
+    wrong.grad = lambda V: 2.0 * V
+    nan = Integrand(lambda V: np.sum(V**2, axis=(-2, -1)), 1, 2, 2.0, name="nan")
+    nan.grad = lambda V: np.where(V > 1.0, np.nan, 2.0 * V)
+    cases = [builtin("pnorm", p=3.0, n=2, m=2), builtin("double_well", col=1, w=1.0, n=2, m=3),
+             builtin("pantographic"), table.as_integrand(), table.as_integrand(fallback=pnorm),
+             Integrand(half_plane_square, 1, 2, 2.0, grad=lambda V: 2.0 * V, name="half"),
+             wrong, nan]
+    for F in cases:
+        assert grad_check(F) == per_sample_grad_check(F), F.name
+    assert grad_check(wrong) > 0.1 and grad_check(nan) == np.inf
+
+
+@pytest.mark.parametrize("first, last_draw", [(0, 951), (49, 1000)])
+def test_the_batched_grad_check_keeps_the_finite_draws_of_the_stream(first, last_draw):
+    # the twentieth finite draw is draw 951 or 1000, the last one the cap allows
+    F, draws = sparse(50, first)
+    ref, ref_draws = sparse(50, first)
+    assert grad_check(F) == per_sample_grad_check(ref)
+    assert len(draws) == len(ref_draws) == last_draw
+
+
+def test_the_batched_grad_check_stops_at_the_retry_cap_as_the_loop_does():
+    # nineteen finite draws among the first 1000 (the twentieth would be draw
+    # 1008): both raise after 1000 draws
+    F, draws = sparse(53, 0)
+    ref, ref_draws = sparse(53, 0)
+    for check in (grad_check, per_sample_grad_check):
+        with pytest.raises(RuntimeError, match="could not sample"):
+            check(F if check is grad_check else ref)
+    assert len(draws) == len(ref_draws) == 1000
+    inf = Integrand(lambda V: np.full(V.shape[:-2], np.inf), 1, 1, 2.0, name="inf")
+    inf.grad = lambda V: 2.0 * V
+    with pytest.raises(RuntimeError, match="could not sample"):
+        grad_check(inf)
+
+
+def test_an_integrand_that_is_nan_at_a_growth_sample_fails_registration():
+    def ev(V):
+        return np.where(V[..., 0, 0] > 2, np.nan, (V**2).sum(axis=(-2, -1)))
+
+    with pytest.raises(ValueError, match="'nan-well' is NaN"):
+        Integrand(ev, 1, 1, 2.0, C_upper=1.0, name="nan-well")
+    with pytest.raises(ValueError, match="exceeds declared C_upper"):
+        Integrand(lambda V: np.where(np.isnan(ev(V)), np.inf, ev(V)), 1, 1, 2.0, C_upper=1.0)
 
 
 def test_c_upper_sampling_rejects_undersized_bound():
