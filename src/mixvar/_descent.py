@@ -580,6 +580,12 @@ class _Lbfgs:
     live row records its value, and the rows ``cut`` names retire there.
     """
 
+    # Four all-rows fast paths (``step`` swaps x and xt when every search
+    # ends, ``_store`` slices when every row stores into one slot, ``_begin``
+    # works in place, ``_trials`` copies z when every step is full) give the
+    # bytes of their general branches, which alone made envelope-2d's median
+    # wall time 8% longer (0.308 to 0.332 s, 6 of 6 pairs, 2 shared cores).
+
     def __init__(self, x0, f0, g0, maxiter: int, gtol: float, history: bool, cut=None):
         k, n = x0.shape
         m = _MAXCOR

@@ -14,12 +14,14 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .containers import canonical_json, config_hash, save_field
 from .coercivity import (
+    DEFAULT_C_MIN,
     ThetaOptions,
     _check_c_min,
     _check_moment_order,
@@ -36,10 +38,11 @@ from .envelope import (
     _references,
     tabulate_envelope,
 )
-from .grid import Grid, GridField
+from .grid import Grid, GridField, a_gradient
 from .integrand import _is_int, _is_number, builtin_from_config
 from .smoothness import SmoothnessVector
 from .solver import (
+    DEFAULT_RELAX_LEVELS,
     DirichletProblem,
     SolveOptions,
     _check_refinement_levels,
@@ -48,7 +51,6 @@ from .solver import (
     solve_dirichlet,
 )
 from .youngmeasure import empirical_measure, moments, scale_and_tile
-from .grid import a_gradient
 
 __all__ = ["main"]
 
@@ -57,15 +59,14 @@ class ConfigError(Exception):
     pass
 
 
-# the config fields each subcommand reads; any other key is a config error,
-# so a misspelt or stale option cannot silently fall back to its default
-_SOLVE_KEYS = {"a", "integrand", "seed", "domain", "datum", "p", "resolution", "maxiter", "gtol",
-               "multistart", "perturbation"}
+# the config fields each subcommand reads, its options class's fields among
+# them; any other key is a config error, so a misspelt or stale option
+# cannot silently fall back to its default
+_SOLVE_KEYS = {"a", "integrand", "domain", "datum", "p", "resolution",
+               *(f.name for f in fields(SolveOptions))}
 _CONFIG_KEYS = {
-    "envelope": {"a", "integrand", "seed", "lattice", "levels", "resolution", "multistart", "tol",
-                 "maxiter"},
-    "coerce": {"a", "integrand", "seed", "q", "t_grid", "resolution", "multistart", "maxiter",
-               "c_min"},
+    "envelope": {"a", "integrand", "lattice", "levels", *(f.name for f in fields(EnvelopeOptions))},
+    "coerce": {"a", "integrand", "q", "t_grid", "c_min", *(f.name for f in fields(ThetaOptions))},
     "solve": _SOLVE_KEYS,
     "relax": _SOLVE_KEYS | {"levels"},
     "ym": {"a", "seed", "source", "domain", "p"},
@@ -122,6 +123,20 @@ def _number(cfg: dict, key: str, default: float, within: str = "") -> float:
     if not _is_number(val):
         raise ConfigError(f"field {within + key!r} must be a finite number, got {val!r}")
     return float(val)
+
+
+def _options(cls, cfg: dict, seed: int, **minimum: int):
+    """``cls`` with ``seed`` and the option keys ``cfg`` sets; the others keep their defaults.
+
+    An integer field is checked as an integer of at least its ``minimum``
+    (0 when none is given), any other as a finite number.
+    """
+    values = {"seed": seed}
+    for f in fields(cls):
+        if f.name != "seed":
+            values[f.name] = (_count(cfg, f.name, f.default, minimum.get(f.name, 0))
+                              if f.type == "int" else _number(cfg, f.name, f.default))
+    return cls(**values)
 
 
 def _domain(dom) -> tuple[tuple[float, float], ...]:
@@ -189,16 +204,10 @@ def _cmd_envelope(cfg: dict, out: Path) -> None:
     if levels is not None:
         with _config_fields("levels"):
             _check_levels(_require(cfg, "levels", list))
-    opts = EnvelopeOptions(
-        resolution=_count(cfg, "resolution", 65, 1),
-        multistart=_count(cfg, "multistart", 8, 1),
-        tol=_number(cfg, "tol", 1e-6),
-        maxiter=_count(cfg, "maxiter", 2000, 0),
-        seed=seed,
-    )
+    opts = _options(EnvelopeOptions, cfg, seed, resolution=1, multistart=1)
     coarsest = levels[0] if levels else opts.resolution  # a node's first grid
     with _config_fields("levels" if levels else "resolution"):
-        EnvelopeOptions(resolution=coarsest).grid(a)
+        Grid.cube(a, coarsest)
     chash = config_hash(cfg)
     table = tabulate_envelope(
         F, a, lattice, opts,
@@ -242,15 +251,10 @@ def _cmd_coerce(cfg: dict, out: Path, args) -> None:
                 raise ValueError(f"t values must be finite numbers, got {t_grid!r}")
         if len(_sorted_t_values(t_grid)) < 3:
             raise ValueError("the coercivity fit needs at least 3 t values")
-    opts = ThetaOptions(
-        resolution=_count(cfg, "resolution", 17, 1),
-        multistart=_count(cfg, "multistart", 4, 0),
-        maxiter=_count(cfg, "maxiter", 400, 0),
-        seed=seed,
-    )
+    opts = _options(ThetaOptions, cfg, seed, resolution=1)
     with _config_fields("resolution"):
-        opts.grid(a)
-    c_min = _number(cfg, "c_min", 1e-3)
+        Grid.cube(a, opts.resolution)
+    c_min = _number(cfg, "c_min", DEFAULT_C_MIN)
     with _config_fields("c_min"):
         _check_c_min(c_min)
     curve = theta_estimate(F, q, t_grid, a, opts)
@@ -288,14 +292,7 @@ def _solve_problem(cfg: dict) -> tuple[DirichletProblem, SolveOptions]:
         grid = prob.grid()
     with _config_fields("datum"):
         prob.datum_field(grid)
-    opts = SolveOptions(
-        maxiter=_count(cfg, "maxiter", 800, 0),
-        gtol=_number(cfg, "gtol", 1e-10),
-        multistart=_count(cfg, "multistart", 1, 0),
-        perturbation=_number(cfg, "perturbation", 1e-2),
-        seed=seed,
-    )
-    return prob, opts
+    return prob, _options(SolveOptions, cfg, seed)
 
 
 def _cmd_solve(cfg: dict, out: Path) -> None:
@@ -329,7 +326,7 @@ def _cmd_relax(cfg: dict, out: Path, args) -> None:
     with _config_fields("--table"):
         _check_table(prob, table)
     if args.levels is None:
-        levels = _count(cfg, "levels", 3, 1)
+        levels = _count(cfg, "levels", DEFAULT_RELAX_LEVELS, 1)
     else:
         levels = args.levels
         with _config_fields("--levels"):
@@ -374,7 +371,7 @@ def _cmd_ym(cfg: dict, out: Path) -> None:
     j = _count(src_cfg, "j", 1, 0, "source.")
     p = _number(cfg, "p", 2.0)
     with _config_fields("source"):
-        grid = Grid(((-1.0, 1.0),) * a.ndim, (res,) * a.ndim, a)
+        grid = Grid.cube(a, res)
     domain = _domain(cfg.get("domain", [[-1.0, 1.0]] * a.ndim))
     with _config_fields("domain", "source"):
         target = Grid(domain, (target_res,) * a.ndim, a)

@@ -22,7 +22,6 @@ from .envelope import AQCVerdict, EnvelopeOptions, is_aqc_at
 from .grid import Grid
 from .grid import gradient_adjoint  # noqa: F401  (bench/layers.py traces it at this site)
 from .integrand import Integrand, minus_power
-from .smoothness import SmoothnessVector, _as_sv
 
 __all__ = [
     "ThetaOptions",
@@ -36,19 +35,18 @@ __all__ = [
 _PenalizedMoment = _MomentRetraction
 
 
+# the least slope that ``mean_coercivity_fit`` calls coercive
+DEFAULT_C_MIN = 1e-3
+
+
 @dataclass(frozen=True)
 class ThetaOptions:
+    """The descents of ``theta_estimate``, on Q (``Grid.cube``): theta is domain-invariant."""
+
     resolution: int = 17
     multistart: int = 4
     maxiter: int = 400
     seed: int = 0
-    domain: tuple | None = None  # defaults to Q = [-1,1]^N; theta is domain-invariant
-
-    def grid(self, a: SmoothnessVector) -> Grid:
-        dom = self.domain
-        if dom is None:
-            dom = tuple(((-1.0, 1.0),) * a.ndim)
-        return Grid(tuple(tuple(d) for d in dom), (self.resolution,) * a.ndim, a)
 
 
 @dataclass
@@ -121,7 +119,7 @@ def theta_estimate(
         raise ValueError("theta estimation requires finite p-growth (C_upper)")
     _check_moment_order(F, q)
     t_values = _sorted_t_values(t_values)
-    grid = opts.grid(_as_sv(a))
+    grid = Grid.cube(a, opts.resolution)
     rng = np.random.default_rng(opts.seed)
 
     # deterministic reference profile with unit moment (at t = 0 the retraction is the identity)
@@ -182,7 +180,7 @@ class CoercivityFit:
     degenerate: bool
 
 
-def mean_coercivity_fit(curve: ThetaCurve, c_min: float = 1e-3) -> CoercivityFit:
+def mean_coercivity_fit(curve: ThetaCurve, c_min: float = DEFAULT_C_MIN) -> CoercivityFit:
     """Steepest global linear minorant of the curve, read off the lower hull.
 
     For a convex curve the last lower-hull edge supports the function on all

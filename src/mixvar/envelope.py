@@ -34,7 +34,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,10 +84,6 @@ class EnvelopeOptions:
     tol: float = 1e-6
     maxiter: int = 2000
     seed: int = 0
-
-    def grid(self, a: SmoothnessVector) -> Grid:
-        dom = tuple(((-1.0, 1.0),) * a.ndim)
-        return Grid(dom, (self.resolution,) * a.ndim, a)
 
 
 @dataclass
@@ -261,8 +257,7 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
     for level, res in enumerate(levels):
         if not live:
             break
-        level_opts = replace(opts, resolution=res)
-        grid = level_opts.grid(a)
+        grid = Grid.cube(a, res)
         warms = {}
         for i in live:
             prev = estimates[i].witness if level else None
@@ -273,14 +268,14 @@ def _ladder(F: Integrand, Vs: np.ndarray, a: SmoothnessVector, levels, opts: Env
         for nodes in _runs(live, min(len(live), -(-cells // _CHUNK_CELLS))):
             try:
                 ests = _min_nodes(F, Vs[nodes], [references[i] for i in nodes], grid,
-                                  level_opts, [seeds[i] for i in nodes], [warms[i] for i in nodes])
+                                  opts, [seeds[i] for i in nodes], [warms[i] for i in nodes])
             except RuntimeError:
                 if not mask_failures:
                     raise
                 ests = []
                 for i in nodes:
                     try:
-                        ests += _min_nodes(F, Vs[[i]], [references[i]], grid, level_opts,
+                        ests += _min_nodes(F, Vs[[i]], [references[i]], grid, opts,
                                            [seeds[i]], [warms[i]])
                     except RuntimeError:
                         ests.append(None)

@@ -81,6 +81,12 @@ class Grid:
                     f"need at least {2 * ai + 1} nodes per axis for a_i={ai}, got {c}"
                 )
 
+    @classmethod
+    def cube(cls, a, resolution: int) -> "Grid":
+        """The test box Q = [-1, 1]^N of envelopes and theta curves, ``resolution`` per axis."""
+        a = _as_sv(a)
+        return cls(((-1.0, 1.0),) * a.ndim, (resolution,) * a.ndim, a)
+
     @property
     def ndim(self) -> int:
         return len(self.shape)

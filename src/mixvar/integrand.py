@@ -9,6 +9,7 @@ certificate, so broken metadata fails fast.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -134,12 +135,12 @@ def grad_check(F: Integrand) -> float:
     """Max over _CHECK_SAMPLES points of ||grad - central FD|| / (1 + ||grad||).
 
     Points and steps come from ``F.check_points`` when set, one call per
-    draw.  Points where F is not finite are resampled, at most
-    50 * _CHECK_SAMPLES draws in all: the points are the first
-    _CHECK_SAMPLES finite draws of the stream, as a loop that checks one
-    draw at a time takes them.  F's gradient and central differences are
-    then evaluated at all the points in one batch; a non-finite error
-    counts as +inf.
+    draw.  A draw where F is NaN is a ValueError naming F; points where F is
+    infinite are resampled, at most 50 * _CHECK_SAMPLES draws in all: the
+    points are the first _CHECK_SAMPLES finite draws of the stream, as a
+    loop that checks one draw at a time takes them.  F's gradient and
+    central differences are then evaluated at all the points in one batch;
+    a non-finite error counts as +inf.
     """
     if F.grad is None:
         raise ValueError("integrand has no analytic gradient to check")
@@ -152,7 +153,10 @@ def grad_check(F: Integrand) -> float:
         tries += draws
         drawn = [(rng.normal(size=(F.n, F.m)), None) if F.check_points is None
                  else F.check_points(rng) for _ in range(draws)]
-        finite = np.isfinite(F(np.stack([V for V, _ in drawn])))
+        vals = F(np.stack([V for V, _ in drawn]))
+        if np.isnan(vals).any():
+            raise ValueError(f"{F.name!r} is NaN at a point of the sampled gradient check")
+        finite = np.isfinite(vals)
         points += [V for (V, _), ok in zip(drawn, finite) if ok]
         # the default step of _fd_gradient, taken at each lone point
         steps += [1e-5 * (1.0 + _fro(V)) if h is None else h
@@ -170,16 +174,19 @@ def _tangent_violation(F: Integrand) -> float:
     """Worst relative violation of F(W) >= F(V) + <F'(V), W - V> over sampled pairs.
 
     V ranges over the samples that ``F.hull_exact`` certifies and W over all
-    samples; pairs with a non-finite term are skipped.  Returns -inf when no
-    sample is certified.
+    samples; pairs with a non-finite term are skipped.  A sample where F is
+    NaN is a ValueError naming F.  Returns -inf when no sample is certified.
     """
     rng = np.random.default_rng(_CHECK_SEED + 2)
     half = _TANGENT_SAMPLES // 2
     W = rng.normal(size=(2 * half, F.n, F.m)) * np.repeat([1.0, 3.0], half)[:, None, None]
+    fW = F(W)
+    if np.isnan(fW).any():
+        raise ValueError(f"{F.name!r} is NaN at a point of the sampled tangent-plane check")
     V = W[np.asarray(F.hull_exact(W), dtype=bool)]
     if not len(V):
         return -np.inf
-    fW, fV = F(W), F(V)
+    fV = F(V)
     g = F.gradient(V).reshape(len(V), -1)
     X, Y = W.reshape(len(W), -1), V.reshape(len(V), -1)
     tangent = fV[:, None] + g @ X.T - np.sum(g * Y, axis=1)[:, None]
@@ -195,7 +202,9 @@ def _everywhere(V: np.ndarray) -> np.ndarray:
     return np.ones(np.shape(V)[:-2], dtype=bool)
 
 
-def _pnorm(p: float, n: int, m: int) -> Integrand:
+def _pnorm(p: float, n: int = 1, m: int = 1) -> Integrand:
+    p, n, m = float(p), int(n), int(m)
+
     def ev(V):
         return _fro(V) ** p
 
@@ -213,7 +222,7 @@ def _pnorm(p: float, n: int, m: int) -> Integrand:
 
 
 def _quadratic(A, n: int, m: int) -> Integrand:
-    A = np.asarray(A, dtype=float)
+    A, n, m = np.asarray(A, dtype=float), int(n), int(m)
     k = n * m
     if A.shape != (k, k):
         raise ValueError(f"quadratic form must be {k}x{k}, got {A.shape}")
@@ -249,7 +258,8 @@ def _pantographic() -> Integrand:
                      hull_exact=_everywhere)
 
 
-def _double_well(col: int, w: float, n: int, m: int) -> Integrand:
+def _double_well(col: int = 0, w: float = 1.0, n: int = 1, m: int = 1) -> Integrand:
+    col, w, n, m = int(col), float(w), int(n), int(m)
     if not (0 <= col < m):
         raise ValueError(f"well column {col} out of range for m={m}")
 
@@ -304,6 +314,7 @@ def shifted(F: Integrand, X0) -> Integrand:
 
 def minus_power(F: Integrand, c: float, q: float) -> Integrand:
     """F(.) - c |.|^q, the point-criterion integrand for coercivity tests."""
+    c, q = float(c), float(q)
     if q > F.p:
         raise ValueError(f"q={q} exceeds the growth exponent p={F.p}")
 
@@ -327,7 +338,9 @@ def minus_power(F: Integrand, c: float, q: float) -> Integrand:
     )
 
 
-def _constant(c: float, n: int, m: int, p: float) -> Integrand:
+def _constant(c: float = 0.0, n: int = 1, m: int = 1, p: float = 2.0) -> Integrand:
+    c, n, m, p = float(c), int(n), int(m), float(p)
+
     def ev(V):
         return np.full(V.shape[:-2], c)
 
@@ -340,15 +353,15 @@ def _constant(c: float, n: int, m: int, p: float) -> Integrand:
     )
 
 
-# the parameters each built-in integrand reads
-_BUILTIN_PARAMS = {
-    "constant": {"c", "n", "m", "p"},
-    "pnorm": {"p", "n", "m"},
-    "quadratic": {"A", "n", "m"},
-    "pantographic": set(),
-    "double_well": {"col", "w", "n", "m"},
-    "shifted": {"F", "X0"},
-    "minus_power": {"F", "c", "q"},
+# the built-in integrands; each reads its factory's parameters, with their defaults
+_BUILTINS = {
+    "constant": _constant,
+    "pnorm": _pnorm,
+    "quadratic": _quadratic,
+    "pantographic": _pantographic,
+    "double_well": _double_well,
+    "shifted": shifted,
+    "minus_power": minus_power,
 }
 # the built-in parameters that are integers, those that are finite numbers,
 # and those that are at least 1: a count, or the exponent p of W^{a,p}, which
@@ -359,19 +372,20 @@ _AT_LEAST_ONE = {"n", "m", "p"}
 
 
 def builtin(name: str, **params) -> Integrand:
-    """Factory for the built-in integrands.
+    """The built-in integrand ``name``, built from ``params`` by its factory in ``_BUILTINS``.
 
-    pnorm(p, n=1, m=1); quadratic(A, n, m); pantographic();
-    double_well(col=0, w=1.0, n=1, m=1); constant(c, n, m, p);
-    shifted(F, X0); minus_power(F, c, q).  A parameter the integrand does
-    not read is a ValueError, so a misspelt one cannot fall back to its
-    default, and so is an n, m or col that is not an integer, a c, p, w or
-    q that is not a finite number (a bool is neither), and an n, m or p
-    below 1.
+    The factory's signature is the one statement of the parameters ``name``
+    reads, which of them it requires and the defaults of the others.  A
+    required parameter left out is a KeyError naming it.  A parameter the
+    factory does not read is a ValueError, so a misspelt one cannot fall
+    back to its default, and so is an n, m or col that is not an integer, a
+    c, p, w or q that is not a finite number (a bool is neither), and an n,
+    m or p below 1.
     """
-    if name not in _BUILTIN_PARAMS:
+    if name not in _BUILTINS:
         raise ValueError(f"unknown integrand {name!r}")
-    unknown = sorted(set(params) - _BUILTIN_PARAMS[name])
+    accepted = inspect.signature(_BUILTINS[name]).parameters
+    unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise ValueError(f"integrand {name!r} has no parameter(s) {', '.join(map(repr, unknown))}")
     for key, val in params.items():
@@ -384,34 +398,17 @@ def builtin(name: str, **params) -> Integrand:
         if key in _AT_LEAST_ONE and val < 1:
             raise ValueError(f"integrand {name!r} parameter {key!r} must be at least 1, "
                              f"got {val!r}")
-    if name == "constant":
-        return _constant(
-            float(params.get("c", 0.0)), int(params.get("n", 1)),
-            int(params.get("m", 1)), float(params.get("p", 2.0)),
-        )
-    if name == "pnorm":
-        return _pnorm(float(params["p"]), int(params.get("n", 1)), int(params.get("m", 1)))
-    if name == "quadratic":
-        return _quadratic(params["A"], int(params["n"]), int(params["m"]))
-    if name == "pantographic":
-        return _pantographic()
-    if name == "double_well":
-        return _double_well(
-            int(params.get("col", 0)), float(params.get("w", 1.0)),
-            int(params.get("n", 1)), int(params.get("m", 1)),
-        )
-    if name == "shifted":
-        return shifted(params["F"], params["X0"])
-    return minus_power(params["F"], float(params["c"]), float(params["q"]))
+    for key, param in accepted.items():
+        if param.default is param.empty and key not in params:
+            raise KeyError(key)
+    return _BUILTINS[name](**params)
 
 
 def builtin_from_config(cfg: dict) -> Integrand:
-    """Build from the config schema {"integrand": {"name": ..., "params": {...}}}."""
-    spec = cfg["integrand"] if "integrand" in cfg else cfg
+    """Build from {"integrand": spec}, spec {"name": ..., "params": {...}}; a ``base`` is a spec."""
+    spec = cfg["integrand"]
     name = spec["name"]
     params = dict(spec.get("params", {}))
-    if name == "shifted":
-        params["F"] = builtin_from_config({"integrand": params.pop("base")})
-    if name == "minus_power":
+    if name in ("shifted", "minus_power"):
         params["F"] = builtin_from_config({"integrand": params.pop("base")})
     return builtin(name, **params)

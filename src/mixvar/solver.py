@@ -2,8 +2,8 @@
 relaxation comparison experiment.
 
 A problem fixes the smoothness vector, a rectangular domain, an integrand,
-and a boundary datum defined on the whole domain (an a-polynomial or a full
-grid field), so there are no trace issues: the unknown is u = g + phi with
+and a boundary datum defined on the whole domain at every resolution (an
+a-polynomial), so there are no trace issues: the unknown is u = g + phi with
 phi vanishing on the collar.  Energies are quadrature sums, with the same
 normalized weight at every resolution, so energies computed at different
 refinement levels are directly comparable.
@@ -41,6 +41,8 @@ __all__ = [
 
 # the most negative gap E_F - E_QF that still counts as E_QF <= E_F
 _GAP_TOL = 1e-8
+# the levels of a relaxation ladder
+DEFAULT_RELAX_LEVELS = 3
 
 
 def apolynomial_datum(coeffs: dict, grid: Grid) -> GridField:
@@ -64,10 +66,16 @@ def apolynomial_datum(coeffs: dict, grid: Grid) -> GridField:
 
 @dataclass(frozen=True)
 class DirichletProblem:
+    """The Dirichlet problem of ``integrand`` on ``domain``, ``resolution`` nodes per axis.
+
+    ``datum`` holds the coefficients of an a-polynomial (``apolynomial_datum``),
+    sampled at every resolution, so a refinement ladder replaces only ``resolution``.
+    """
+
     a: SmoothnessVector
     domain: tuple[tuple[float, float], ...]
     integrand: Integrand
-    datum: object  # APolynomial coefficient dict or GridField on the full grid
+    datum: dict
     resolution: tuple[int, ...]
 
     def __post_init__(self):
@@ -82,23 +90,11 @@ class DirichletProblem:
         return Grid(self.domain, self.resolution, self.a)
 
     def datum_field(self, grid: Grid) -> GridField:
-        if isinstance(self.datum, GridField):
-            if self.datum.grid.shape != grid.shape:
-                raise ValueError("grid-field datum does not match the requested resolution")
-            g = self.datum
-        else:
-            g = apolynomial_datum(self.datum, grid)
+        g = apolynomial_datum(self.datum, grid)
         if g.n_components != self.integrand.n:
             raise ValueError(f"datum has {g.n_components} components, "
                              f"the integrand has n = {self.integrand.n}")
         return g
-
-    def at_resolution(self, resolution) -> "DirichletProblem":
-        if isinstance(self.datum, GridField):
-            raise ValueError(
-                "refinement needs a datum defined at every resolution; use an a-polynomial"
-            )
-        return replace(self, resolution=resolution)
 
 
 @dataclass(frozen=True)
@@ -225,7 +221,7 @@ def _check_table(prob: DirichletProblem, table: EnvelopeTable) -> None:
 def relax_compare(
     prob: DirichletProblem,
     table: EnvelopeTable,
-    refinement_levels: int = 3,
+    refinement_levels: int = DEFAULT_RELAX_LEVELS,
     opts: SolveOptions = SolveOptions(),
 ) -> RelaxReport:
     """Solve with F on a refinement ladder, with the interpolated envelope once.
@@ -251,7 +247,7 @@ def relax_compare(
     warm_phi: GridField | None = None
     for lev, res in enumerate(ladders):
         t0 = time.perf_counter()
-        lev_prob = prob.at_resolution(res)
+        lev_prob = replace(prob, resolution=res)
         grid = lev_prob.grid()
         warm = None if warm_phi is None else prolong_zero_boundary(warm_phi, grid)
         result = solve_dirichlet(lev_prob, replace(opts, seed=opts.seed + lev), warm_start=warm)
@@ -262,7 +258,7 @@ def relax_compare(
         wallclock.append(time.perf_counter() - t0)
 
     # envelope solve at the finest level; hull excess aborts, never extrapolates
-    fine_prob = replace(prob.at_resolution(ladders[-1]), integrand=QF)
+    fine_prob = replace(prob, resolution=ladders[-1], integrand=QF)
     t0 = time.perf_counter()
     try:
         qf_result = solve_dirichlet(fine_prob, replace(opts, seed=opts.seed + 101))
@@ -272,8 +268,6 @@ def relax_compare(
             f"envelope table hull exceeded during the QF solve: {exc}"
         ) from exc
     E_QF = qf_result.energy
-    if not np.isfinite(E_QF):
-        raise RuntimeError("envelope table hull exceeded during the QF solve")
     final_stack = a_gradient(qf_result.u).values.reshape(-1, table.n * table.m)
     lows = np.array([lo for lo, _, _ in table.lattice])
     highs = np.array([hi for _, hi, _ in table.lattice])

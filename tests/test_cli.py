@@ -1,3 +1,4 @@
+import inspect
 import json
 import warnings
 from dataclasses import fields
@@ -599,6 +600,9 @@ COERCE_CFG = {**ENVELOPE_CFG, "lattice": None, "q": 2.0, "t_grid": [0.0, 1.0, 2.
     ("envelope", {**ENVELOPE_CFG, "lattice": [[-np.inf, 1.0, 3]]}, "'lattice'", "and finite"),
     ("envelope", {**ENVELOPE_CFG, "lattice": [[-1.0, 1e308, 3]]}, "'lattice'", "not finite"),
     ("envelope", {**ENVELOPE_CFG, "lattice": [[-1e308, 1e308, 3]]}, "'lattice'", "overflows"),
+    # a required integrand parameter, here pnorm's p, has no default
+    ("solve", {**SOLVE_CFG, "integrand": {"name": "pnorm", "params": {"n": 1, "m": 1}}},
+     "'p'", "bad integrand spec"),
 ])
 @pytest.mark.filterwarnings("error")  # a config error is reported without a numpy warning
 def test_malformed_counts_and_lattices_are_validation_errors(tmp_path, capsys, monkeypatch,
@@ -615,9 +619,7 @@ def test_malformed_counts_and_lattices_are_validation_errors(tmp_path, capsys, m
 
 
 # option fields that no config key sets, each with the reason it stays
-UNSET_OPTION_FIELDS = {
-    (ThetaOptions, "domain"): "the domain-invariance property test of theta sets it",
-}
+UNSET_OPTION_FIELDS = {}
 
 
 @pytest.mark.parametrize("options, command", [
@@ -627,6 +629,56 @@ def test_every_option_field_is_a_config_key_of_its_subcommand(options, command):
     # a field only tests set belongs in a module constant the tests patch
     unread = {f.name for f in fields(options)} - cli._CONFIG_KEYS[command]
     assert unread == {name for owner, name in UNSET_OPTION_FIELDS if owner is options}
+
+
+class Reached(Exception):
+    """Raised by a stand-in for a library call once it has recorded its arguments."""
+
+
+def bare(cfg, options):
+    """``cfg`` without the keys of the fields of ``options`` but the seed, and without Nones."""
+    names = {f.name for f in fields(options)} - {"seed"}
+    return {k: v for k, v in cfg.items() if k not in names and v is not None}
+
+
+@pytest.mark.parametrize("command, cfg_data, calls", [
+    ("envelope", bare(ENVELOPE_CFG, EnvelopeOptions),
+     {"tabulate_envelope": {"opts": EnvelopeOptions(seed=7), "levels": None}}),
+    ("coerce", bare(COERCE_CFG, ThetaOptions),
+     {"theta_estimate": {"opts": ThetaOptions(seed=7)},
+      "mean_coercivity_fit": {"c_min": "default"}}),
+    ("solve", SOLVE_CFG, {"solve_dirichlet": {"opts": SolveOptions(seed=1)}}),
+    ("relax", SOLVE_CFG,
+     {"relax_compare": {"opts": SolveOptions(seed=1), "refinement_levels": "default"}}),
+])
+def test_a_config_that_sets_no_option_reaches_the_library_with_its_defaults(
+        tmp_path, monkeypatch, command, cfg_data, calls):
+    # each stand-in records its arguments, the last one stops the run; "default"
+    # stands for the default in the library function's own signature
+    signatures = {name: inspect.signature(getattr(cli, name)) for name in calls}
+    last, seen = list(calls)[-1], {}
+
+    def stand_in(name):
+        def call(*args, **kwargs):
+            bound = signatures[name].bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen[name] = bound.arguments
+            if name == last:
+                raise Reached(name)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, stand_in(name))
+    cfg = write_config(tmp_path / "cfg.json", cfg_data)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    if command == "relax":
+        argv += ["--table", str(table_file(tmp_path / "t.qft", [[-2.0, 2.0, 3]]))]
+    with pytest.raises(Reached):
+        main(argv)
+    for name, params in calls.items():
+        for param, value in params.items():
+            default = signatures[name].parameters[param].default
+            assert seen[name][param] == (default if value == "default" else value)
 
 
 def table_file(path, lattice, magic=TABLE_MAGIC, nodes=3, **changes):

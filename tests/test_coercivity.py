@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mixvar import coercivity
 from mixvar.coercivity import (
     ThetaCurve,
     ThetaOptions,
@@ -12,6 +13,7 @@ from mixvar.coercivity import (
     theta_estimate,
 )
 from mixvar.envelope import EnvelopeOptions, dacorogna_min
+from mixvar.grid import Grid
 from mixvar.integrand import builtin
 
 
@@ -142,13 +144,18 @@ def test_theta_rejects_bad_q():
         theta_estimate(F, 0.5, T_GRID, (2,))
 
 
-def test_theta_domain_invariance_spot_check():
+def test_theta_domain_invariance_spot_check(monkeypatch):
     F = builtin("pnorm", p=2, n=1, m=2)
     base = theta_estimate(F, 2.0, [0.0, 1.0, 2.0], (1, 2), ThetaOptions(seed=6, multistart=2))
-    rect = theta_estimate(
-        F, 2.0, [0.0, 1.0, 2.0], (1, 2),
-        ThetaOptions(seed=6, multistart=2, domain=((-0.5, 1.5), (-2.0, 0.0))),
-    )
+
+    class Rectangle(Grid):
+        # the grid theta_estimate builds, on another box than Q = [-1, 1]^2
+        @classmethod
+        def cube(cls, a, resolution):
+            return Grid(((-0.5, 1.5), (-2.0, 0.0)), (resolution,) * 2, a)
+
+    monkeypatch.setattr(coercivity, "Grid", Rectangle)
+    rect = theta_estimate(F, 2.0, [0.0, 1.0, 2.0], (1, 2), ThetaOptions(seed=6, multistart=2))
     for a, b in zip(base.theta_hat[1:], rect.theta_hat[1:]):
         assert abs(a - b) <= 0.1 * (1 + abs(a))
 

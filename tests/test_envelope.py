@@ -16,6 +16,7 @@ from mixvar.envelope import (
     tabulate_envelope,
 )
 from mixvar import _descent, envelope
+from mixvar.grid import Grid
 from mixvar.integrand import builtin, grad_check, shifted
 
 
@@ -351,7 +352,7 @@ def test_one_node_estimate_equals_the_node_inside_a_chunk(monkeypatch):
     opts = EnvelopeOptions(resolution=33, multistart=5, maxiter=300, seed=0)
     Vs = np.array([0.9, 0.0, -0.4]).reshape(3, 1, 1)
     seeds = [5, 6, 7]
-    grid = opts.grid(envelope.SmoothnessVector((2,)))
+    grid = Grid.cube((2,), opts.resolution)
     chunk = envelope._min_nodes(F, Vs, envelope._references(F, Vs), grid, opts, seeds, [None] * 3)
     assert batches[0] == 12 and len(batches) == 2  # one screening, one polishing batch
     assert any(est.best_start != "zero-exact" for est in chunk)
@@ -396,7 +397,7 @@ def test_a_retired_start_ends_at_the_cut_and_is_never_polished(monkeypatch):
     monkeypatch.setattr(_descent, "_SCREEN_MAXITER", 40)
     F = WELL
     Vs = np.linspace(*CUT_LATTICE[0]).reshape(-1, 1, 1)
-    grid = CUT_OPTS.grid(envelope.SmoothnessVector((2,)))
+    grid = Grid.cube((2,), CUT_OPTS.resolution)
     seeds = [3, 4, 5, 6, 7]
     ests = envelope._min_nodes(F, Vs, envelope._references(F, Vs), grid, CUT_OPTS, seeds,
                                [None] * len(Vs))
@@ -443,7 +444,7 @@ def test_a_node_with_at_most_keep_starts_screening_is_never_cut(monkeypatch):
         monkeypatch.setattr(envelope, "_SCREEN_KEEP", keep)
         Vs = np.array([0.9, 0.0, -0.4]).reshape(3, 1, 1)
         ests = envelope._min_nodes(F, Vs, envelope._references(F, Vs),
-                                   opts.grid(envelope.SmoothnessVector((2,))), opts, [5, 6, 7],
+                                   Grid.cube((2,), opts.resolution), opts, [5, 6, 7],
                                    [None] * 3)
         for est in ests:
             assert not any(retired for *_, retired in est.per_start)

@@ -156,6 +156,29 @@ def test_an_integrand_that_is_nan_at_a_growth_sample_fails_registration():
         Integrand(lambda V: np.where(np.isnan(ev(V)), np.inf, ev(V)), 1, 1, 2.0, C_upper=1.0)
 
 
+@pytest.mark.parametrize("grad, hull_exact, check", [
+    (lambda V: 2.0 * V, None, "gradient"),
+    (lambda V: 2.0 * V, integrand._everywhere, "gradient"),
+    (None, integrand._everywhere, "tangent-plane"),
+])
+def test_an_integrand_that_is_nan_at_a_registration_sample_fails_registration(grad, hull_exact,
+                                                                                check):
+    # without C_upper there is no growth check; the gradient check used to
+    # resample NaN draws and the tangent-plane check to skip NaN pairs, so
+    # this F registered, and with its certificate took F(V) = NaN at V = 2
+    def ev(V):
+        return np.where(V[..., 0, 0] > 1, np.nan, (V**2).sum(axis=(-2, -1)))
+
+    with pytest.raises(ValueError, match=f"'nan-bowl' is NaN at a point of the sampled {check}"):
+        Integrand(ev, 1, 1, 2.0, grad=grad, name="nan-bowl", hull_exact=hull_exact)
+    # +inf draws are still resampled, and +inf pairs still skipped; central
+    # differences that reach the +inf region take inf - inf
+    with np.errstate(invalid="ignore"):
+        F = Integrand(lambda V: np.where(np.isnan(ev(V)), np.inf, ev(V)), 1, 1, 2.0, grad=grad,
+                      hull_exact=hull_exact)
+    assert F(np.array([[2.0]])) == np.inf
+
+
 def test_c_upper_sampling_rejects_undersized_bound():
     def ev(V):
         return 10.0 * np.sum(V**2, axis=(-2, -1))

@@ -128,15 +128,6 @@ def test_trace_energies_nonincreasing():
     assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(e, e[1:]))
 
 
-def test_grid_field_datum_resolution_mismatch():
-    F = builtin("pnorm", p=2, n=1, m=2)
-    g_other = Grid(((-1, 1), (-1, 1)), (9, 9), SV12)
-    datum = GridField.zeros(g_other)
-    prob = DirichletProblem((1, 2), ((-1, 1), (-1, 1)), F, datum, 17)
-    with pytest.raises(ValueError, match="resolution"):
-        solve_dirichlet(prob, SolveOptions(seed=7))
-
-
 def test_relax_convex_zero_gap():
     F = builtin("pnorm", p=2, n=1, m=1)
     table = tabulate_envelope(
