@@ -12,7 +12,6 @@ from .smoothness import (
     AnisoBox,
     BoxCover,
     SmoothnessVector,
-    aniso_scale,
     box_cover,
     homogeneity_set,
     kernel_monomials,
@@ -26,7 +25,6 @@ from .grid import (
     GridField,
     a_gradient,
     full_gradient,
-    lower_gradient,
     mixed_derivative,
     project_to_gradients,
     sobolev_norm,
@@ -59,7 +57,6 @@ from .solver import (
 )
 from .youngmeasure import (
     EmpiricalMeasure,
-    approximate_gradient_sequence,
     coordinate_quantile_distance,
     decompose,
     empirical_measure,

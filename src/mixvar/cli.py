@@ -21,9 +21,7 @@ import numpy as np
 
 from .containers import canonical_json, config_hash, save_field
 from .coercivity import (
-    DEFAULT_C_MIN,
     ThetaOptions,
-    _check_c_min,
     _check_moment_order,
     _sorted_t_values,
     mean_coercivity_fit,
@@ -66,7 +64,7 @@ _SOLVE_KEYS = {"a", "integrand", "domain", "datum", "p", "resolution",
                *(f.name for f in fields(SolveOptions))}
 _CONFIG_KEYS = {
     "envelope": {"a", "integrand", "lattice", "levels", *(f.name for f in fields(EnvelopeOptions))},
-    "coerce": {"a", "integrand", "q", "t_grid", "c_min", *(f.name for f in fields(ThetaOptions))},
+    "coerce": {"a", "integrand", "q", "t_grid", *(f.name for f in fields(ThetaOptions))},
     "solve": _SOLVE_KEYS,
     "relax": _SOLVE_KEYS | {"levels"},
     "ym": {"a", "seed", "source", "domain", "p"},
@@ -254,11 +252,8 @@ def _cmd_coerce(cfg: dict, out: Path, args) -> None:
     opts = _options(ThetaOptions, cfg, seed, resolution=1)
     with _config_fields("resolution"):
         Grid.cube(a, opts.resolution)
-    c_min = _number(cfg, "c_min", DEFAULT_C_MIN)
-    with _config_fields("c_min"):
-        _check_c_min(c_min)
     curve = theta_estimate(F, q, t_grid, a, opts)
-    fit = mean_coercivity_fit(curve, c_min=c_min)
+    fit = mean_coercivity_fit(curve)
     chash = config_hash(cfg)
     rows = [
         (float(t), float(th), d["feasibility_gap"], d["iterations"])
@@ -372,8 +367,8 @@ def _cmd_ym(cfg: dict, out: Path) -> None:
     p = _number(cfg, "p", 2.0)
     with _config_fields("source"):
         grid = Grid.cube(a, res)
-    domain = _domain(cfg.get("domain", [[-1.0, 1.0]] * a.ndim))
     with _config_fields("domain", "source"):
+        domain = _domain(cfg["domain"]) if "domain" in cfg else Grid.cube(a, target_res).domain
         target = Grid(domain, (target_res,) * a.ndim, a)
     from ._descent import smooth_noise
 

@@ -35,8 +35,11 @@ __all__ = [
 _PenalizedMoment = _MomentRetraction
 
 
-# the least slope that ``mean_coercivity_fit`` calls coercive
-DEFAULT_C_MIN = 1e-3
+# the iteration budget of each theta point's descents
+_MAXITER = 400
+# the least slope that ``mean_coercivity_fit`` calls coercive; positive, as
+# every slope is clamped at zero
+_C_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,6 @@ class ThetaOptions:
 
     resolution: int = 17
     multistart: int = 4
-    maxiter: int = 400
     seed: int = 0
 
 
@@ -69,12 +71,6 @@ def _check_moment_order(F: Integrand, q: float) -> None:
     """The moment order q must lie in [1, p]."""
     if not (1.0 <= q <= F.p):
         raise ValueError(f"q={q} outside [1, p={F.p}]")
-
-
-def _check_c_min(c_min: float) -> None:
-    """The coercivity threshold must be positive: every slope is clamped at zero."""
-    if not c_min > 0:
-        raise ValueError(f"c_min must be positive, got {c_min!r}")
 
 
 def _sorted_t_values(t_values) -> np.ndarray:
@@ -150,7 +146,7 @@ def theta_estimate(
             X0 = np.stack([x0 for _, x0 in starts])
             keep = np.isfinite(energy.scales(X0)[1])
             labels = [label for (label, _), k in zip(starts, keep) if k]
-            results = screen_then_polish(energy, X0[keep], labels, maxiter=opts.maxiter)
+            results = screen_then_polish(energy, X0[keep], labels, maxiter=_MAXITER)
             # a diverged start is dropped
             finite = [res for res in results if np.isfinite(res.value)]
             if not finite:
@@ -180,15 +176,13 @@ class CoercivityFit:
     degenerate: bool
 
 
-def mean_coercivity_fit(curve: ThetaCurve, c_min: float = DEFAULT_C_MIN) -> CoercivityFit:
+def mean_coercivity_fit(curve: ThetaCurve) -> CoercivityFit:
     """Steepest global linear minorant of the curve, read off the lower hull.
 
     For a convex curve the last lower-hull edge supports the function on all
     of [0, inf), so its slope is the largest c1 with c1*t + c2 <= theta(t)
-    everywhere; slopes are clamped at zero.  Verdict: coercive iff c1 >= c_min,
-    so c_min must be positive.
+    everywhere; slopes are clamped at zero.  Verdict: coercive iff c1 >= ``_C_MIN``.
     """
-    _check_c_min(c_min)
     t = curve.t_values
     y = curve.theta_hat
     if len(t) < 3:
@@ -212,7 +206,7 @@ def mean_coercivity_fit(curve: ThetaCurve, c_min: float = DEFAULT_C_MIN) -> Coer
         if c1 < 0.0:
             c1 = 0.0
         c2 = float(np.min(y - c1 * t))
-    return CoercivityFit(float(c1), float(c2), bool(c1 >= c_min), degenerate)
+    return CoercivityFit(float(c1), float(c2), bool(c1 >= _C_MIN), degenerate)
 
 
 def strong_qc_test(

@@ -75,13 +75,15 @@ _POLISH_TOP = 3
 # screening leaders a node keeps, beside each family's best, when its screen
 # is cut after _descent._SCREEN_CUT_ROUND evaluations
 _SCREEN_KEEP = 8
+# the margin by which an estimate must beat F(V): a node polishes only where
+# a screened start beats it, and is_aqc_at calls a violation only past it
+_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class EnvelopeOptions:
     resolution: int = 65
     multistart: int = 8
-    tol: float = 1e-6
     maxiter: int = 2000
     seed: int = 0
 
@@ -180,7 +182,7 @@ def _min_nodes(F: Integrand, Vs: np.ndarray, references, grid: Grid, opts: Envel
             rows.sort(key=lambda k: screen[k].value)
             ranked.append(rows)
             screened = [screen[k] for k in rows]
-            sum_threshold = (reference - opts.tol) / scale_mean
+            sum_threshold = (reference - _TOL) / scale_mean
             promising = [r for r in screened if r.value < sum_threshold]
             polish = {r.start_label for r in screened[:1] if r.value < reference / scale_mean}
             if promising:
@@ -343,15 +345,14 @@ class AQCVerdict:
     holds: bool
     value: float
     reference: float
-    tol: float
     witness: GridField | None
 
 
 def is_aqc_at(F: Integrand, V, a, opts: EnvelopeOptions = EnvelopeOptions()) -> AQCVerdict:
-    """Point test: violated iff the estimator beat F(V) by more than tol."""
+    """Point test: violated iff the estimator beat F(V) by more than ``_TOL``."""
     est = dacorogna_min(F, V, a, opts)
-    holds = est.value >= est.reference - opts.tol
-    return AQCVerdict(holds, est.value, est.reference, opts.tol, None if holds else est.witness)
+    holds = est.value >= est.reference - _TOL
+    return AQCVerdict(holds, est.value, est.reference, None if holds else est.witness)
 
 
 def _check_lattice(lattice, n: int, m: int) -> tuple[tuple[float, float, int], ...]:
@@ -488,11 +489,6 @@ class EnvelopeTable:
     @property
     def points(self) -> list[np.ndarray]:
         return [np.linspace(lo, hi, c) for lo, hi, c in self.lattice]
-
-    def node_point(self, idx) -> np.ndarray:
-        pts = self.points
-        coords = np.array([pts[d][i] for d, i in enumerate(idx)])
-        return coords.reshape(self.n, self.m)
 
     @functools.cached_property
     def _interpolant(self) -> _Multilinear:

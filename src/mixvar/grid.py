@@ -42,7 +42,6 @@ __all__ = [
     "mixed_derivative",
     "a_gradient",
     "full_gradient",
-    "lower_gradient",
     "gradient_adjoint",
     "stencil_matrix",
     "sobolev_norm",
@@ -83,7 +82,7 @@ class Grid:
 
     @classmethod
     def cube(cls, a, resolution: int) -> "Grid":
-        """The test box Q = [-1, 1]^N of envelopes and theta curves, ``resolution`` per axis."""
+        """The box Q = [-1, 1]^N of envelopes, theta curves and ym, ``resolution`` per axis."""
         a = _as_sv(a)
         return cls(((-1.0, 1.0),) * a.ndim, (resolution,) * a.ndim, a)
 
@@ -274,11 +273,6 @@ def a_gradient(f: GridField) -> AGradientField:
 def full_gradient(f: GridField) -> AGradientField:
     """All columns with <alpha, 1/a> <= 1 (cardinality d)."""
     return _stack(f, lower_set(f.grid.a, strict=False))
-
-
-def lower_gradient(f: GridField) -> AGradientField:
-    """Strictly sub-critical columns (cardinality d - m)."""
-    return _stack(f, lower_set(f.grid.a, strict=True))
 
 
 def gradient_adjoint(grid: Grid, alphas: list[MultiIndex], weights: np.ndarray) -> np.ndarray:
@@ -513,10 +507,3 @@ class APolynomial:
 
     def sample(self, grid: Grid) -> GridField:
         return GridField(grid, self(*grid.meshgrid()))
-
-    def gradient_matrix(self, a: SmoothnessVector) -> np.ndarray:
-        """The constant n x m value of the mixed-order gradient."""
-        hyper = homogeneity_set(a)
-        cmap = dict(self.coeffs)
-        cols = [np.asarray(cmap.get(al, (0.0,) * self.n_components)) for al in hyper]
-        return np.stack(cols, axis=-1)

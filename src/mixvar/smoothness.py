@@ -6,8 +6,8 @@ order per axis.  Multi-indices are weighed by the exact rational pairing
 ``fractions.Fraction`` arithmetic so boundary indices are never misclassified
 by rounding.
 
-Anisotropic scaling acts per axis as ``R ** (1/a_i)``; the associated boxes
-are the sublevel sets ``|x_i - c_i| ** a_i < R``.
+Anisotropic boxes are the sublevel sets ``|x_i - c_i| ** a_i < R``, of
+half-width ``R ** (1/a_i)`` along axis i.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "homogeneity_set",
     "lower_set",
     "kernel_monomials",
-    "aniso_scale",
     "box_cover",
 ]
 
@@ -139,20 +138,6 @@ def kernel_monomials(a) -> list[MultiIndex]:
         if killed_all:
             hits.append(gamma)
     return _ordered(hits)
-
-
-def aniso_scale(R: float, v, a) -> np.ndarray:
-    """Anisotropic scaling: componentwise R**(1/a_i) * v_i.
-
-    Satisfies the group law aniso_scale(R1, aniso_scale(R2, v)) =
-    aniso_scale(R1*R2, v) up to round-off.
-    """
-    if R <= 0:
-        raise ValueError(f"anisotropic radius must be positive, got {R}")
-    sv = _as_sv(a)
-    v = np.asarray(v, dtype=float)
-    factors = np.array([R ** (1.0 / ai) for ai in sv.a])
-    return factors * v
 
 
 @dataclass(frozen=True)

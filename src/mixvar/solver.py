@@ -43,6 +43,8 @@ __all__ = [
 _GAP_TOL = 1e-8
 # the levels of a relaxation ladder
 DEFAULT_RELAX_LEVELS = 3
+# a solve's gradient tolerance, in the a-Sobolev metric's coordinates where it polishes
+_GTOL = 1e-10
 
 
 def apolynomial_datum(coeffs: dict, grid: Grid) -> GridField:
@@ -100,7 +102,6 @@ class DirichletProblem:
 @dataclass(frozen=True)
 class SolveOptions:
     maxiter: int = 800
-    gtol: float = 1e-10
     multistart: int = 1          # extra perturbed starts beyond the datum start
     perturbation: float = 1e-2
     seed: int = 0
@@ -140,7 +141,7 @@ def solve_dirichlet(
     Every start screens flat for ``_descent._SCREEN_MAXITER`` iterations, and
     every finite start that ran out of that budget polishes for the rest of
     ``maxiter`` in the a-Sobolev metric; the lowest energy wins.  Its
-    ``converged`` then means the polish met ``gtol`` in the metric's
+    ``converged`` then means the polish met ``_GTOL`` in the metric's
     coordinates (or the relative-f test), and its ``iterations`` count both
     phases.  The returned field agrees with the datum on the collar
     bit-exactly (those nodes are never touched).  ``energies`` are the energy
@@ -169,7 +170,7 @@ def solve_dirichlet(
 
     X0 = np.stack([energy.pack(phi0) for _, phi0 in starts])  # pack drops the collar
     results = screen_then_polish(energy, X0, [label for label, _ in starts], opts.maxiter,
-                                 opts.gtol, history=True)
+                                 _GTOL, history=True)
     best = None
     for res in results:
         if np.isfinite(res.value) and (best is None or res.value < best.value):
@@ -191,7 +192,7 @@ class RelaxReport:
     E_QF: float
     gaps: list
     grad_norms: list
-    converged: list       # per level: the winning descent met gtol within maxiter
+    converged: list       # per level: the winning descent met _GTOL within maxiter
     wallclock: list
     no_gap_detected: bool
     lower_bound_ok: bool  # E_QF <= E_F + _GAP_TOL at every level
@@ -269,9 +270,7 @@ def relax_compare(
         ) from exc
     E_QF = qf_result.energy
     final_stack = a_gradient(qf_result.u).values.reshape(-1, table.n * table.m)
-    lows = np.array([lo for lo, _, _ in table.lattice])
-    highs = np.array([hi for _, hi, _ in table.lattice])
-    if np.any(final_stack < lows) or np.any(final_stack > highs):
+    if not np.all(table._interpolant.inside(final_stack)):
         raise RuntimeError(
             "QF minimizer leaves the envelope table hull; extend the table lattice"
         )

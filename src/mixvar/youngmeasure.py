@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import EnvelopeTable, envelope_interpolate
-from .grid import AGradientField, Grid, GridField, a_gradient, full_gradient, project_to_gradients, truncate
+from .grid import AGradientField, Grid, GridField, full_gradient, project_to_gradients, truncate
 from .integrand import Integrand
 from .smoothness import box_cover
 
@@ -29,7 +29,6 @@ __all__ = [
     "jensen_gap",
     "decompose",
     "DecompositionReport",
-    "approximate_gradient_sequence",
     "sliced_wasserstein",
     "coordinate_quantile_distance",
 ]
@@ -198,38 +197,6 @@ def decompose(
         fractions.append(float(np.mean(rfro > _CONCENTRATION_DELTA)))
     report = DecompositionReport(tails, fractions)
     return oscillation, concentration, report
-
-
-def approximate_gradient_sequence(
-    fields: list[GridField],
-    eps_schedule,
-    p: float = 2.0,
-    seed: int = 0,
-) -> list[np.ndarray]:
-    """Gradient stacks plus noise with exact discrete L^p norm eps_j.
-
-    Mirrors the stability hypothesis for approximate-gradient convergence:
-    V_j = grad_a(u_j) + v_j with ||v_j||_p = eps_j, so diagnostics computed on
-    V_j differ from the exact ones by O(eps_j).
-    """
-    eps = [float(e) for e in eps_schedule]
-    if len(eps) != len(fields):
-        raise ValueError("schedule length must match the number of fields")
-    if any(e < 0 for e in eps):
-        raise ValueError("noise levels must be nonnegative")
-    rng = np.random.default_rng(seed)
-    out = []
-    for u, e in zip(fields, eps):
-        W = a_gradient(u).values
-        if e == 0.0:
-            out.append(W)
-            continue
-        noise = rng.standard_normal(W.shape)
-        w = u.grid.quad_weight
-        fro = np.sqrt(np.sum(noise**2, axis=(-2, -1)))
-        norm = (np.sum(fro**p) * w) ** (1.0 / p)
-        out.append(W + noise * (e / norm))
-    return out
 
 
 def sliced_wasserstein(

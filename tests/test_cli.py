@@ -1,12 +1,16 @@
+import importlib
 import inspect
 import json
+import re
+import shlex
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mixvar import cli
+from mixvar import cli, coercivity
 from mixvar.cli import main
 from mixvar.coercivity import ThetaOptions
 from mixvar.containers import TABLE_MAGIC
@@ -65,8 +69,9 @@ def test_envelope_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_solve_and_coerce_determinism_byte_identical(tmp_path):
+def test_solve_and_coerce_determinism_byte_identical(tmp_path, monkeypatch):
     # criterion 11 beyond tables: a 2-D Dirichlet solve and the penalised theta descents
+    monkeypatch.setattr(coercivity, "_MAXITER", 50)
     solve = write_config(tmp_path / "solve.json", {
         "a": [1, 2], "domain": [[-1.0, 1.0], [-1.0, 1.0]],
         "integrand": {"name": "double_well", "params": {"w": 1.0, "n": 1, "m": 2, "col": 1}},
@@ -75,8 +80,7 @@ def test_solve_and_coerce_determinism_byte_identical(tmp_path):
     })
     coerce = write_config(tmp_path / "coerce.json", {
         "a": [1, 2], "integrand": {"name": "pnorm", "params": {"p": 2.0, "n": 1, "m": 2}},
-        "t_grid": [0.0, 1.0, 2.0], "q": 2.0, "resolution": 9, "multistart": 2, "maxiter": 50,
-        "seed": 3,
+        "t_grid": [0.0, 1.0, 2.0], "q": 2.0, "resolution": 9, "multistart": 2, "seed": 3,
     })
     runs = []
     for run in ("one", "two"):
@@ -186,7 +190,6 @@ def fresh_run(code: str, *args: str, **kwargs):
     """``code`` run by a new interpreter that imports mixvar from here."""
     import subprocess
     import sys
-    from pathlib import Path
 
     import mixvar
 
@@ -210,7 +213,7 @@ def test_descent_subcommands_load_no_scipy(tmp_path):
         "solve": {**SOLVE_CFG, "multistart": 1},
         "coerce": {"a": [1, 2], "integrand": {"name": "pnorm", "params": {"p": 2, "n": 1, "m": 2}},
                    "t_grid": [0.0, 1.0, 2.0], "q": 2.0, "resolution": 9, "multistart": 2,
-                   "maxiter": 50, "seed": 3},
+                   "seed": 3},
         "relax": {**SOLVE_CFG, "multistart": 1, "levels": 2},
     }
     argv = {
@@ -223,7 +226,8 @@ def test_descent_subcommands_load_no_scipy(tmp_path):
     for command, cfg in configs.items():
         calls.append([command, "--config", write_config(tmp_path / f"{command}.json", cfg),
                       *argv[command]])
-    code = ("import json; from mixvar.cli import main; "
+    code = ("import json; from mixvar import coercivity; from mixvar.cli import main; "
+            "coercivity._MAXITER = 50; "
             "codes = [main(argv) for argv in json.loads(sys.argv[2])]; "
             f"print(json.dumps([codes, {SCIPY_MODULES}]))")
     codes, loaded = json.loads(fresh_python(code, json.dumps(calls)))
@@ -539,7 +543,8 @@ def no_descent(*args, **kwargs):
     raise AssertionError("a descent ran before validation")
 
 
-COERCE_CFG = {**ENVELOPE_CFG, "lattice": None, "q": 2.0, "t_grid": [0.0, 1.0, 2.0]}
+COERCE_CFG = {**ENVELOPE_CFG, "lattice": None, "maxiter": None, "q": 2.0,
+              "t_grid": [0.0, 1.0, 2.0]}
 
 
 @pytest.mark.parametrize("command, cfg_data, field, message", [
@@ -550,15 +555,16 @@ COERCE_CFG = {**ENVELOPE_CFG, "lattice": None, "q": 2.0, "t_grid": [0.0, 1.0, 2.
     ("envelope", {**ENVELOPE_CFG, "lattice": [[-2.0, 2.0, 1]]}, "'lattice'", "lo == hi"),
     ("envelope", {**ENVELOPE_CFG, "multistart": 0}, "'multistart'", "integer >= 1"),
     ("envelope", {**ENVELOPE_CFG, "maxiter": "20"}, "'maxiter'", "integer >= 0"),
-    ("coerce", {**COERCE_CFG, "maxiter": 2.5}, "'maxiter'", "integer >= 0"),
+    # coerce's maxiter and c_min, envelope's tol and solve's gtol are module constants
+    ("coerce", {**COERCE_CFG, "maxiter": 400}, "'maxiter'", "unknown field"),
     ("solve", {**SOLVE_CFG, "maxiter": "20"}, "'maxiter'", "integer >= 0"),
     ("solve", {**SOLVE_CFG, "multistart": -1}, "'multistart'", "integer >= 0"),
-    ("envelope", {**ENVELOPE_CFG, "tol": "x"}, "'tol'", "finite number"),
+    ("envelope", {**ENVELOPE_CFG, "tol": 1e-6}, "'tol'", "unknown field"),
     ("envelope", {**ENVELOPE_CFG, "resolution": 17.5}, "'resolution'", "integer >= 1"),
     ("envelope", {**ENVELOPE_CFG, "levels": [9.5, 18]}, "'levels'", "integers"),
-    ("coerce", {**COERCE_CFG, "c_min": "x"}, "'c_min'", "finite number"),
+    ("coerce", {**COERCE_CFG, "c_min": 1e-3}, "'c_min'", "unknown field"),
     ("coerce", {**COERCE_CFG, "resolution": "9"}, "'resolution'", "integer >= 1"),
-    ("solve", {**SOLVE_CFG, "gtol": "x"}, "'gtol'", "finite number"),
+    ("solve", {**SOLVE_CFG, "gtol": 1e-10}, "'gtol'", "unknown field"),
     ("solve", {**SOLVE_CFG, "perturbation": "x"}, "'perturbation'", "finite number"),
     ("solve", {**SOLVE_CFG, "p": "x"}, "'p'", "finite number"),
     ("solve", {**SOLVE_CFG, "domain": [[-1, 1, 5]]}, "'domain'", "[lo, hi]"),
@@ -594,8 +600,9 @@ COERCE_CFG = {**ENVELOPE_CFG, "lattice": None, "q": 2.0, "t_grid": [0.0, 1.0, 2.
     ("envelope", {**ENVELOPE_CFG, "integrand": {"name": "constant",
                                                 "params": {"c": 1.0, "m": 0, "p": 2.0}}},
      "'m'", "at least 1"),
-    # every slope is clamped at 0, so c_min = 0 would call every curve coercive
-    ("coerce", {**COERCE_CFG, "c_min": 0}, "'c_min'", "positive"),
+    # a ym target too coarse for a on its default domain, Q
+    ("ym", {**YM_CFG, "source": {**YM_CFG["source"], "target_resolution": 3}}, "'source'",
+     "at least 5 nodes"),
     # JSON's -Infinity is a number, and the double well overflows to nan at 5e307
     ("envelope", {**ENVELOPE_CFG, "lattice": [[-np.inf, 1.0, 3]]}, "'lattice'", "and finite"),
     ("envelope", {**ENVELOPE_CFG, "lattice": [[-1.0, 1e308, 3]]}, "'lattice'", "not finite"),
@@ -618,17 +625,48 @@ def test_malformed_counts_and_lattices_are_validation_errors(tmp_path, capsys, m
     assert not out.exists()
 
 
-# option fields that no config key sets, each with the reason it stays
-UNSET_OPTION_FIELDS = {}
+ROOT = Path(__file__).resolve().parents[1]
+# the keys that state a subcommand's problem; any other key but the seed tunes its run
+PROBLEM_KEYS = {
+    "envelope": {"a", "integrand", "lattice", "levels"},
+    "coerce": {"a", "integrand", "q", "t_grid"},
+    "solve": {"a", "integrand", "domain", "datum", "p", "resolution"},
+}
+
+
+def run_configs(monkeypatch) -> list[dict]:
+    """The configs that really run: those the benchmark workloads write and those CI echoes.
+
+    A shell variable in an echoed config ($maxiter, $well) stands for its value.
+    """
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    configs = [cfg for workload in workloads.WORKLOADS.values()
+               for cfg in workload(ROOT, None).configs().values()]
+    ci = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    for arg in re.findall(r"echo ('.*') > ", ci):
+        configs.append(json.loads(re.sub(r"\$\w+", "null", shlex.split(arg)[0])))
+    return configs
+
+
+def subcommand(cfg: dict) -> str:
+    """The subcommand a config is for, told from its keys (a ``datum`` one is solve or relax)."""
+    for key, command in (("lattice", "envelope"), ("datum", "solve"), ("source", "ym")):
+        if key in cfg:
+            return command
+    return "coerce"
 
 
 @pytest.mark.parametrize("options, command", [
     (EnvelopeOptions, "envelope"), (ThetaOptions, "coerce"), (SolveOptions, "solve"),
 ])
-def test_every_option_field_is_a_config_key_of_its_subcommand(options, command):
-    # a field only tests set belongs in a module constant the tests patch
-    unread = {f.name for f in fields(options)} - cli._CONFIG_KEYS[command]
-    assert unread == {name for owner, name in UNSET_OPTION_FIELDS if owner is options}
+def test_every_option_field_is_a_config_key_of_its_subcommand(monkeypatch, options, command):
+    # each option of a subcommand, a field of its options class or another key
+    # it reads beside its problem's, is set by a config that runs; a value
+    # only tests set belongs in a module constant the tests patch
+    tuned = ({f.name for f in fields(options)} | cli._CONFIG_KEYS[command]) - PROBLEM_KEYS[command]
+    runs = [cfg for cfg in run_configs(monkeypatch) if subcommand(cfg) == command]
+    assert sorted(tuned - set().union(*runs) - {"seed"}) == []
 
 
 class Reached(Exception):
@@ -644,9 +682,7 @@ def bare(cfg, options):
 @pytest.mark.parametrize("command, cfg_data, calls", [
     ("envelope", bare(ENVELOPE_CFG, EnvelopeOptions),
      {"tabulate_envelope": {"opts": EnvelopeOptions(seed=7), "levels": None}}),
-    ("coerce", bare(COERCE_CFG, ThetaOptions),
-     {"theta_estimate": {"opts": ThetaOptions(seed=7)},
-      "mean_coercivity_fit": {"c_min": "default"}}),
+    ("coerce", bare(COERCE_CFG, ThetaOptions), {"theta_estimate": {"opts": ThetaOptions(seed=7)}}),
     ("solve", SOLVE_CFG, {"solve_dirichlet": {"opts": SolveOptions(seed=1)}}),
     ("relax", SOLVE_CFG,
      {"relax_compare": {"opts": SolveOptions(seed=1), "refinement_levels": "default"}}),

@@ -197,14 +197,6 @@ def test_fit_zero_integrand_not_coercive():
     assert not fit.coercive
 
 
-@pytest.mark.parametrize("c_min", [0.0, -1.0])
-def test_fit_rejects_a_threshold_that_is_not_positive(c_min):
-    # slopes are clamped at zero, so c_min <= 0 would call every curve coercive
-    curve = ThetaCurve(2.0, np.array([0.0, 1.0, 2.0]), np.zeros(3))
-    with pytest.raises(ValueError, match="c_min"):
-        mean_coercivity_fit(curve, c_min=c_min)
-
-
 def test_fit_needs_three_points():
     with pytest.raises(ValueError):
         mean_coercivity_fit(ThetaCurve(2.0, np.array([0.0, 1.0]), np.array([0.0, 1.0])))

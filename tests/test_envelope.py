@@ -89,7 +89,7 @@ def test_is_aqc_double_well_violated_with_witness():
     opts = EnvelopeOptions(resolution=65, multistart=8, maxiter=800, seed=3)
     verdict = is_aqc_at(F, 0.0, (2,), opts)
     assert not verdict.holds
-    assert verdict.value < verdict.reference - opts.tol
+    assert verdict.value < verdict.reference - envelope._TOL
     assert verdict.witness is not None
     # reproduce the violation from the witness
     from mixvar.grid import a_gradient
@@ -162,7 +162,7 @@ def test_translation_covariance():
     V = np.array([[0.6]])
     a = dacorogna_min(shifted(F, X0), V, (2,), opts)
     b = dacorogna_min(F, X0 + V, (2,), opts)
-    assert abs(a.value - b.value) <= 2 * opts.tol
+    assert abs(a.value - b.value) <= 2 * envelope._TOL
     # inside the well the two descents differ at ulp level and land in nearby
     # local minima; covariance holds at the estimator-slack scale
     X0 = np.array([[0.3]])
@@ -179,12 +179,12 @@ def test_envelope_idempotence_probe_convex():
     table = tabulate_envelope(F, (2,), [(-2.0, 2.0, 9)], FAST)
     G = table.as_integrand(fallback=F)
     for idx in (3, 4, 5):
-        V = table.node_point((idx,))
-        verdict = is_aqc_at(G, V, (2,), EnvelopeOptions(resolution=17, multistart=4, tol=1e-6, maxiter=300, seed=6))
-        assert verdict.value >= verdict.reference - 3 * 1e-6
+        V = table.points[0][idx]
+        verdict = is_aqc_at(G, V, (2,), EnvelopeOptions(resolution=17, multistart=4, maxiter=300, seed=6))
+        assert verdict.value >= verdict.reference - 3 * envelope._TOL
 
 
-def test_envelope_idempotence_probe_double_well():
+def test_envelope_idempotence_probe_double_well(monkeypatch):
     # table convergence sets the certification scale: at desk resolution the
     # bottom values carry ~1e-3 optimizer slack, so the probe runs at that tol
     F = builtin("double_well", w=1.0, n=1, m=1)
@@ -192,9 +192,10 @@ def test_envelope_idempotence_probe_double_well():
     table = tabulate_envelope(F, (2,), [(-2.0, 2.0, 21)], opts)
     G = table.as_integrand(fallback=F)
     slack = 5e-3
+    monkeypatch.setattr(envelope, "_TOL", slack)
     for idx in (5, 10, 15):
-        V = table.node_point((idx,))
-        verdict = is_aqc_at(G, V, (2,), EnvelopeOptions(resolution=33, multistart=6, tol=slack, maxiter=600, seed=8))
+        V = table.points[0][idx]
+        verdict = is_aqc_at(G, V, (2,), EnvelopeOptions(resolution=33, multistart=6, maxiter=600, seed=8))
         assert verdict.value >= verdict.reference - 3 * slack
 
 

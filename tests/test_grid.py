@@ -8,7 +8,6 @@ from mixvar.grid import (
     GridField,
     a_gradient,
     full_gradient,
-    lower_gradient,
     mixed_derivative,
     project_to_gradients,
     sobolev_norm,
@@ -79,7 +78,6 @@ def test_gradient_column_counts():
     g = grid12()
     f = GridField.from_function(g, lambda x, y: np.sin(x) * np.cos(y))
     assert full_gradient(f).n_columns == 4
-    assert lower_gradient(f).n_columns == 2
     assert a_gradient(f).n_columns == 2
 
 
@@ -230,7 +228,6 @@ def test_apolynomial_evaluation():
     x = np.array([0.5])
     y = np.array([0.3])
     assert P(x, y)[0, 0] == pytest.approx(0.5 + 0.09)
-    assert np.allclose(P.gradient_matrix(SV12), [[1.0, 2.0]])
 
 
 OPERATOR_CASES = [(2,), (1, 2), (2, 2), (1, 1, 3)]

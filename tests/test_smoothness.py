@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
 
 from mixvar import smoothness
 from mixvar.smoothness import (
     AnisoBox,
     SmoothnessVector,
-    aniso_scale,
     box_cover,
     homogeneity_set,
     kernel_monomials,
@@ -76,32 +74,6 @@ def test_kernel_monomials_killed_by_every_hyperplane_index():
                 if gamma[i] > 0:
                     beta = tuple(gamma[j] - (j == i) for j in range(len(gamma)))
                     assert beta in kern
-
-
-def test_aniso_scale_examples():
-    assert np.allclose(aniso_scale(4.0, (1, 1), (1, 2)), [4.0, 2.0])
-    v = np.array([0.3, -1.7])
-    assert np.allclose(aniso_scale(1.0, v, (1, 2)), v)
-    assert np.allclose(aniso_scale(0.25, (2, 2), (1, 2)), [0.5, 1.0])
-    with pytest.raises(ValueError):
-        aniso_scale(0.0, (1, 1), (1, 2))
-    with pytest.raises(ValueError):
-        aniso_scale(-1.0, (1, 1), (1, 2))
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    R1=st.floats(0.05, 20.0),
-    R2=st.floats(0.05, 20.0),
-    vx=st.floats(-5.0, 5.0),
-    vy=st.floats(-5.0, 5.0),
-)
-def test_aniso_scale_group_law(R1, R2, vx, vy):
-    a = (1, 3)
-    v = np.array([vx, vy])
-    lhs = aniso_scale(R1, aniso_scale(R2, v, a), a)
-    rhs = aniso_scale(R1 * R2, v, a)
-    assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_box_volume_vs_monte_carlo():

@@ -311,12 +311,12 @@ def test_a_polished_start_is_bit_equal_beside_other_starts_and_alone(monkeypatch
     starts += [_descent.smooth_noise(grid, F.n, rng) * s for s in (0.01, 0.1)]
     X0 = energy.pack(np.stack(starts))
     labels = ["datum", "small", "large"]
-    together = _descent.screen_then_polish(energy, X0, labels, WELL_OPTS.maxiter, WELL_OPTS.gtol,
+    together = _descent.screen_then_polish(energy, X0, labels, WELL_OPTS.maxiter, solver._GTOL,
                                            history=True)
     assert sum(r.iterations > WELL_SCREEN for r in together) == 2  # the datum start is stationary
     for k, res in enumerate(together):
         alone = _descent.screen_then_polish(energy, X0[[k]], [labels[k]], WELL_OPTS.maxiter,
-                                            WELL_OPTS.gtol, history=True)[0]
+                                            solver._GTOL, history=True)[0]
         assert alone.value == res.value
         assert np.array_equal(alone.x, res.x)
         assert (alone.iterations, alone.nfev, alone.converged) == (

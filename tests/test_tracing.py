@@ -41,6 +41,7 @@ def test_tracer_sees_the_energy_evaluations_of_batched_descents(monkeypatch):
     from mixvar.integrand import builtin
 
     monkeypatch.setattr(_descent, "_SCREEN_MAXITER", 20)  # the node polishes too
+    monkeypatch.setattr(coercivity, "_MAXITER", 20)
     tracer = load_layers().Tracer()
     try:
         tracer.install()
@@ -54,7 +55,7 @@ def test_tracer_sees_the_energy_evaluations_of_batched_descents(monkeypatch):
         solve = tracer.round_metrics(1.0, 1.0)
         tracer.reset()
         coercivity.theta_estimate(F, 2.0, [0.0, 0.5, 1.0], (2,), coercivity.ThetaOptions(
-            resolution=9, multistart=1, maxiter=20, seed=3))
+            resolution=9, multistart=1, seed=3))
         theta = tracer.round_metrics(1.0, 1.0)
     finally:
         tracer.uninstall()

@@ -8,7 +8,6 @@ from mixvar.integrand import builtin
 from mixvar.smoothness import SmoothnessVector, homogeneity_set
 from mixvar.youngmeasure import (
     EmpiricalMeasure,
-    approximate_gradient_sequence,
     coordinate_quantile_distance,
     decompose,
     empirical_measure,
@@ -233,32 +232,6 @@ def test_decompose_zero_sequence():
     assert np.all(conc[0] == 0)
 
 
-def test_approximate_gradient_sequence_exact_at_zero_noise():
-    g = unit_grid_1d(65)
-    phi = bump_1d(g)
-    out = approximate_gradient_sequence([phi], [0.0])
-    assert np.array_equal(out[0], a_gradient(phi).values)
-
-
-def test_approximate_gradient_sequence_moment_stability():
-    g = unit_grid_1d(65)
-    phi = bump_1d(g)
-    exact = a_gradient(phi).values
-    exact_mom = float(np.mean(np.sum(exact**2, axis=(-2, -1))))
-    eps = [1e-1, 1e-2, 1e-3]
-    perturbed = approximate_gradient_sequence([phi] * 3, eps, seed=6)
-    consts = []
-    for V, e in zip(perturbed, eps):
-        mom = float(np.mean(np.sum(V**2, axis=(-2, -1))))
-        consts.append(abs(mom - exact_mom) / e)
-    C = max(consts)
-    assert np.isfinite(C)
-    print(f"\nmoment perturbation constant: C = {C:.3f}")
-    for V, e in zip(perturbed, eps):
-        mom = float(np.mean(np.sum(V**2, axis=(-2, -1))))
-        assert abs(mom - exact_mom) <= (C + 1e-9) * e
-
-
 def test_approximate_gradient_jensen_stability():
     g = unit_grid_1d(65)
     phi = bump_1d(g)
@@ -267,21 +240,15 @@ def test_approximate_gradient_jensen_stability():
     table = tabulate_envelope(F, (2,), [(-amax, amax, 17)],
                               EnvelopeOptions(resolution=17, multistart=2, seed=7))
     nu_exact = empirical_measure(a_gradient(phi))
-    V = approximate_gradient_sequence([phi], [1e-3], seed=8)[0]
+    # the gradients plus noise of discrete L^2 norm 1e-3
+    W = a_gradient(phi).values
+    noise = np.random.default_rng(8).standard_normal(W.shape)
+    V = W + noise * (1e-3 / np.sqrt(np.sum(noise**2) * phi.grid.quad_weight))
     k = phi.grid.n_interior
     nu_pert = EmpiricalMeasure(V.reshape(k, 1, 1), np.full(k, 1.0 / k))
     g0 = jensen_gap(nu_exact, F, table)
     g1 = jensen_gap(nu_pert, F, table)
     assert abs(g1 - g0) <= 1e-2
-
-
-def test_noise_schedule_validation():
-    g = unit_grid_1d(33)
-    phi = bump_1d(g)
-    with pytest.raises(ValueError):
-        approximate_gradient_sequence([phi], [0.1, 0.2])
-    with pytest.raises(ValueError):
-        approximate_gradient_sequence([phi], [-0.1])
 
 
 def test_sliced_wasserstein_basic():
